@@ -64,9 +64,6 @@ from .estimators import (
     OlsFit,
     QuantileForest,
     RidgePredictor,
-    fit_bin_classifier,
-    fit_quantile_forest,
-    kernel_weights,
     ols,
 )
 from .extract import SynonymTable, TranscriptRecord, build_feature, extract_samples, locate_rating_positions

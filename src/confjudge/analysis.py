@@ -165,21 +165,27 @@ def _coverage_width(intervals, labels):
 
 
 def _eval_cell(args):
+    """One (method, seed) cell: ((row, empties, degenerate), None) on
+    success, (None, message) when the cell fails."""
     (dataset, method, seed, alpha, policy, calib_fraction, inner_train_fraction,
      hyper, point_predictor) = args
-    train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
-    kw = {}
-    if method == "split_abs":
-        kw["point_predictor"] = point_predictor
-    model = conformal.calibrate(method, train, calib, alpha, hyper, **kw)
-    intervals, flags = conformal.predict_intervals_flagged(model, test.logits, test.raw_scores)
-    degenerate = sum(1 for f in flags if f)
-    if policy is not None:
-        adjusted = [adjust(iv, dataset.scale, policy) for iv in intervals]
-    else:
-        adjusted = intervals
-    coverage, mean_width, empties = _coverage_width(adjusted, test.labels)
-    return EvalRow(method, seed, _policy_name(policy), mean_width, coverage), empties, degenerate
+    try:
+        train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
+        kw = {}
+        if method == "split_abs":
+            kw["point_predictor"] = point_predictor
+        model = conformal.calibrate(method, train, calib, alpha, hyper, **kw)
+        intervals, flags = conformal.predict_intervals_flagged(model, test.logits, test.raw_scores)
+        degenerate = sum(1 for f in flags if f)
+        if policy is not None:
+            adjusted = [adjust(iv, dataset.scale, policy) for iv in intervals]
+        else:
+            adjusted = intervals
+        coverage, mean_width, empties = _coverage_width(adjusted, test.labels)
+        row = EvalRow(method, seed, _policy_name(policy), mean_width, coverage)
+    except Exception as exc:
+        return None, str(exc)
+    return (row, empties, degenerate), None
 
 
 def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
@@ -203,32 +209,24 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
          (hyper or {}).get(m), point_predictor)
         for m in methods for s in seeds
     ]
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_eval_cell, cells))
+    else:
+        outcomes = list(map(_eval_cell, cells))
     results = {}
     errors = {}
     empties = 0
     degenerates = 0
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_eval_cell, c): (c[1], c[2]) for c in cells}
-            for fut in concurrent.futures.as_completed(futures):
-                key = futures[fut]
-                try:
-                    row, n_empty, n_degen = fut.result()
-                    results[key] = row
-                    empties += n_empty
-                    degenerates += n_degen
-                except Exception as exc:
-                    errors[key] = str(exc)
-    else:
-        for c in cells:
-            key = (c[1], c[2])
-            try:
-                row, n_empty, n_degen = _eval_cell(c)
-                results[key] = row
-                empties += n_empty
-                degenerates += n_degen
-            except Exception as exc:
-                errors[key] = str(exc)
+    for c, (done, error) in zip(cells, outcomes):
+        key = (c[1], c[2])
+        if error is not None:
+            errors[key] = error
+            continue
+        row, n_empty, n_degen = done
+        results[key] = row
+        empties += n_empty
+        degenerates += n_degen
 
     rows = [results[k] for k in sorted(results)]
     aggregates = {}

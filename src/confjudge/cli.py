@@ -174,12 +174,15 @@ def _excluded_count(samples_path: str) -> int:
     """Extraction exclusions recorded next to the sample file; their count
     rides along in every downstream report."""
     sidecar = Path(samples_path).with_suffix(".exclusions.json")
-    if sidecar.exists():
-        try:
-            return len(json.loads(sidecar.read_text(encoding="utf-8")))
-        except (json.JSONDecodeError, TypeError):
-            return 0
-    return 0
+    if not sidecar.exists():
+        return 0
+    try:
+        exclusions = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{sidecar}: exclusions sidecar is not JSON: {exc}") from exc
+    if not isinstance(exclusions, list):
+        raise ValidationError(f"{sidecar}: exclusions sidecar is not a JSON list")
+    return len(exclusions)
 
 
 def _load_dataset(args) -> Dataset:
@@ -259,6 +262,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_midpoints(args) -> int:
     dataset = _load_dataset(args)
+    excluded = _excluded_count(args.samples)
     seeds = _parse_seeds(args.seeds)
     rows = analysis.midpoint_report(
         dataset, seeds, alpha=args.alpha,
@@ -273,7 +277,7 @@ def cmd_midpoints(args) -> int:
         "config": {"seeds": seeds, "alpha": args.alpha, "scale": dataset.scale.to_dict()},
         "inputs": {args.samples: _git_blob_sha1(Path(args.samples))},
         "outputs": [str(csv_path)],
-        "excluded": _excluded_count(args.samples),
+        "excluded": excluded,
     })
     for r in rows:
         print(f"{r.scorer}: mse {r.mse:.4f}, mae {r.mae:.4f}, rho {r.spearman:.4f}")
@@ -282,6 +286,7 @@ def cmd_midpoints(args) -> int:
 
 def cmd_het(args) -> int:
     dataset = _load_dataset(args)
+    excluded = _excluded_count(args.samples)
     groups: dict = {}
     for s in dataset.samples:
         groups.setdefault(s.meta.get("dimension", "all"), []).append(s)
@@ -299,7 +304,7 @@ def cmd_het(args) -> int:
         "config": {"scale": dataset.scale.to_dict()},
         "inputs": {args.samples: _git_blob_sha1(Path(args.samples))},
         "outputs": [str(csv_path)],
-        "excluded": _excluded_count(args.samples),
+        "excluded": excluded,
     })
     for dim, name, res in entries:
         print(f"{dim}/{name}: LM {res.lm_stat:.3f} (p {res.lm_p:.3g}), F {res.f_stat:.3f} (p {res.f_p:.3g})")
@@ -310,6 +315,7 @@ def cmd_sweep(args) -> int:
     if args.method not in conformal.METHODS:
         raise UsageError(f"unknown method {args.method!r}; valid: {', '.join(conformal.METHODS)}")
     dataset = _load_dataset(args)
+    excluded = _excluded_count(args.samples)
     seeds = _parse_seeds(args.seeds)
     fractions = _parse_fractions(args.fractions)
     rows = analysis.calibration_sweep(
@@ -326,7 +332,7 @@ def cmd_sweep(args) -> int:
                    "alpha": args.alpha, "scale": dataset.scale.to_dict()},
         "inputs": {args.samples: _git_blob_sha1(Path(args.samples))},
         "outputs": [str(csv_path)],
-        "excluded": _excluded_count(args.samples),
+        "excluded": excluded,
     })
     for r in rows:
         print(f"fraction {r.fraction:g}: coverage {r.mean_coverage:.4f} +/- {r.std_coverage:.4f}"

@@ -1,10 +1,17 @@
 """The conformal interval methods.
 
-Each method exposes ``calibrate_*`` (train + calib -> CalibratedModel) and is
-served by :func:`predict_interval` / :func:`predict_intervals`.  Regression
-methods consume raw logits; the ordinal methods consume softmaxed
-probabilities.  Calibrated models are immutable, their prediction functions
-pure, and every model serializes to a versioned JSON document.
+Every method follows one split-conformal recipe: fit estimators on the
+training split, score the calibration split, take a conformal quantile of
+those scores, then build one interval per test point.  ``_METHOD_TABLE``
+holds one record per method with those four steps; :func:`calibrate`,
+:func:`score_samples` and :func:`predict_intervals_flagged` only look the
+record up, so calibration and test-time scores come from the same function.
+The ``calibrate_*`` functions are shorthands for :func:`calibrate`.
+
+Regression methods consume raw logits; the ordinal methods consume
+softmaxed probabilities.  Calibrated models are immutable and hold their
+fitted estimators as live objects; the versioned JSON document is written
+and read only by :func:`model_to_json` and :func:`model_from_json`.
 
 Methods
 -------
@@ -23,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -104,6 +112,27 @@ class CalibratedModel:
                 raise ValidationError("calibrated quantile must be finite")
 
 
+@dataclass(frozen=True)
+class _Method:
+    """One method's steps, called in this order by :func:`calibrate` and
+    :func:`predict_intervals_flagged`:
+
+    fit(train, calib, alpha, hyper, kw) -> state     estimators and arrays
+    score(state, scale, Z, y, y_hats) -> scores      non-conformity scores
+    quantile(scores, alpha) -> qhat                  calibrated quantile(s)
+    interval(model, Z, y_hats) -> (lo, hi, flags)    bounds before clamping
+
+    ``flags`` is None for methods without a degenerate fallback.
+    ``state_keys`` names the entries of the state ``fit`` returns.
+    """
+
+    fit: Callable
+    score: Callable
+    quantile: Callable
+    interval: Callable
+    state_keys: tuple
+
+
 def _clamped(lo: float, hi: float, scale: LabelScale) -> Interval:
     lo = min(max(lo, scale.min), scale.max)
     hi = min(max(hi, scale.min), scale.max)
@@ -129,87 +158,78 @@ def _point_predictions(state: dict, scale: LabelScale, Z: np.ndarray, y_hats) ->
         return np.asarray(y_hats, dtype=float)
     if kind == "weighted_average":
         return np.atleast_1d(weighted_average(Z, scale))
-    ridge = RidgePredictor.from_dict(state["ridge"])
-    return ridge.predict(Z)
+    return state["ridge"].predict(Z)
 
 
-def calibrate_split_abs(train: Dataset, calib: Dataset, alpha: float,
-                        point_predictor: str = "raw_score", hyper: dict | None = None) -> CalibratedModel:
-    h = {**DEFAULT_HYPER["split_abs"], **(hyper or {})}
+def _fit_split_abs(train: Dataset, calib: Dataset, alpha: float, h: dict, kw: dict) -> dict:
+    point_predictor = kw.get("point_predictor", h["point_predictor"])
     if point_predictor not in POINT_PREDICTORS:
         raise ValidationError(f"unknown point predictor {point_predictor!r}")
-    state = {"point_predictor": point_predictor, "ridge": None}
+    ridge = None
     if point_predictor == "ridge":
         ridge = RidgePredictor(l2=h["l2"]).fit(train.logits, train.labels)
-        state["ridge"] = ridge.to_dict()
-    preds = _point_predictions(state, calib.scale, calib.logits, calib.raw_scores)
-    scores = np.abs(preds - calib.labels)
-    qhat = conformal_quantile(scores, alpha)
-    return CalibratedModel("split_abs", alpha, calib.scale, calib.k, qhat, state, scores)
+    return {"point_predictor": point_predictor, "ridge": ridge}
 
 
-def _predict_split_abs(model: CalibratedModel, Z: np.ndarray, y_hats):
+def _score_split_abs(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
+    return np.abs(_point_predictions(state, scale, Z, y_hats) - y)
+
+
+def _interval_split_abs(model: CalibratedModel, Z: np.ndarray, y_hats):
     preds = _point_predictions(model.state, model.scale, Z, y_hats)
-    q = model.qhat
-    return [_clamped(p - q, p + q, model.scale) for p in preds]
+    return preds - model.qhat, preds + model.qhat, None
 
 
 # ---------------------------------------------------------------------------
 # CQR and asymmetric CQR
 
 
+def _fit_forests(train: Dataset, tail: float, h: dict) -> dict:
+    """Boosted quantile trees at levels tail and 1 - tail."""
+    return {
+        key: QuantileForest(tau, h["n_trees"], h["depth"], h["lr"], h["min_leaf"]).fit(
+            train.logits, train.labels)
+        for key, tau in (("forest_lo", tail), ("forest_hi", 1 - tail))
+    }
+
+
 def _forest_bounds(state: dict, Z: np.ndarray):
-    lo = QuantileForest.from_dict(state["forest_lo"]).predict(Z)
-    hi = QuantileForest.from_dict(state["forest_hi"]).predict(Z)
+    lo = state["forest_lo"].predict(Z)
+    hi = state["forest_hi"].predict(Z)
     # crossing estimates are re-sorted so the lower bound stays below
     return np.minimum(lo, hi), np.maximum(lo, hi)
 
 
-def calibrate_cqr(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
-    h = {**DEFAULT_HYPER["cqr"], **(hyper or {})}
-    f_lo = QuantileForest(alpha / 2, h["n_trees"], h["depth"], h["lr"], h["min_leaf"], h["seed"])
-    f_hi = QuantileForest(1 - alpha / 2, h["n_trees"], h["depth"], h["lr"], h["min_leaf"], h["seed"])
-    f_lo.fit(train.logits, train.labels)
-    f_hi.fit(train.logits, train.labels)
-    state = {"forest_lo": f_lo.to_dict(), "forest_hi": f_hi.to_dict()}
-    lo, hi = _forest_bounds(state, calib.logits)
-    scores = np.maximum(lo - calib.labels, calib.labels - hi)
-    qhat = conformal_quantile(scores, alpha)
-    return CalibratedModel("cqr", alpha, calib.scale, calib.k, qhat, state, scores)
+def _score_cqr(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
+    lo, hi = _forest_bounds(state, Z)
+    return np.maximum(lo - y, y - hi)
 
 
-def _predict_cqr(model: CalibratedModel, Z: np.ndarray, _y_hats):
-    lo, hi = _forest_bounds(model.state, Z)
-    q = model.qhat
-    return [_clamped(a - q, b + q, model.scale) for a, b in zip(lo, hi)]
+def _score_asym_cqr(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
+    lo, hi = _forest_bounds(state, Z)
+    return np.stack([lo - y, y - hi], axis=1)
 
 
-def calibrate_asym_cqr(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
-    h = {**DEFAULT_HYPER["asym_cqr"], **(hyper or {})}
-    f_lo = QuantileForest(alpha, h["n_trees"], h["depth"], h["lr"], h["min_leaf"], h["seed"])
-    f_hi = QuantileForest(1 - alpha, h["n_trees"], h["depth"], h["lr"], h["min_leaf"], h["seed"])
-    f_lo.fit(train.logits, train.labels)
-    f_hi.fit(train.logits, train.labels)
-    state = {"forest_lo": f_lo.to_dict(), "forest_hi": f_hi.to_dict()}
-    lo, hi = _forest_bounds(state, calib.logits)
-    s_lo = lo - calib.labels
-    s_hi = calib.labels - hi
+def _quantile_asym_cqr(scores: np.ndarray, alpha: float):
     # each side is calibrated at level 1 - alpha/2 so the union of the two
     # one-sided miss events stays below alpha
-    q_lo = conformal_quantile(s_lo, alpha / 2)
-    q_hi = conformal_quantile(s_hi, alpha / 2)
-    scores = np.stack([s_lo, s_hi], axis=1)
-    return CalibratedModel("asym_cqr", alpha, calib.scale, calib.k, (q_lo, q_hi), state, scores)
+    return conformal_quantile(scores[:, 0], alpha / 2), conformal_quantile(scores[:, 1], alpha / 2)
 
 
-def _predict_asym_cqr(model: CalibratedModel, Z: np.ndarray, _y_hats):
+def _interval_cqr(model: CalibratedModel, Z: np.ndarray, y_hats):
     lo, hi = _forest_bounds(model.state, Z)
-    q_lo, q_hi = model.qhat
-    return [_clamped(a - q_lo, b + q_hi, model.scale) for a, b in zip(lo, hi)]
+    # cqr has one correction, asym_cqr one per side
+    q_lo, q_hi = model.qhat if isinstance(model.qhat, tuple) else (model.qhat, model.qhat)
+    return lo - q_lo, hi + q_hi, None
 
 
 # ---------------------------------------------------------------------------
 # CHR: nested shortest histogram intervals
+
+
+def _fit_classifier(train: Dataset, h: dict) -> BinClassifier:
+    clf = BinClassifier(train.scale.labels(), h["epochs"], h["lr"], h["l2"])
+    return clf.fit(train.logits, train.labels)
 
 
 def _run_table(m: int):
@@ -248,11 +268,10 @@ def _chr_level_runs(probs: np.ndarray, T: int):
     return levels, run_lo, run_hi
 
 
-def _chr_scores(classifier: BinClassifier, T: int, Z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    probs = classifier.predict_proba(Z)
-    levels, run_lo, run_hi = _chr_level_runs(probs, T)
-    bins = classifier.bins
-    ybin = np.argmin(np.abs(y[:, None] - bins[None, :]), axis=1)
+def _score_chr(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
+    classifier, T = state["classifier"], state["T"]
+    levels, run_lo, run_hi = _chr_level_runs(classifier.predict_proba(Z), T)
+    ybin = np.argmin(np.abs(y[:, None] - classifier.bins[None, :]), axis=1)
     inside = (run_lo[levels] <= ybin[:, None]) & (ybin[:, None] <= run_hi[levels])
     # a label the family never reaches (all its mass truncated) scores
     # beyond the top level and simply stays uncovered
@@ -260,59 +279,39 @@ def _chr_scores(classifier: BinClassifier, T: int, Z: np.ndarray, y: np.ndarray)
     return s.astype(float)
 
 
-def calibrate_chr(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
-    h = {**DEFAULT_HYPER["chr"], **(hyper or {})}
-    clf = BinClassifier(train.scale.labels(), h["epochs"], h["lr"], h["l2"], h["seed"])
-    clf.fit(train.logits, train.labels)
-    T = int(h["T"])
-    scores = _chr_scores(clf, T, calib.logits, calib.labels)
-    level = int(min(max(conformal_quantile(scores, alpha), 0), T))
-    state = {"classifier": clf.to_dict(), "T": T}
-    return CalibratedModel("chr", alpha, calib.scale, calib.k, float(level), state, scores)
-
-
-def _predict_chr(model: CalibratedModel, Z: np.ndarray, _y_hats):
-    clf = BinClassifier.from_dict(model.state["classifier"])
-    T = model.state["T"]
-    probs = clf.predict_proba(Z)
-    levels, run_lo, run_hi = _chr_level_runs(probs, T)
-    t = int(model.qhat)
-    bins = clf.bins
-    out = []
-    for i in range(Z.shape[0]):
-        r = levels[i, t]
-        out.append(_clamped(bins[run_lo[r]], bins[run_hi[r]], model.scale))
-    return out
+def _interval_chr(model: CalibratedModel, Z: np.ndarray, y_hats):
+    classifier, T = model.state["classifier"], model.state["T"]
+    levels, run_lo, run_hi = _chr_level_runs(classifier.predict_proba(Z), T)
+    # a quantile past the top level (too many unreachable labels) stops there
+    runs = levels[:, min(int(model.qhat), T)]
+    return classifier.bins[run_lo[runs]], classifier.bins[run_hi[runs]], None
 
 
 # ---------------------------------------------------------------------------
 # LVD: locally weighted residual quantile
 
 
-def calibrate_lvd(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
-    h = {**DEFAULT_HYPER["lvd"], **(hyper or {})}
+def _score_lvd(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
+    return np.abs(state["ridge"].predict(Z) - y)
+
+
+def _fit_lvd(train: Dataset, calib: Dataset, alpha: float, h: dict, kw: dict) -> dict:
+    calib_Z = calib.logits
     ridge = RidgePredictor(l2=h["l2"]).fit(train.logits, train.labels)
     kernel = KernelSimilarity(h["bandwidth"]).fit(train.logits)
     if kernel.bandwidth is None:
-        kernel.bandwidth = kernel.median_bandwidth(calib.logits)
-    scores = np.abs(ridge.predict(calib.logits) - calib.labels)
+        kernel.bandwidth = kernel.median_bandwidth(calib_Z)
+    # each query's local quantile walks the calibration scores in sorted order
+    scores = _score_lvd({"ridge": ridge}, calib.scale, calib_Z, calib.labels, None)
     order = np.argsort(scores, kind="stable")
-    state = {
-        "ridge": ridge.to_dict(),
-        "kernel": kernel.to_dict(),
-        "calib_logits": calib.logits.tolist(),
-        "sorted_scores": scores[order].tolist(),
-        "sort_order": order.tolist(),
-    }
-    return CalibratedModel("lvd", alpha, calib.scale, calib.k, None, state, scores)
+    return {"ridge": ridge, "kernel": kernel, "calib_logits": calib_Z,
+            "sorted_scores": scores[order], "sort_order": order}
 
 
 def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
-    kernel = KernelSimilarity.from_dict(model.state["kernel"])
-    calib_Z = np.asarray(model.state["calib_logits"], dtype=float)
-    sorted_scores = np.asarray(model.state["sorted_scores"], dtype=float)
-    order = np.asarray(model.state["sort_order"], dtype=int)
-    w = kernel.weights_batch(calib_Z, Z)[:, order]
+    state = model.state
+    sorted_scores = state["sorted_scores"]
+    w = state["kernel"].weights_batch(state["calib_logits"], Z)[:, state["sort_order"]]
     cum = np.cumsum(w, axis=1)
     # first score index where the weighted mass reaches 1 - alpha
     idx = np.argmax(cum >= (1.0 - model.alpha) - _TOL, axis=1)
@@ -321,11 +320,10 @@ def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
     return sorted_scores[idx]
 
 
-def _predict_lvd(model: CalibratedModel, Z: np.ndarray, _y_hats):
-    ridge = RidgePredictor.from_dict(model.state["ridge"])
-    preds = ridge.predict(Z)
+def _interval_lvd(model: CalibratedModel, Z: np.ndarray, y_hats):
+    preds = model.state["ridge"].predict(Z)
     qs = _lvd_local_quantiles(model, Z)
-    return [_clamped(p - q, p + q, model.scale) for p, q in zip(preds, qs)]
+    return preds - qs, preds + qs, None
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +334,13 @@ def _bin_densities(classifier: BinClassifier, scale: LabelScale, Z: np.ndarray) 
     return classifier.predict_proba(Z) / scale.step
 
 
-def _density_at(classifier: BinClassifier, scale: LabelScale, Z: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _score_r2ccp(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
+    classifier = state["classifier"]
     dens = _bin_densities(classifier, scale, Z)
-    bins = classifier.bins
     out = np.empty(len(y))
     for i in range(len(y)):
-        out[i] = np.interp(y[i], bins, dens[i])
+        out[i] = np.interp(y[i], classifier.bins, dens[i])
     return out
-
-
-def calibrate_r2ccp(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
-    h = {**DEFAULT_HYPER["r2ccp"], **(hyper or {})}
-    clf = BinClassifier(train.scale.labels(), h["epochs"], h["lr"], h["l2"], h["seed"])
-    clf.fit(train.logits, train.labels)
-    scores = _density_at(clf, calib.scale, calib.logits, calib.labels)
-    qhat = lower_conformal_quantile(scores, alpha)
-    state = {"classifier": clf.to_dict()}
-    return CalibratedModel("r2ccp", alpha, calib.scale, calib.k, qhat, state, scores)
 
 
 def _superlevel_interval(bins: np.ndarray, dens: np.ndarray, q: float, scale: LabelScale):
@@ -374,162 +362,174 @@ def _superlevel_interval(bins: np.ndarray, dens: np.ndarray, q: float, scale: La
     return lo, hi
 
 
-def _predict_r2ccp(model: CalibratedModel, Z: np.ndarray, _y_hats):
-    clf = BinClassifier.from_dict(model.state["classifier"])
-    dens = _bin_densities(clf, model.scale, Z)
-    bins = clf.bins
-    q = model.qhat
-    intervals = []
-    flags = []
-    for i in range(Z.shape[0]):
-        span = _superlevel_interval(bins, dens[i], q, model.scale)
+def _interval_r2ccp(model: CalibratedModel, Z: np.ndarray, y_hats):
+    classifier = model.state["classifier"]
+    bins = classifier.bins
+    lo, hi, flags = [], [], []
+    for dens in _bin_densities(classifier, model.scale, Z):
+        span = _superlevel_interval(bins, dens, model.qhat, model.scale)
+        flags.append("degenerate" if span is None else None)
         if span is None:
-            peak = bins[int(np.argmax(dens[i]))]
-            intervals.append(_clamped(peak, peak, model.scale))
-            flags.append("degenerate")
-        else:
-            intervals.append(_clamped(span[0], span[1], model.scale))
-            flags.append(None)
-    return intervals, flags
+            # the density never reaches qhat: fall back to its peak
+            span = (bins[int(np.argmax(dens))],) * 2
+        lo.append(span[0])
+        hi.append(span[1])
+    return lo, hi, flags
 
 
 # ---------------------------------------------------------------------------
 # Ordinal growth methods
 
 
-def _ordinal_growth_scores(values: np.ndarray, ratings: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Accumulated (weighted) mass of the greedy contiguous set at the step
-    where it first spans each true label."""
+def _ordinal_growth_path(values: np.ndarray):
+    """(left, right, mass), each (n, k): the greedy contiguous set after each
+    growth step.  Step 0 is the modal label; every step adds the larger
+    neighbour (ties go left), so step k-1 is the full support."""
     n, k = values.shape
+    rows = np.arange(n)
+    lefts = np.empty((n, k), dtype=np.int64)
+    rights = np.empty((n, k), dtype=np.int64)
+    masses = np.empty((n, k))
     left = np.argmax(values, axis=1)
     right = left.copy()
-    mass = values[np.arange(n), left]
-    scores = np.full(n, np.nan)
-
-    def record(l, r, m, s):
-        inside = (ratings[l] - 1e-9 <= y) & (y <= ratings[r] + 1e-9) & np.isnan(s)
-        s[inside] = m[inside]
-        return s
-
-    scores = record(left, right, mass, scores)
-    for _ in range(k - 1):
+    mass = values[rows, left]
+    lefts[:, 0], rights[:, 0], masses[:, 0] = left, right, mass
+    for step in range(1, k):
         can_l = left > 0
         can_r = right < k - 1
-        vl = np.where(can_l, values[np.arange(n), np.maximum(left - 1, 0)], -np.inf)
-        vr = np.where(can_r, values[np.arange(n), np.minimum(right + 1, k - 1)], -np.inf)
+        vl = np.where(can_l, values[rows, np.maximum(left - 1, 0)], -np.inf)
+        vr = np.where(can_r, values[rows, np.minimum(right + 1, k - 1)], -np.inf)
         active = can_l | can_r
         go_left = active & (vl >= vr)
         go_right = active & ~go_left
         mass = mass + np.where(go_left, vl, 0.0) + np.where(go_right, vr, 0.0)
         left = np.where(go_left, left - 1, left)
         right = np.where(go_right, right + 1, right)
-        scores = record(left, right, mass, scores)
-    return scores
+        lefts[:, step], rights[:, step], masses[:, step] = left, right, mass
+    return lefts, rights, masses
 
 
 def _ordinal_growth_predict(values: np.ndarray, ratings: np.ndarray, qhat: float):
     """Greedy contiguous set grown until its (weighted) mass reaches qhat;
     stops at full support if the mass never gets there."""
-    n, k = values.shape
-    left = np.argmax(values, axis=1)
-    right = left.copy()
-    mass = values[np.arange(n), left]
-    done = mass >= qhat - _TOL
-    for _ in range(k - 1):
-        can_l = left > 0
-        can_r = right < k - 1
-        vl = np.where(can_l, values[np.arange(n), np.maximum(left - 1, 0)], -np.inf)
-        vr = np.where(can_r, values[np.arange(n), np.minimum(right + 1, k - 1)], -np.inf)
-        active = ~done & (can_l | can_r)
-        go_left = active & (vl >= vr)
-        go_right = active & ~go_left
-        mass = mass + np.where(go_left, vl, 0.0) + np.where(go_right, vr, 0.0)
-        left = np.where(go_left, left - 1, left)
-        right = np.where(go_right, right + 1, right)
-        done = done | (mass >= qhat - _TOL)
-    return left, right
+    lefts, rights, masses = _ordinal_growth_path(values)
+    reached = masses >= qhat - _TOL
+    step = np.where(reached.any(axis=1), np.argmax(reached, axis=1), values.shape[1] - 1)
+    rows = np.arange(len(values))
+    return lefts[rows, step], rights[rows, step]
 
 
-def _ordinal_values(Z: np.ndarray, h: np.ndarray | None):
+def _ordinal_values(state: dict, Z: np.ndarray) -> np.ndarray:
     probs = np.atleast_2d(softmax(Z))
-    if h is not None:
-        probs = probs * h[None, :]
-    return probs
+    weights = state.get("h")
+    return probs if weights is None else probs * weights[None, :]
 
 
-def calibrate_ordinal_aps(calib: Dataset, alpha: float) -> CalibratedModel:
-    ratings = rating_values(calib.scale, calib.k)
-    values = _ordinal_values(calib.logits, None)
-    scores = _ordinal_growth_scores(values, ratings, calib.labels)
-    qhat = conformal_quantile(scores, alpha)
-    return CalibratedModel("ordinal_aps", alpha, calib.scale, calib.k, qhat, {}, scores)
-
-
-def calibrate_ordinal_rc(calib: Dataset, alpha: float, weights=None) -> CalibratedModel:
-    h = np.ones(calib.k) if weights is None else np.asarray(weights, dtype=float)
-    if h.shape != (calib.k,):
+def _fit_ordinal_rc(train: Dataset, calib: Dataset, alpha: float, h: dict, kw: dict) -> dict:
+    weights = kw.get("weights")
+    weights = np.ones(calib.k) if weights is None else np.asarray(weights, dtype=float)
+    if weights.shape != (calib.k,):
         raise ValidationError(f"need {calib.k} label weights")
-    if np.any(h <= 0):
+    if np.any(weights <= 0):
         raise ValidationError("label weights must be positive")
-    ratings = rating_values(calib.scale, calib.k)
-    values = _ordinal_values(calib.logits, h)
-    scores = _ordinal_growth_scores(values, ratings, calib.labels)
-    qhat = conformal_quantile(scores, alpha)
-    return CalibratedModel("ordinal_rc", alpha, calib.scale, calib.k, qhat, {"h": h.tolist()}, scores)
+    return {"h": weights}
 
 
-def _predict_ordinal(model: CalibratedModel, Z: np.ndarray, _y_hats):
-    h = np.asarray(model.state["h"], dtype=float) if model.method == "ordinal_rc" else None
+def _score_ordinal(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
+    """Accumulated (weighted) mass of the greedy contiguous set at the step
+    where it first spans each true label."""
+    ratings = rating_values(scale, Z.shape[1])
+    lefts, rights, masses = _ordinal_growth_path(_ordinal_values(state, Z))
+    inside = (ratings[lefts] - 1e-9 <= y[:, None]) & (y[:, None] <= ratings[rights] + 1e-9)
+    first = np.argmax(inside, axis=1)
+    return np.where(inside.any(axis=1), masses[np.arange(len(y)), first], np.nan)
+
+
+def _interval_ordinal(model: CalibratedModel, Z: np.ndarray, y_hats):
     ratings = rating_values(model.scale, model.k)
-    values = _ordinal_values(Z, h)
-    left, right = _ordinal_growth_predict(values, ratings, model.qhat)
-    return [_clamped(ratings[l], ratings[r], model.scale) for l, r in zip(left, right)]
+    left, right = _ordinal_growth_predict(_ordinal_values(model.state, Z), ratings, model.qhat)
+    return ratings[left], ratings[right], None
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# The method table
 
 
-_CALIBRATORS = {
-    "split_abs": lambda train, calib, alpha, hyper, kw: calibrate_split_abs(
-        train, calib, alpha, kw.get("point_predictor", (hyper or {}).get("point_predictor", "raw_score")), hyper),
-    "cqr": lambda train, calib, alpha, hyper, kw: calibrate_cqr(train, calib, alpha, hyper),
-    "asym_cqr": lambda train, calib, alpha, hyper, kw: calibrate_asym_cqr(train, calib, alpha, hyper),
-    "chr": lambda train, calib, alpha, hyper, kw: calibrate_chr(train, calib, alpha, hyper),
-    "lvd": lambda train, calib, alpha, hyper, kw: calibrate_lvd(train, calib, alpha, hyper),
-    "r2ccp": lambda train, calib, alpha, hyper, kw: calibrate_r2ccp(train, calib, alpha, hyper),
-    "ordinal_aps": lambda train, calib, alpha, hyper, kw: calibrate_ordinal_aps(calib, alpha),
-    "ordinal_rc": lambda train, calib, alpha, hyper, kw: calibrate_ordinal_rc(calib, alpha, kw.get("weights")),
+_FORESTS = ("forest_lo", "forest_hi")
+
+_METHOD_TABLE = {
+    "split_abs": _Method(_fit_split_abs, _score_split_abs, conformal_quantile, _interval_split_abs,
+                         ("point_predictor", "ridge")),
+    "cqr": _Method(lambda train, calib, alpha, h, kw: _fit_forests(train, alpha / 2, h),
+                   _score_cqr, conformal_quantile, _interval_cqr, _FORESTS),
+    "asym_cqr": _Method(lambda train, calib, alpha, h, kw: _fit_forests(train, alpha, h),
+                        _score_asym_cqr, _quantile_asym_cqr, _interval_cqr, _FORESTS),
+    "chr": _Method(lambda train, calib, alpha, h, kw: {"classifier": _fit_classifier(train, h), "T": int(h["T"])},
+                   _score_chr, conformal_quantile, _interval_chr, ("classifier", "T")),
+    # lvd takes its quantile per query, from the kernel-weighted scores
+    "lvd": _Method(_fit_lvd, _score_lvd, lambda scores, alpha: None, _interval_lvd,
+                   ("ridge", "kernel", "calib_logits", "sorted_scores", "sort_order")),
+    # low density is non-conforming, so r2ccp keeps the lower quantile
+    "r2ccp": _Method(lambda train, calib, alpha, h, kw: {"classifier": _fit_classifier(train, h)},
+                     _score_r2ccp, lower_conformal_quantile, _interval_r2ccp, ("classifier",)),
+    "ordinal_aps": _Method(lambda train, calib, alpha, h, kw: {},
+                           _score_ordinal, conformal_quantile, _interval_ordinal, ()),
+    "ordinal_rc": _Method(_fit_ordinal_rc, _score_ordinal, conformal_quantile, _interval_ordinal, ("h",)),
 }
 
 
 def calibrate(method: str, train: Dataset, calib: Dataset, alpha: float,
               hyper: dict | None = None, **kw) -> CalibratedModel:
-    """Calibrate one method by name; see :data:`METHODS`."""
-    if method not in _CALIBRATORS:
+    """Calibrate one method by name; see :data:`METHODS`.  ``kw`` carries
+    ``point_predictor`` (split_abs) and ``weights`` (ordinal_rc)."""
+    if method not in _METHOD_TABLE:
         raise ValidationError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-    return _CALIBRATORS[method](train, calib, alpha, hyper, kw)
+    spec = _METHOD_TABLE[method]
+    state = spec.fit(train, calib, alpha, {**DEFAULT_HYPER[method], **(hyper or {})}, kw)
+    scores = spec.score(state, calib.scale, calib.logits, calib.labels, calib.raw_scores)
+    return CalibratedModel(method, alpha, calib.scale, calib.k, spec.quantile(scores, alpha), state, scores)
+
+
+def calibrate_split_abs(train: Dataset, calib: Dataset, alpha: float,
+                        point_predictor: str = "raw_score", hyper: dict | None = None) -> CalibratedModel:
+    return calibrate("split_abs", train, calib, alpha, hyper, point_predictor=point_predictor)
+
+
+def calibrate_cqr(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
+    return calibrate("cqr", train, calib, alpha, hyper)
+
+
+def calibrate_asym_cqr(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
+    return calibrate("asym_cqr", train, calib, alpha, hyper)
+
+
+def calibrate_chr(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
+    return calibrate("chr", train, calib, alpha, hyper)
+
+
+def calibrate_lvd(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
+    return calibrate("lvd", train, calib, alpha, hyper)
+
+
+def calibrate_r2ccp(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
+    return calibrate("r2ccp", train, calib, alpha, hyper)
+
+
+def calibrate_ordinal_aps(calib: Dataset, alpha: float) -> CalibratedModel:
+    return calibrate("ordinal_aps", calib, calib, alpha)
+
+
+def calibrate_ordinal_rc(calib: Dataset, alpha: float, weights=None) -> CalibratedModel:
+    return calibrate("ordinal_rc", calib, calib, alpha, weights=weights)
 
 
 def predict_intervals_flagged(model: CalibratedModel, Z, y_hats=None):
-    """Batch prediction returning (intervals, flags); a flag marks the rare
-    degenerate fallback (currently only r2ccp's empty superlevel set)."""
-    Z = _check_dim(model, Z)
-    if model.method == "split_abs":
-        ivals = _predict_split_abs(model, Z, y_hats)
-    elif model.method == "cqr":
-        ivals = _predict_cqr(model, Z, y_hats)
-    elif model.method == "asym_cqr":
-        ivals = _predict_asym_cqr(model, Z, y_hats)
-    elif model.method == "chr":
-        ivals = _predict_chr(model, Z, y_hats)
-    elif model.method == "lvd":
-        ivals = _predict_lvd(model, Z, y_hats)
-    elif model.method == "r2ccp":
-        return _predict_r2ccp(model, Z, y_hats)
-    else:
-        ivals = _predict_ordinal(model, Z, y_hats)
-    return ivals, [None] * len(ivals)
+    """Batch prediction returning (intervals, flags), each interval clamped
+    to the scale range; a flag marks the rare degenerate fallback (currently
+    only r2ccp's empty superlevel set)."""
+    lo, hi, flags = _METHOD_TABLE[model.method].interval(model, _check_dim(model, Z), y_hats)
+    intervals = [_clamped(a, b, model.scale) for a, b in zip(lo, hi)]
+    return intervals, flags if flags is not None else [None] * len(intervals)
 
 
 def predict_intervals(model: CalibratedModel, Z, y_hats=None):
@@ -546,34 +546,40 @@ def predict_interval(model: CalibratedModel, z, y_hat=None) -> Interval:
 def score_samples(model: CalibratedModel, dataset: Dataset) -> np.ndarray:
     """Non-conformity scores of samples under an already-calibrated model;
     on its own calibration set this reproduces ``model.calib_scores``."""
-    Z = dataset.logits
-    y = dataset.labels
-    if model.method == "split_abs":
-        preds = _point_predictions(model.state, model.scale, Z, dataset.raw_scores)
-        return np.abs(preds - y)
-    if model.method == "cqr":
-        lo, hi = _forest_bounds(model.state, Z)
-        return np.maximum(lo - y, y - hi)
-    if model.method == "asym_cqr":
-        lo, hi = _forest_bounds(model.state, Z)
-        return np.stack([lo - y, y - hi], axis=1)
-    if model.method == "chr":
-        clf = BinClassifier.from_dict(model.state["classifier"])
-        return _chr_scores(clf, model.state["T"], Z, y)
-    if model.method == "lvd":
-        ridge = RidgePredictor.from_dict(model.state["ridge"])
-        return np.abs(ridge.predict(Z) - y)
-    if model.method == "r2ccp":
-        clf = BinClassifier.from_dict(model.state["classifier"])
-        return _density_at(clf, model.scale, Z, y)
-    h = np.asarray(model.state["h"], dtype=float) if model.method == "ordinal_rc" else None
-    ratings = rating_values(model.scale, model.k)
-    values = _ordinal_values(Z, h)
-    return _ordinal_growth_scores(values, ratings, y)
+    Z = _check_dim(model, dataset.logits)
+    return _METHOD_TABLE[model.method].score(model.state, model.scale, Z, dataset.labels, dataset.raw_scores)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
+
+
+def _point_predictor(name: str) -> str:
+    if name not in POINT_PREDICTORS:
+        raise ValueError(f"unknown point predictor {name!r}")
+    return name
+
+
+# how each state entry is rebuilt from its JSON value
+_STATE_DECODERS = {
+    "point_predictor": _point_predictor,
+    "ridge": lambda d: None if d is None else RidgePredictor.from_dict(d),
+    "forest_lo": QuantileForest.from_dict,
+    "forest_hi": QuantileForest.from_dict,
+    "classifier": BinClassifier.from_dict,
+    "T": int,
+    "kernel": KernelSimilarity.from_dict,
+    "calib_logits": lambda v: np.asarray(v, dtype=float),
+    "sorted_scores": lambda v: np.asarray(v, dtype=float),
+    "sort_order": lambda v: np.asarray(v, dtype=int),
+    "h": lambda v: np.asarray(v, dtype=float),
+}
+
+
+def _encoded(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value.to_dict() if hasattr(value, "to_dict") else value
 
 
 def model_to_json(model: CalibratedModel) -> str:
@@ -586,25 +592,34 @@ def model_to_json(model: CalibratedModel) -> str:
         "scale": model.scale.to_dict(),
         "k": model.k,
         "qhat": qhat,
-        "state": model.state,
+        "state": {key: _encoded(value) for key, value in model.state.items()},
         "calib_scores": np.asarray(model.calib_scores).tolist(),
     }
     return json.dumps(doc)
 
 
 def model_from_json(text: str) -> CalibratedModel:
+    """Rebuild a model written by :func:`model_to_json`; an unknown method
+    or a missing or malformed state entry raises ValidationError."""
     doc = json.loads(text)
     if doc.get("format") != "confjudge-model" or doc.get("v") != 1:
         raise ValidationError("unrecognized model document")
+    method = doc.get("method")
+    if method not in METHODS:
+        raise ValidationError(f"model document has unknown method {method!r}; valid: {', '.join(METHODS)}")
+    state = {}
+    for key in _METHOD_TABLE[method].state_keys:
+        try:
+            state[key] = _STATE_DECODERS[key](doc["state"][key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"model state {key!r} is missing or malformed") from exc
     qhat = doc["qhat"]
-    if isinstance(qhat, list):
-        qhat = tuple(qhat)
     return CalibratedModel(
-        method=doc["method"],
+        method=method,
         alpha=doc["alpha"],
         scale=LabelScale.from_dict(doc["scale"]),
         k=doc["k"],
-        qhat=qhat,
-        state=doc["state"],
+        qhat=tuple(qhat) if isinstance(qhat, list) else qhat,
+        state=state,
         calib_scores=np.asarray(doc["calib_scores"], dtype=float),
     )

@@ -189,8 +189,11 @@ def conformal_quantile(scores, alpha: float) -> float:
     """Calibrated quantile of non-conformity scores.
 
     Returns the m-th smallest score with m = ceil((n+1)(1-alpha)), clamped
-    to m <= n.  When the index formula exceeds n the maximum score is
-    returned and the resulting interval is conservative.
+    to m <= n.  The finite-sample coverage guarantee needs
+    n >= ceil(1/alpha) - 1, where the index formula stays within n.  Below
+    that the clamped result (the maximum score) undercovers: with
+    exchangeable, tie-free scores its coverage is n/(n+1), e.g. 0.833 at
+    n = 5 and 0.75 at n = 3 for alpha = 0.1.
     """
     s = np.asarray(scores, dtype=float)
     if s.size == 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ValidationError
+from .core import ValidationError
 
 __all__ = [
     "QuantileForest",
@@ -20,15 +20,12 @@ __all__ = [
     "KernelSimilarity",
     "RidgePredictor",
     "OlsFit",
-    "fit_quantile_forest",
-    "fit_bin_classifier",
-    "kernel_weights",
     "ols",
     "pinball_loss",
 ]
 
-FOREST_DEFAULTS = {"n_trees": 200, "depth": 3, "lr": 0.05, "min_leaf": 10, "seed": 0}
-CLASSIFIER_DEFAULTS = {"epochs": 500, "lr": 0.1, "l2": 1e-3, "seed": 0}
+FOREST_DEFAULTS = {"n_trees": 200, "depth": 3, "lr": 0.05, "min_leaf": 10}
+CLASSIFIER_DEFAULTS = {"epochs": 500, "lr": 0.1, "l2": 1e-3}
 
 
 def pinball_loss(y, pred, tau: float) -> float:
@@ -141,7 +138,7 @@ class QuantileForest:
     """
 
     def __init__(self, tau: float, n_trees: int = 200, depth: int = 3, lr: float = 0.05,
-                 min_leaf: int = 10, seed: int = 0):
+                 min_leaf: int = 10):
         if not 0.0 < tau < 1.0:
             raise ValidationError("tau must lie in (0, 1)")
         self.tau = tau
@@ -149,7 +146,6 @@ class QuantileForest:
         self.depth = depth
         self.lr = lr
         self.min_leaf = min_leaf
-        self.seed = seed
         self.base = 0.0
         self.trees: list[_Tree] = []
 
@@ -201,23 +197,16 @@ class QuantileForest:
             "depth": self.depth,
             "lr": self.lr,
             "min_leaf": self.min_leaf,
-            "seed": self.seed,
             "base": self.base,
             "trees": [t.to_dict() for t in self.trees],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuantileForest":
-        qf = cls(d["tau"], d["n_trees"], d["depth"], d["lr"], d["min_leaf"], d["seed"])
+        qf = cls(d["tau"], d["n_trees"], d["depth"], d["lr"], d["min_leaf"])
         qf.base = d["base"]
         qf.trees = [_Tree.from_dict(t) for t in d["trees"]]
         return qf
-
-
-def fit_quantile_forest(train: Dataset, tau: float, hyper: dict | None = None) -> QuantileForest:
-    h = {**FOREST_DEFAULTS, **(hyper or {})}
-    qf = QuantileForest(tau, h["n_trees"], h["depth"], h["lr"], h["min_leaf"], h["seed"])
-    return qf.fit(train.logits, train.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +223,11 @@ class BinClassifier:
     place (uniform probabilities).
     """
 
-    def __init__(self, bins, epochs: int = 500, lr: float = 0.1, l2: float = 1e-3, seed: int = 0):
+    def __init__(self, bins, epochs: int = 500, lr: float = 0.1, l2: float = 1e-3):
         self.bins = np.asarray(bins, dtype=float)
         self.epochs = epochs
         self.lr = lr
         self.l2 = l2
-        self.seed = seed
         self.weights = None
         self.bias = None
         self.means = None
@@ -317,7 +305,6 @@ class BinClassifier:
             "epochs": self.epochs,
             "lr": self.lr,
             "l2": self.l2,
-            "seed": self.seed,
             "weights": self.weights.tolist(),
             "bias": self.bias.tolist(),
             "means": self.means.tolist(),
@@ -326,18 +313,12 @@ class BinClassifier:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BinClassifier":
-        bc = cls(d["bins"], d["epochs"], d["lr"], d["l2"], d["seed"])
+        bc = cls(d["bins"], d["epochs"], d["lr"], d["l2"])
         bc.weights = np.asarray(d["weights"], dtype=float)
         bc.bias = np.asarray(d["bias"], dtype=float)
         bc.means = np.asarray(d["means"], dtype=float)
         bc.stds = np.asarray(d["stds"], dtype=float)
         return bc
-
-
-def fit_bin_classifier(train: Dataset, hyper: dict | None = None) -> BinClassifier:
-    h = {**CLASSIFIER_DEFAULTS, **(hyper or {})}
-    bc = BinClassifier(train.scale.labels(), h["epochs"], h["lr"], h["l2"], h["seed"])
-    return bc.fit(train.logits, train.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +391,6 @@ class KernelSimilarity:
         ks.means = np.asarray(d["means"], dtype=float)
         ks.stds = np.asarray(d["stds"], dtype=float)
         return ks
-
-
-def kernel_weights(sim: KernelSimilarity, calib: Dataset, z_test) -> np.ndarray:
-    """Normalized weights of one query point against a calibration set."""
-    if len(calib) == 0:
-        raise ValidationError("empty calibration")
-    return sim.weights_batch(calib.logits, np.asarray(z_test, dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------

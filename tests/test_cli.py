@@ -161,6 +161,15 @@ class TestEvaluateCommand:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("evaluate", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("sidecar", ["{not json", '{"id": "t1"}'])
+    def test_malformed_exclusions_sidecar_is_data_error(self, synth_file, tmp_path, capsys, sidecar):
+        path = synth_file.with_suffix(".exclusions.json")
+        path.write_text(sidecar)
+        code = run("evaluate", str(synth_file), "--methods", "split_abs", "--seeds", "1",
+                   "--out-dir", str(tmp_path / "run"), "--jobs", "1")
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_sweep_row_count(self, synth_file, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import confjudge as cj
 from confjudge.conformal import (
+    _METHOD_TABLE,
     _chr_level_runs,
     _lvd_local_quantiles,
     _ordinal_growth_predict,
@@ -186,8 +188,7 @@ class TestLvd:
         model = cj.calibrate_lvd(train, calib, 0.1, {"bandwidth": 1e-6})
         j = 13
         iv = cj.predict_interval(model, calib.logits[j])
-        ridge = cj.RidgePredictor.from_dict(model.state["ridge"])
-        pred = ridge.predict(calib.logits[j:j + 1])[0]
+        pred = model.state["ridge"].predict(calib.logits[j:j + 1])[0]
         half = (iv.hi - iv.lo) / 2
         # clamping can cut one side; the uncut side sits at the local score
         assert max(iv.hi - pred, pred - iv.lo) == pytest.approx(model.calib_scores[j], abs=1e-9)
@@ -292,6 +293,17 @@ class TestOrdinal:
             mass = p[left[0]:right[0] + 1].sum()
             assert mass >= q - 1e-9 or (left[0], right[0]) == (0, 4)
 
+    def test_set_grown_to_own_score_spans_label(self):
+        # a score is the mass at which the growth first spans the label, so
+        # the set grown until it holds that mass covers the label
+        _, calib, _ = peaked_split(seed=23)
+        weights = np.array([1.0, 2.0, 1.0, 0.5, 1.0])
+        model = cj.calibrate_ordinal_rc(calib, 0.1, weights)
+        ratings = np.arange(1.0, 6.0)
+        for v, y, s in zip(cj.softmax(calib.logits) * weights, calib.labels, model.calib_scores):
+            left, right = _ordinal_growth_predict(v[None, :], ratings, s)
+            assert ratings[left[0]] <= y <= ratings[right[0]]
+
     def test_rc_with_unit_weights_identical_to_aps(self):
         train, calib, test = peaked_split(seed=21)
         aps = cj.calibrate_ordinal_aps(calib, 0.1)
@@ -331,7 +343,23 @@ class TestModelContract:
         _, calib, _, models = fitted
         for name, model in models.items():
             again = cj.score_samples(model, calib)
-            np.testing.assert_allclose(again, model.calib_scores, atol=1e-9, err_msg=name)
+            np.testing.assert_array_equal(again, model.calib_scores, err_msg=name)
+
+    def test_table_covers_every_method(self):
+        assert set(_METHOD_TABLE) == set(cj.METHODS)
+
+    def test_prediction_uses_live_estimators(self, fitted, monkeypatch):
+        _, calib, test, models = fitted
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("estimator rebuilt from its dict")
+
+        monkeypatch.setattr(cj.QuantileForest, "from_dict", rebuilt)
+        monkeypatch.setattr(cj.BinClassifier, "from_dict", rebuilt)
+        for model in models.values():
+            cj.predict_intervals(model, test.logits, test.raw_scores)
+            cj.predict_interval(model, test.logits[0], test.raw_scores[0])
+            cj.score_samples(model, calib)
 
     def test_deterministic_prediction(self, fitted):
         _, _, test, models = fitted
@@ -358,6 +386,22 @@ class TestModelContract:
             iv_a = cj.predict_intervals(model, test.logits, test.raw_scores)
             iv_b = cj.predict_intervals(back, test.logits, test.raw_scores)
             assert [(x.lo, x.hi) for x in iv_a] == [(x.lo, x.hi) for x in iv_b], name
+
+    def test_unknown_method_document_rejected(self, fitted):
+        doc = json.loads(cj.model_to_json(fitted[3]["ordinal_aps"]))
+        doc["method"] = "bogus"
+        with pytest.raises(ValidationError, match="bogus"):
+            cj.model_from_json(json.dumps(doc))
+
+    def test_bad_state_entry_rejected(self, fitted):
+        doc = json.loads(cj.model_to_json(fitted[3]["cqr"]))
+        del doc["state"]["forest_hi"]
+        with pytest.raises(ValidationError, match="forest_hi"):
+            cj.model_from_json(json.dumps(doc))
+        doc = json.loads(cj.model_to_json(fitted[3]["split_abs"]))
+        doc["state"]["point_predictor"] = "bogus"
+        with pytest.raises(ValidationError, match="point_predictor"):
+            cj.model_from_json(json.dumps(doc))
 
     def test_alpha_validated(self, fitted):
         _, _, _, models = fitted

@@ -7,9 +7,6 @@ from confjudge.estimators import (
     KernelSimilarity,
     QuantileForest,
     RidgePredictor,
-    fit_bin_classifier,
-    fit_quantile_forest,
-    kernel_weights,
     ols,
     pinball_loss,
 )
@@ -81,13 +78,16 @@ class TestQuantileForest:
         qf = QuantileForest(0.5, n_trees=10).fit(X, y)
         back = QuantileForest.from_dict(qf.to_dict())
         np.testing.assert_array_equal(qf.predict(X), back.predict(X))
+        # v1 documents also carried an unused "seed" entry
+        legacy = QuantileForest.from_dict({**qf.to_dict(), "seed": 0})
+        np.testing.assert_array_equal(qf.predict(X), legacy.predict(X))
 
     def test_fit_from_dataset(self):
         rng = np.random.default_rng(7)
         Z = rng.normal(size=(60, 5))
         y = rng.choice([1.0, 2.0, 3.0, 4.0, 5.0], size=60)
         ds = dataset_from_arrays(Z, y)
-        qf = fit_quantile_forest(ds, 0.5, {"n_trees": 5})
+        qf = QuantileForest(0.5, n_trees=5).fit(ds.logits, ds.labels)
         assert np.all(np.isfinite(qf.predict(Z)))
 
 
@@ -168,10 +168,14 @@ class TestBinClassifier:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(40, 4))
         y = rng.choice([1.0, 2.0, 3.0, 4.0, 5.0], size=40)
-        clf = fit_bin_classifier(dataset_from_arrays(np.hstack([X, X[:, :1]]), y), {"epochs": 30})
+        ds = dataset_from_arrays(np.hstack([X, X[:, :1]]), y)
+        clf = BinClassifier(ds.scale.labels(), epochs=30).fit(ds.logits, ds.labels)
         back = BinClassifier.from_dict(clf.to_dict())
         Z = np.hstack([X, X[:, :1]])
         np.testing.assert_allclose(clf.predict_proba(Z), back.predict_proba(Z), atol=1e-12)
+        # v1 documents also carried an unused "seed" entry
+        legacy = BinClassifier.from_dict({**clf.to_dict(), "seed": 0})
+        np.testing.assert_allclose(clf.predict_proba(Z), legacy.predict_proba(Z), atol=1e-12)
 
 
 class TestKernelSimilarity:
@@ -223,7 +227,7 @@ class TestKernelSimilarity:
         ds = dataset_from_arrays(Z, y)
         sim = KernelSimilarity().fit(Z)
         sim.bandwidth = sim.median_bandwidth(Z)
-        w = kernel_weights(sim, ds, Z[0])
+        w = sim.weights_batch(ds.logits, Z[0])[0]
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
