@@ -598,28 +598,54 @@ def model_to_json(model: CalibratedModel) -> str:
     return json.dumps(doc)
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"expected a positive integer, got {value!r}")
+    return value
+
+
+def _qhat(value):
+    # lvd stores None, asym_cqr one correction per side
+    if value is None:
+        return None
+    return tuple(map(_number, value)) if isinstance(value, list) else _number(value)
+
+
+# how each top-level field is rebuilt from its JSON value
+_FIELD_DECODERS = {
+    "alpha": _number,
+    "scale": LabelScale.from_dict,
+    "k": _count,
+    "qhat": _qhat,
+    "calib_scores": lambda v: np.asarray(v, dtype=float),
+}
+
+
+def _decoded(entries: dict, decoders: dict, keys, what: str) -> dict:
+    out = {}
+    for key in keys:
+        try:
+            out[key] = decoders[key](entries[key])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"model {what} {key!r} is missing or malformed") from exc
+    return out
+
+
 def model_from_json(text: str) -> CalibratedModel:
     """Rebuild a model written by :func:`model_to_json`; an unknown method
-    or a missing or malformed state entry raises ValidationError."""
+    or a missing or malformed field or state entry raises ValidationError."""
     doc = json.loads(text)
-    if doc.get("format") != "confjudge-model" or doc.get("v") != 1:
+    if not isinstance(doc, dict) or doc.get("format") != "confjudge-model" or doc.get("v") != 1:
         raise ValidationError("unrecognized model document")
     method = doc.get("method")
     if method not in METHODS:
         raise ValidationError(f"model document has unknown method {method!r}; valid: {', '.join(METHODS)}")
-    state = {}
-    for key in _METHOD_TABLE[method].state_keys:
-        try:
-            state[key] = _STATE_DECODERS[key](doc["state"][key])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"model state {key!r} is missing or malformed") from exc
-    qhat = doc["qhat"]
-    return CalibratedModel(
-        method=method,
-        alpha=doc["alpha"],
-        scale=LabelScale.from_dict(doc["scale"]),
-        k=doc["k"],
-        qhat=tuple(qhat) if isinstance(qhat, list) else qhat,
-        state=state,
-        calib_scores=np.asarray(doc["calib_scores"], dtype=float),
-    )
+    fields = _decoded(doc, _FIELD_DECODERS, _FIELD_DECODERS, "field")
+    state = _decoded(doc.get("state"), _STATE_DECODERS, _METHOD_TABLE[method].state_keys, "state")
+    return CalibratedModel(method=method, state=state, **fields)

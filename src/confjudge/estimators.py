@@ -39,32 +39,20 @@ def pinball_loss(y, pred, tau: float) -> float:
 
 
 class _Tree:
-    """Depth-limited regression tree stored as flat arrays for fast routing."""
+    """Depth-limited regression tree stored as flat arrays for fast routing.
+
+    Nodes are numbered depth-first (a node, its left subtree, then its right
+    subtree), so every child's index exceeds its parent's.  A leaf has
+    feature -1 and no children."""
 
     __slots__ = ("feature", "thresh", "left", "right", "value")
 
-    def __init__(self):
-        self.feature = []
-        self.thresh = []
-        self.left = []
-        self.right = []
-        self.value = []
-
-    def _add_node(self):
-        self.feature.append(-1)
-        self.thresh.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def finalize(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.thresh = np.asarray(self.thresh, dtype=float)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.asarray(self.value, dtype=float)
-        return self
+    def __init__(self, feature, thresh, left, right, value):
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.thresh = np.asarray(thresh, dtype=float)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.value = np.asarray(value, dtype=float)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         idx = np.zeros(X.shape[0], dtype=np.int64)
@@ -89,43 +77,71 @@ class _Tree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "_Tree":
-        t = cls()
-        t.feature = d["feature"]
-        t.thresh = d["thresh"]
-        t.left = d["left"]
-        t.right = d["right"]
-        t.value = d["value"]
-        return t.finalize()
+        """Rebuild a tree; raises ValueError unless the five lists have one
+        entry per node and every node is a leaf or has a feature and two
+        children numbered after it (which also rules out routing cycles)."""
+        t = cls(d["feature"], d["thresh"], d["left"], d["right"], d["value"])
+        arrays = (t.feature, t.thresh, t.left, t.right, t.value)
+        if t.value.ndim != 1 or t.value.size == 0 or any(a.shape != t.value.shape for a in arrays):
+            raise ValueError("tree lists must be non-empty, flat and of equal length")
+        n = t.value.size
+        node = np.arange(n)
+        leaf = (t.feature == -1) & (t.left == -1) & (t.right == -1)
+        internal = ((t.feature >= 0) & (t.left > node) & (t.left < n)
+                    & (t.right > node) & (t.right < n))
+        if not np.all(leaf | internal):
+            raise ValueError("tree node has a negative feature or a missing or out-of-range child")
+        return t
 
 
-def _best_split(X: np.ndarray, g: np.ndarray, min_leaf: int):
-    """Least-squares split of the gradient targets g.  Returns
-    (feature, threshold, sse) or None when no valid split exists."""
-    n = g.shape[0]
-    if n < 2 * min_leaf:
-        return None
+def _best_cut(xs: np.ndarray, gs: np.ndarray, total, total_sq, lo: int):
+    """Least-squares cut of one node's gradient targets, over all features
+    at once.
+
+    Row f of ``xs`` holds the node's values of feature f in sorted order
+    (ties by row index) and row f of ``gs`` the gradients in that order;
+    ``total`` and ``total_sq`` are the node's sums in row order.  A cut
+    after k rows needs at least ``lo`` >= 1 rows on each side and distinct
+    values across it.  The best cut per feature is its first minimum; a later
+    feature wins only when it beats the best so far by more than 1e-12.
+    Returns (feature, k - 1) or None when no cut qualifies."""
+    m = xs.shape[1]
+    k = np.arange(lo, m - lo + 1)
+    csum = np.cumsum(gs, axis=1)[:, lo - 1:m - lo]
+    csq = np.cumsum(gs * gs, axis=1)[:, lo - 1:m - lo]
+    sse = (csq - csum * csum / k) + ((total_sq - csq) - (total - csum) ** 2 / (m - k))
+    sse = np.where(xs[:, lo:m - lo + 1] > xs[:, lo - 1:m - lo], sse, np.inf)
+    cut = np.argmin(sse, axis=1)
     best = None
-    total = g.sum()
-    total_sq = (g * g).sum()
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        gs = g[order]
-        csum = np.cumsum(gs)[:-1]
-        csq = np.cumsum(gs * gs)[:-1]
-        k = np.arange(1, n)
-        valid = (xs[1:] > xs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
-        if not valid.any():
-            continue
-        sse = (csq - csum * csum / k) + ((total_sq - csq) - (total - csum) ** 2 / (n - k))
-        sse = np.where(valid, sse, np.inf)
-        i = int(np.argmin(sse))
-        if not math.isfinite(sse[i]):
-            continue
-        thr = 0.5 * (xs[i] + xs[i + 1])
-        if best is None or sse[i] < best[2] - 1e-12:
-            best = (j, thr, float(sse[i]))
-    return best
+    for j, s in enumerate(sse[np.arange(len(cut)), cut].tolist()):
+        if math.isfinite(s) and (best is None or s < best_sse - 1e-12):
+            best, best_sse = j, s
+    return None if best is None else (best, lo - 1 + int(cut[best]))
+
+
+def _segment_quantiles(values: np.ndarray, seg: np.ndarray, tau: float):
+    """``np.quantile(values[seg == s], tau)`` for every segment id s at once.
+
+    One lexsort orders the values within each segment; the rest repeats
+    numpy's 'linear' method step by step, including its interpolation from
+    the upper neighbour when the fraction is at least 0.5, so each result
+    is bit-identical.  ``seg`` holds non-negative ids and ``values`` no NaN.
+    Returns (segment ids, quantiles)."""
+    v = values[np.lexsort((values, seg))]
+    count = np.bincount(seg)
+    ids = np.flatnonzero(count)
+    count = count[ids]
+    last = np.cumsum(count) - 1
+    index = (count - 1) * tau
+    prev = np.floor(index)
+    # at or past the end numpy takes the last value, with prev -1
+    top = index >= count - 1
+    prev[top] = -1.0
+    lo = np.where(top, last, last - (count - 1) + prev.astype(np.intp))
+    a, b = v[lo], v[np.where(top, last, lo + 1)]
+    gamma = index - prev
+    diff = b - a
+    return ids, np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
 class QuantileForest:
@@ -135,6 +151,12 @@ class QuantileForest:
     labels; each round fits a least-squares tree to the pinball gradient and
     re-estimates leaf values as the tau-quantile of the current residuals,
     matching the usual boosted quantile-regression update.
+
+    Each feature is sorted once per fit.  Trees grow a level at a time: a
+    node's candidate cuts for all features come from that presorted order
+    restricted to the node's rows, every leaf's quantile comes from one
+    lexsort, and the training predictions are updated from the rows' leaves
+    without routing them through the new tree.
     """
 
     def __init__(self, tau: float, n_trees: int = 200, depth: int = 3, lr: float = 0.05,
@@ -149,36 +171,81 @@ class QuantileForest:
         self.base = 0.0
         self.trees: list[_Tree] = []
 
-    def _build(self, tree: _Tree, X, g, resid, rows, depth_left: int) -> int:
-        node = tree._add_node()
-        split = _best_split(X[rows], g[rows], self.min_leaf) if depth_left > 0 else None
-        if split is None:
-            tree.value[node] = float(np.quantile(resid[rows], self.tau))
-            return node
-        j, thr, _ = split
-        tree.feature[node] = j
-        tree.thresh[node] = thr
-        mask = X[rows, j] <= thr
-        tree.left[node] = self._build(tree, X, g, resid, rows[mask], depth_left - 1)
-        tree.right[node] = self._build(tree, X, g, resid, rows[~mask], depth_left - 1)
-        return node
+    def _grow(self, X, order, xs, g, resid):
+        """Fit one tree to the gradients g; returns it and each row's leaf."""
+        n_feat = X.shape[1]
+        lo = max(math.ceil(self.min_leaf), 1)  # fewest rows a side may keep
+        node = np.zeros(len(g), dtype=np.intp)  # each row's node, numbered breadth-first
+        feature, thresh, kids = [-1], [0.0], [(-1, -1)]
+        level = [0]
+        for _ in range(self.depth):
+            at = node[order]
+            grown = []
+            for v in level:
+                rows = np.flatnonzero(node == v)
+                m = len(rows)
+                if m < 2 * lo:
+                    continue
+                member = at == v
+                xv = xs[member].reshape(n_feat, m)
+                gr = g[rows]
+                cut = _best_cut(xv, g[order[member]].reshape(n_feat, m), gr.sum(), (gr * gr).sum(), lo)
+                if cut is None:
+                    continue
+                j, i = cut
+                thr = 0.5 * (xv[j, i] + xv[j, i + 1])
+                go_left = X[rows, j] <= thr
+                # the midpoint of two adjacent floats can round up to the
+                # upper one and leave the right side empty: keep the leaf
+                if go_left.all():
+                    continue
+                a = len(feature)
+                feature[v], thresh[v], kids[v] = j, thr, (a, a + 1)
+                feature += [-1, -1]
+                thresh += [0.0, 0.0]
+                kids += [(-1, -1), (-1, -1)]
+                node[rows] = np.where(go_left, a, a + 1)
+                grown += [a, a + 1]
+            level = grown
+        # number the nodes depth-first, as model documents have always had them
+        pre, stack = [], [0]
+        while stack:
+            v = stack.pop()
+            pre.append(v)
+            if feature[v] >= 0:
+                stack += [kids[v][1], kids[v][0]]
+        new = np.empty(len(pre), dtype=np.intp)
+        new[pre] = np.arange(len(pre))
+        kids = np.asarray(kids)[pre]
+        leaf = new[node]
+        ids, quantiles = _segment_quantiles(resid, leaf, self.tau)
+        value = np.zeros(len(pre))
+        value[ids] = quantiles
+        tree = _Tree(np.asarray(feature)[pre], np.asarray(thresh)[pre],
+                     np.where(kids[:, 0] >= 0, new[kids[:, 0]], -1),
+                     np.where(kids[:, 1] >= 0, new[kids[:, 1]], -1), value)
+        return tree, leaf
 
     def fit(self, X, y) -> "QuantileForest":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if len(y) == 0:
             raise ValidationError("empty training set")
+        # the leaf quantiles sort residuals, which NaN labels would poison
+        if not np.all(np.isfinite(y)):
+            raise ValidationError("non-finite training labels")
         self.base = float(np.quantile(y, self.tau))
         self.trees = []
+        # ties keep row order, as a stable sort of any node's rows would
+        order = np.argsort(X.T, axis=1, kind="stable")
+        xs = np.take_along_axis(X.T, order, axis=1)
         pred = np.full(len(y), self.base)
         for _ in range(self.n_trees):
             resid = y - pred
             g = np.where(resid > 0, self.tau, self.tau - 1.0)
-            tree = _Tree()
-            self._build(tree, X, g, resid, np.arange(len(y)), self.depth)
-            tree.finalize()
+            tree, leaf = self._grow(X, order, xs, g, resid)
             self.trees.append(tree)
-            pred = pred + self.lr * tree.predict(X)
+            pred = pred + self.lr * tree.value[leaf]
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -203,8 +270,9 @@ class QuantileForest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuantileForest":
+        """Rebuild a forest; a malformed tree raises ValueError."""
         qf = cls(d["tau"], d["n_trees"], d["depth"], d["lr"], d["min_leaf"])
-        qf.base = d["base"]
+        qf.base = float(d["base"])
         qf.trees = [_Tree.from_dict(t) for t in d["trees"]]
         return qf
 

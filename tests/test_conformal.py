@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from confjudge.core import (
     ValidationError,
     conformal_quantile,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 LIKERT = LabelScale(1, 5, 1)
 FINE = LabelScale(1, 5, 0.002)
@@ -403,6 +406,16 @@ class TestModelContract:
         with pytest.raises(ValidationError, match="point_predictor"):
             cj.model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field", ["qhat", "alpha", "k", "scale", "calib_scores"])
+    def test_missing_or_malformed_field_rejected(self, fitted, field):
+        doc = json.loads(cj.model_to_json(fitted[3]["cqr"]))
+        del doc[field]
+        with pytest.raises(ValidationError, match=field):
+            cj.model_from_json(json.dumps(doc))
+        doc[field] = "bogus"
+        with pytest.raises(ValidationError, match=field):
+            cj.model_from_json(json.dumps(doc))
+
     def test_alpha_validated(self, fitted):
         _, _, _, models = fitted
         with pytest.raises(ValidationError):
@@ -457,3 +470,25 @@ class TestNoEmptyBeforeAdjustment:
         for m, model in calibrate_all(train, calib).items():
             for iv in cj.predict_intervals(model, test.logits, test.raw_scores):
                 assert not iv.empty, m
+
+
+class TestForestDocumentCompatibility:
+    """cqr and asym_cqr documents written by the recursive tree builder
+    that preceded the level-wise one (8 trees each, tests/data)."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return json.loads((DATA / "forest_models_v1_expected.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("method", ["cqr", "asym_cqr"])
+    def test_old_documents_give_the_same_intervals(self, expected, method):
+        model = cj.model_from_json((DATA / f"{method}_model_v1.json").read_text(encoding="utf-8"))
+        intervals = cj.predict_intervals(model, np.asarray(expected["rows"]))
+        assert [[iv.lo, iv.hi] for iv in intervals] == expected["intervals"][method]
+
+    @pytest.mark.parametrize("method", ["cqr", "asym_cqr"])
+    def test_refit_writes_the_same_document(self, expected, method):
+        ds, _ = cj.generate(cj.GeneratorSpec(seed=expected["generator_seed"], n=expected["n"]))
+        train, calib, _ = cj.split(ds, cj.SplitSpec(expected["split_seed"]))
+        model = cj.calibrate(method, train, calib, expected["alpha"], expected["hyper"])
+        assert cj.model_to_json(model) == (DATA / f"{method}_model_v1.json").read_text(encoding="utf-8")

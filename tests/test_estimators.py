@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from confjudge.core import Dataset, JudgeSample, LabelScale, ValidationError
 from confjudge.estimators import (
@@ -7,6 +11,8 @@ from confjudge.estimators import (
     KernelSimilarity,
     QuantileForest,
     RidgePredictor,
+    _segment_quantiles,
+    _Tree,
     ols,
     pinball_loss,
 )
@@ -89,6 +95,224 @@ class TestQuantileForest:
         ds = dataset_from_arrays(Z, y)
         qf = QuantileForest(0.5, n_trees=5).fit(ds.logits, ds.labels)
         assert np.all(np.isfinite(qf.predict(Z)))
+
+
+# The recursive, one-feature-at-a-time builder that QuantileForest.fit
+# replaced, kept as the oracle: the presorted level-wise builder must give
+# the same splits, thresholds, leaf values and node numbering.
+
+
+def _best_split(X: np.ndarray, g: np.ndarray, min_leaf: int):
+    n = g.shape[0]
+    if n < 2 * min_leaf:
+        return None
+    best = None
+    total = g.sum()
+    total_sq = (g * g).sum()
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        gs = g[order]
+        csum = np.cumsum(gs)[:-1]
+        csq = np.cumsum(gs * gs)[:-1]
+        k = np.arange(1, n)
+        valid = (xs[1:] > xs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
+        if not valid.any():
+            continue
+        sse = (csq - csum * csum / k) + ((total_sq - csq) - (total - csum) ** 2 / (n - k))
+        sse = np.where(valid, sse, np.inf)
+        i = int(np.argmin(sse))
+        if not math.isfinite(sse[i]):
+            continue
+        thr = 0.5 * (xs[i] + xs[i + 1])
+        if best is None or sse[i] < best[2] - 1e-12:
+            best = (j, thr, float(sse[i]))
+    return best
+
+
+def _reference_fit(tau, n_trees, depth, lr, min_leaf, X, y) -> dict:
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    keys = ("feature", "thresh", "left", "right", "value")
+
+    def build(tree, g, resid, rows, depth_left):
+        node = len(tree["value"])
+        for key, empty in zip(keys, (-1, 0.0, -1, -1, 0.0)):
+            tree[key].append(empty)
+        split = _best_split(X[rows], g[rows], min_leaf) if depth_left > 0 else None
+        if split is None:
+            tree["value"][node] = float(np.quantile(resid[rows], tau))
+            return node
+        j, thr, _ = split
+        tree["feature"][node] = j
+        tree["thresh"][node] = thr
+        mask = X[rows, j] <= thr
+        tree["left"][node] = build(tree, g, resid, rows[mask], depth_left - 1)
+        tree["right"][node] = build(tree, g, resid, rows[~mask], depth_left - 1)
+        return node
+
+    base = float(np.quantile(y, tau))
+    trees = []
+    pred = np.full(len(y), base)
+    for _ in range(n_trees):
+        resid = y - pred
+        g = np.where(resid > 0, tau, tau - 1.0)
+        tree = {key: [] for key in keys}
+        build(tree, g, resid, np.arange(len(y)), depth)
+        tree = _Tree(*(tree[key] for key in keys))
+        trees.append(tree.to_dict())
+        pred = pred + lr * tree.predict(X)
+    return {"kind": "quantile_forest", "v": 1, "tau": tau, "n_trees": n_trees, "depth": depth,
+            "lr": lr, "min_leaf": min_leaf, "base": base, "trees": trees}
+
+
+def _oracle_data(kind: str, n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 4))
+    y = X[:, 0] + rng.normal(0.0, 0.5, size=n)
+    if kind == "rounded":
+        X, y = np.round(X, 1), np.round(y)
+    elif kind == "discrete":
+        X = rng.integers(0, 3, size=(n, 4)).astype(float)
+        y = np.round(X[:, 1] + rng.normal(0.0, 0.7, size=n))
+    elif kind == "constant_column":
+        X[:, 0] = 2.5
+    return X, y
+
+
+class TestLevelWiseBuilderMatchesRecursiveOracle:
+    @pytest.mark.parametrize("tau", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("kind", ["continuous", "rounded", "discrete", "constant_column"])
+    def test_grid(self, tau, kind):
+        X, y = _oracle_data(kind, 60, seed=int(tau * 100))
+        for depth in range(5):
+            for min_leaf in (1, 3, 10, 25):
+                args = (tau, 4, depth, 0.1, min_leaf)
+                got = QuantileForest(*args).fit(X, y).to_dict()
+                assert got == _reference_fit(*args, X, y), (depth, min_leaf)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 19])
+    def test_fewer_rows_than_two_leaves(self, n):
+        X, y = _oracle_data("rounded", n, seed=n)
+        for min_leaf in (1, 10):
+            args = (0.5, 3, 3, 0.1, min_leaf)
+            assert QuantileForest(*args).fit(X, y).to_dict() == _reference_fit(*args, X, y)
+
+    def test_zero_trees(self):
+        X, y = _oracle_data("continuous", 30, seed=1)
+        args = (0.95, 0, 3, 0.1, 5)
+        assert QuantileForest(*args).fit(X, y).to_dict() == _reference_fit(*args, X, y)
+
+    def test_tied_values_keep_row_order(self):
+        # on this data, summing the gradients of tied rows in another order
+        # than row order moves a cut
+        X = np.array([float(c) for c in "02021220212000220100101120200100201222202211102022111121100220101"])
+        y = np.array([float(c) for c in "42001343310231333331212224403310030410204023031313243422200301442"])
+        args = (0.1, 6, 3, 0.1, 4)
+        assert QuantileForest(*args).fit(X[:, None], y).to_dict() == _reference_fit(*args, X[:, None], y)
+
+    def test_midpoint_rounding_to_upper_value(self):
+        # the midpoint of 1+2^-52 and 1+2^-51 rounds to the upper value, so
+        # the rows at the cut route left; both builders must agree on that
+        a, b = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+        X = np.array([[a]] * 4 + [[b]] * 4 + [[2.0]] * 4)
+        y = np.array([0.0] * 4 + [5.0] * 8)
+        args = (0.5, 3, 1, 0.1, 2)
+        got = QuantileForest(*args).fit(X, y).to_dict()
+        assert got == _reference_fit(*args, X, y)
+        assert got["trees"][0]["thresh"][0] == b
+
+    def test_midpoint_rounding_that_empties_a_side_keeps_a_leaf(self):
+        # the recursive builder crashed here (quantile of an empty leaf)
+        a, b = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+        X = np.array([[a]] * 4 + [[b]] * 4)
+        y = np.array([0.0] * 4 + [5.0] * 4)
+        qf = QuantileForest(0.5, n_trees=3, depth=2, lr=0.1, min_leaf=2).fit(X, y)
+        assert all(len(t.feature) == 1 for t in qf.trees)
+        assert np.all(np.isfinite(qf.predict(X)))
+
+    def test_non_finite_labels_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            QuantileForest(0.5, n_trees=2).fit(np.zeros((3, 1)), np.array([1.0, np.nan, 2.0]))
+
+
+_TAUS = st.one_of(
+    st.sampled_from([1e-12, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-3, 1 - 1e-12, float(np.nextafter(1.0, 0.0))]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+# zeros are all -0.0, so the bit patterns below are well defined and numpy's
+# handling of a one-value segment (b - 0 * 0, which keeps the sign) is pinned
+_VALUES = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6, allow_nan=False)).map(
+    lambda v: v or -0.0)
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestSegmentQuantiles:
+    @given(st.lists(st.tuples(st.integers(0, 6), _VALUES), min_size=1, max_size=40), _TAUS)
+    def test_matches_numpy_per_segment(self, pairs, tau):
+        seg = np.array([s for s, _ in pairs], dtype=np.intp)
+        values = np.array([v for _, v in pairs])
+        ids, got = _segment_quantiles(values, seg, tau)
+        np.testing.assert_array_equal(ids, np.unique(seg))
+        assert _bits(got) == _bits([np.quantile(values[seg == s], tau) for s in ids])
+
+    def test_short_segments_and_duplicates(self):
+        values = np.array([3.0, 1.0, 1.0, 2.0, 2.0, 2.0, 7.0, -1.0, -0.0])
+        seg = np.array([0, 1, 1, 2, 2, 2, 3, 3, 5])
+        for tau in (1e-9, 0.5, 0.7, 1 - 1e-9):
+            ids, got = _segment_quantiles(values, seg, tau)
+            assert ids.tolist() == [0, 1, 2, 3, 5]
+            assert _bits(got) == _bits([np.quantile(values[seg == s], tau) for s in ids])
+
+
+def _small_forest_dict() -> dict:
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(40, 2))
+    y = X[:, 0] + rng.normal(size=40)
+    d = QuantileForest(0.5, n_trees=2, depth=2, min_leaf=3).fit(X, y).to_dict()
+    assert d["trees"][0]["feature"][0] >= 0
+    return d
+
+
+def _unequal_lengths(t):
+    t["value"] = t["value"][:1]
+
+
+def _child_out_of_range(t):
+    t["left"][0] = 99
+
+
+def _missing_child(t):
+    t["right"][0] = -1
+
+
+def _negative_feature(t):
+    t["feature"][0] = -2
+
+
+def _routing_cycle(t):
+    t["left"][0] = 0
+
+
+def _leaf_with_children(t):
+    t["feature"][0] = -1
+
+
+class TestStrictForestDecoding:
+    @pytest.mark.parametrize("corrupt", [_unequal_lengths, _child_out_of_range, _missing_child,
+                                         _negative_feature, _routing_cycle, _leaf_with_children])
+    def test_malformed_tree_rejected(self, corrupt):
+        d = _small_forest_dict()
+        corrupt(d["trees"][0])
+        with pytest.raises(ValueError):
+            QuantileForest.from_dict(d)
+
+    def test_empty_tree_rejected(self):
+        with pytest.raises(ValueError):
+            _Tree.from_dict({key: [] for key in ("feature", "thresh", "left", "right", "value")})
 
 
 class TestBinClassifier:
