@@ -49,6 +49,7 @@ from .estimators import (
     KernelSimilarity,
     QuantileForest,
     RidgePredictor,
+    _block_rows,
 )
 from .ratings import rating_values, softmax, weighted_average
 
@@ -124,6 +125,9 @@ class _Method:
 
     ``flags`` is None for methods without a degenerate fallback.
     ``state_keys`` names the entries of the state ``fit`` returns.
+    ``qhat`` reads a document's qhat and rejects any other shape than the
+    one ``quantile`` returns.  ``check(state, k)``, when set, rejects a
+    decoded state that contradicts the document's k or itself.
     """
 
     fit: Callable
@@ -131,6 +135,8 @@ class _Method:
     quantile: Callable
     interval: Callable
     state_keys: tuple
+    qhat: Callable
+    check: Callable | None = None
 
 
 def _clamped(lo: float, hi: float, scale: LabelScale) -> Interval:
@@ -191,6 +197,13 @@ def _fit_forests(train: Dataset, tail: float, h: dict) -> dict:
             train.logits, train.labels)
         for key, tau in (("forest_lo", tail), ("forest_hi", 1 - tail))
     }
+
+
+def _check_forests(state: dict, k: int) -> None:
+    for key in _FORESTS:
+        used = max((int(tree.feature.max()) for tree in state[key].trees), default=-1)
+        if used >= k:
+            raise ValidationError(f"model state {key!r} splits on feature {used}, but k is {k}")
 
 
 def _forest_bounds(state: dict, Z: np.ndarray):
@@ -308,16 +321,37 @@ def _fit_lvd(train: Dataset, calib: Dataset, alpha: float, h: dict, kw: dict) ->
             "sorted_scores": scores[order], "sort_order": order}
 
 
+def _check_lvd(state: dict, k: int) -> None:
+    calib, order, kernel = state["calib_logits"], state["sort_order"], state["kernel"]
+    if calib.ndim != 2 or calib.shape[1] != k or len(calib) == 0:
+        raise ValidationError(f"model state 'calib_logits' must be an (m, {k}) array with m >= 1")
+    m = len(calib)
+    if state["sorted_scores"].shape != (m,):
+        raise ValidationError(f"model state 'sorted_scores' must hold {m} scores")
+    if order.shape != (m,) or not np.array_equal(np.sort(order), np.arange(m)):
+        raise ValidationError(f"model state 'sort_order' must be a permutation of 0..{m - 1}")
+    if kernel.means.shape != (k,) or kernel.stds.shape != (k,):
+        raise ValidationError(f"model state 'kernel' must hold {k} means and {k} stds")
+    bw = kernel.bandwidth
+    if bw is None or not (math.isfinite(bw) and bw > 0):
+        raise ValidationError(f"model state 'kernel' bandwidth must be finite and > 0, got {bw!r}")
+
+
 def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
     state = model.state
-    sorted_scores = state["sorted_scores"]
-    w = state["kernel"].weights_batch(state["calib_logits"], Z)[:, state["sort_order"]]
-    cum = np.cumsum(w, axis=1)
-    # first score index where the weighted mass reaches 1 - alpha
-    idx = np.argmax(cum >= (1.0 - model.alpha) - _TOL, axis=1)
-    reached = cum[np.arange(len(Z)), idx] >= (1.0 - model.alpha) - _TOL
-    idx = np.where(reached, idx, len(sorted_scores) - 1)
-    return sorted_scores[idx]
+    kernel, calib = state["kernel"], state["calib_logits"]
+    sorted_scores, order = state["sorted_scores"], state["sort_order"]
+    level = (1.0 - model.alpha) - _TOL
+    qs = np.empty(len(Z))
+    # a block of queries at a time keeps the (queries x m) arrays bounded
+    step = _block_rows(len(calib))
+    for r0 in range(0, len(Z), step):
+        cum = np.cumsum(np.take(kernel.weights_batch(calib, Z[r0:r0 + step]), order, axis=1), axis=1)
+        # first score index where the weighted mass reaches 1 - alpha
+        idx = np.argmax(cum >= level, axis=1)
+        reached = cum[np.arange(len(idx)), idx] >= level
+        qs[r0:r0 + step] = sorted_scores[np.where(reached, idx, len(sorted_scores) - 1)]
+    return qs
 
 
 def _interval_lvd(model: CalibratedModel, Z: np.ndarray, y_hats):
@@ -455,26 +489,44 @@ def _interval_ordinal(model: CalibratedModel, Z: np.ndarray, y_hats):
 # The method table
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _pair(value) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError(f"expected two numbers, got {value!r}")
+    return _number(value[0]), _number(value[1])
+
+
+def _null(value) -> None:
+    if value is not None:
+        raise TypeError(f"expected null, got {value!r}")
+
+
 _FORESTS = ("forest_lo", "forest_hi")
 
 _METHOD_TABLE = {
     "split_abs": _Method(_fit_split_abs, _score_split_abs, conformal_quantile, _interval_split_abs,
-                         ("point_predictor", "ridge")),
+                         ("point_predictor", "ridge"), _number),
     "cqr": _Method(lambda train, calib, alpha, h, kw: _fit_forests(train, alpha / 2, h),
-                   _score_cqr, conformal_quantile, _interval_cqr, _FORESTS),
+                   _score_cqr, conformal_quantile, _interval_cqr, _FORESTS, _number, _check_forests),
+    # one correction per side
     "asym_cqr": _Method(lambda train, calib, alpha, h, kw: _fit_forests(train, alpha, h),
-                        _score_asym_cqr, _quantile_asym_cqr, _interval_cqr, _FORESTS),
+                        _score_asym_cqr, _quantile_asym_cqr, _interval_cqr, _FORESTS, _pair, _check_forests),
     "chr": _Method(lambda train, calib, alpha, h, kw: {"classifier": _fit_classifier(train, h), "T": int(h["T"])},
-                   _score_chr, conformal_quantile, _interval_chr, ("classifier", "T")),
+                   _score_chr, conformal_quantile, _interval_chr, ("classifier", "T"), _number),
     # lvd takes its quantile per query, from the kernel-weighted scores
     "lvd": _Method(_fit_lvd, _score_lvd, lambda scores, alpha: None, _interval_lvd,
-                   ("ridge", "kernel", "calib_logits", "sorted_scores", "sort_order")),
+                   ("ridge", "kernel", "calib_logits", "sorted_scores", "sort_order"), _null, _check_lvd),
     # low density is non-conforming, so r2ccp keeps the lower quantile
     "r2ccp": _Method(lambda train, calib, alpha, h, kw: {"classifier": _fit_classifier(train, h)},
-                     _score_r2ccp, lower_conformal_quantile, _interval_r2ccp, ("classifier",)),
+                     _score_r2ccp, lower_conformal_quantile, _interval_r2ccp, ("classifier",), _number),
     "ordinal_aps": _Method(lambda train, calib, alpha, h, kw: {},
-                           _score_ordinal, conformal_quantile, _interval_ordinal, ()),
-    "ordinal_rc": _Method(_fit_ordinal_rc, _score_ordinal, conformal_quantile, _interval_ordinal, ("h",)),
+                           _score_ordinal, conformal_quantile, _interval_ordinal, (), _number),
+    "ordinal_rc": _Method(_fit_ordinal_rc, _score_ordinal, conformal_quantile, _interval_ordinal, ("h",), _number),
 }
 
 
@@ -598,23 +650,10 @@ def model_to_json(model: CalibratedModel) -> str:
     return json.dumps(doc)
 
 
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _count(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"expected a positive integer, got {value!r}")
     return value
-
-
-def _qhat(value):
-    # lvd stores None, asym_cqr one correction per side
-    if value is None:
-        return None
-    return tuple(map(_number, value)) if isinstance(value, list) else _number(value)
 
 
 # how each top-level field is rebuilt from its JSON value
@@ -622,7 +661,6 @@ _FIELD_DECODERS = {
     "alpha": _number,
     "scale": LabelScale.from_dict,
     "k": _count,
-    "qhat": _qhat,
     "calib_scores": lambda v: np.asarray(v, dtype=float),
 }
 
@@ -638,14 +676,20 @@ def _decoded(entries: dict, decoders: dict, keys, what: str) -> dict:
 
 
 def model_from_json(text: str) -> CalibratedModel:
-    """Rebuild a model written by :func:`model_to_json`; an unknown method
-    or a missing or malformed field or state entry raises ValidationError."""
+    """Rebuild a model written by :func:`model_to_json`.  An unknown method,
+    a missing or malformed field or state entry, a qhat of another shape
+    than the method's, or a state that contradicts ``k`` raises
+    ValidationError."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != "confjudge-model" or doc.get("v") != 1:
         raise ValidationError("unrecognized model document")
     method = doc.get("method")
     if method not in METHODS:
         raise ValidationError(f"model document has unknown method {method!r}; valid: {', '.join(METHODS)}")
-    fields = _decoded(doc, _FIELD_DECODERS, _FIELD_DECODERS, "field")
-    state = _decoded(doc.get("state"), _STATE_DECODERS, _METHOD_TABLE[method].state_keys, "state")
+    spec = _METHOD_TABLE[method]
+    decoders = {**_FIELD_DECODERS, "qhat": spec.qhat}
+    fields = _decoded(doc, decoders, decoders, "field")
+    state = _decoded(doc.get("state"), _STATE_DECODERS, spec.state_keys, "state")
+    if spec.check is not None:
+        spec.check(state, fields["k"])
     return CalibratedModel(method=method, state=state, **fields)

@@ -392,11 +392,63 @@ class BinClassifier:
 # ---------------------------------------------------------------------------
 # Gaussian kernel similarity
 
+# float64 entries of one (rows x points) block: 512 KB, so the few arrays
+# of a block stay in a 2 MB L2 cache (on eval-wide's kernel, blocks of 2^16
+# and 2^17 entries ran about 20% faster than 2^19)
+_BLOCK_ENTRIES = 1 << 16
+
+# up to about this many (row, point) pairs the difference tensor is cheaper
+# than three numpy calls per feature: per weights_batch call with one query
+# and 5 features, 51 vs 62 us at 250 points, 70 vs 74 at 500, even at 750,
+# 101 vs 91 at 1000
+_TENSOR_PAIRS = 512
+
+
+def _block_rows(m: int) -> int:
+    """Rows per block against m points, so a block holds ``_BLOCK_ENTRIES`` entries."""
+    return max(1, _BLOCK_ENTRIES // max(m, 1))
+
+
+def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``np.sum((A[:, None] - B[None]) ** 2, axis=-1)`` bit for bit, without
+    a (rows x points x features) tensor larger than one block.
+
+    numpy adds fewer than 8 numbers in sequence, so below 8 features the
+    same bits come from adding one 2-D squared-difference term per feature
+    in order.  That builds no tensor and, beyond ``_TENSOR_PAIRS`` pairs,
+    runs faster (a 32 x 2000 block with 5 features: 0.64 ms against 2.3 ms).
+    Otherwise the expression itself runs on blocks of rows whose tensor
+    holds at most ``_BLOCK_ENTRIES`` entries."""
+    n, m, k = len(A), len(B), A.shape[1]
+    if 0 < k < 8 and n * m > _TENSOR_PAIRS:
+        # feature-major copies, so each term reads two contiguous rows
+        At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
+        out = np.subtract.outer(At[0], Bt[0])
+        out *= out
+        for a, b in zip(At[1:], Bt[1:]):
+            d = np.subtract.outer(a, b)
+            d *= d
+            out += d
+        return out
+    step = _block_rows(m * k)
+    if n <= step:
+        return np.sum((A[:, None] - B[None]) ** 2, axis=-1)
+    out = np.empty((n, m))
+    for r0 in range(0, n, step):
+        out[r0:r0 + step] = np.sum((A[r0:r0 + step, None] - B[None]) ** 2, axis=-1)
+    return out
+
 
 class KernelSimilarity:
     """Gaussian kernel on standardized features.  The bandwidth defaults to
     the median pairwise distance of the calibration features (median
-    heuristic) unless set explicitly."""
+    heuristic) unless set explicitly.
+
+    Memory: ``weights_batch`` holds a few (queries x m) arrays, and no
+    (queries x m x features) tensor larger than one block, so callers that
+    pass a block of queries at a time use O(block * m) memory;
+    ``median_bandwidth`` holds one buffer of the m(m-1)/2 distinct pair
+    distances plus one block."""
 
     def __init__(self, bandwidth: float | None = None):
         self.bandwidth = bandwidth
@@ -415,14 +467,24 @@ class KernelSimilarity:
 
     def median_bandwidth(self, X) -> float:
         Xs = self._standardize(X)
-        d2 = np.sum((Xs[:, None, :] - Xs[None, :, :]) ** 2, axis=-1)
-        tri = d2[np.triu_indices(len(Xs), k=1)]
-        bw = float(np.sqrt(np.median(tri))) if tri.size else 1.0
+        m = len(Xs)
+        # distances of the pairs j > i, row by row, filled block by block
+        pairs = np.empty(m * (m - 1) // 2)
+        step = _block_rows(m)
+        pos = 0
+        for r0 in range(0, m - 1, step):
+            r1 = min(r0 + step, m - 1)
+            d2 = _sq_distances(Xs[r0:r1], Xs[r0 + 1:])
+            above = np.arange(m - 1 - r0)[None, :] >= np.arange(r1 - r0)[:, None]
+            block = d2[above]
+            pairs[pos:pos + block.size] = block
+            pos += block.size
+        bw = float(np.sqrt(np.median(pairs, overwrite_input=True))) if pairs.size else 1.0
         return bw if bw > 1e-12 else 1.0
 
     def weights_batch(self, X_calib, Z) -> np.ndarray:
-        """(m, n) row-normalized kernel weights of each query against the
-        calibration points."""
+        """(queries, m) row-normalized kernel weights of each query against
+        the m calibration points."""
         if self.means is None:
             raise ValidationError("kernel not fitted")
         bw = self.bandwidth
@@ -430,10 +492,12 @@ class KernelSimilarity:
             raise ValidationError("bandwidth not set")
         Xc = self._standardize(X_calib)
         Zq = self._standardize(np.atleast_2d(Z))
-        d2 = np.sum((Zq[:, None, :] - Xc[None, :, :]) ** 2, axis=-1)
+        d2 = _sq_distances(Zq, Xc)
         if not np.all(np.isfinite(d2)):
             raise ValidationError("degenerate features")
-        w = np.exp(-d2 / (2.0 * bw * bw))
+        # equal to exp(-d2 / (2 bw^2)): IEEE division is symmetric in sign
+        w = np.divide(d2, -2.0 * bw * bw)
+        np.exp(w, out=w)
         totals = w.sum(axis=1, keepdims=True)
         # queries so far from every point that all kernels underflow fall
         # back to nearest-neighbour weighting
@@ -442,7 +506,8 @@ class KernelSimilarity:
             w[dead] = 0.0
             w[dead, np.argmin(d2[dead], axis=1)] = 1.0
             totals = w.sum(axis=1, keepdims=True)
-        return w / totals
+        w /= totals
+        return w
 
     def to_dict(self) -> dict:
         return {
@@ -455,7 +520,10 @@ class KernelSimilarity:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSimilarity":
-        ks = cls(d["bandwidth"])
+        bw = d["bandwidth"]
+        if bw is not None and (isinstance(bw, bool) or not isinstance(bw, (int, float))):
+            raise TypeError(f"bandwidth must be a number or null, got {bw!r}")
+        ks = cls(None if bw is None else float(bw))
         ks.means = np.asarray(d["means"], dtype=float)
         ks.stds = np.asarray(d["stds"], dtype=float)
         return ks

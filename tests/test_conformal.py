@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import confjudge as cj
+import confjudge.estimators as estimators
 from confjudge.conformal import (
     _METHOD_TABLE,
     _chr_level_runs,
@@ -416,6 +418,52 @@ class TestModelContract:
         with pytest.raises(ValidationError, match=field):
             cj.model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("method, qhat", [
+        ("cqr", "pair"), ("asym_cqr", 0.5), ("asym_cqr", [0.5, 0.5, 0.5]), ("asym_cqr", None),
+        ("lvd", 0.5), ("lvd", [0.5, 0.5]), ("chr", [3.0, 3.0]), ("split_abs", None),
+    ])
+    def test_qhat_of_another_shape_rejected(self, fitted, method, qhat):
+        doc = json.loads(cj.model_to_json(fitted[3][method]))
+        # a cqr qhat turned into a pair used to be served as asym_cqr
+        doc["qhat"] = [doc["qhat"], -5.0] if qhat == "pair" else qhat
+        with pytest.raises(ValidationError, match="qhat"):
+            cj.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("method", ["cqr", "asym_cqr"])
+    def test_forest_features_beyond_k_rejected(self, method):
+        text = (DATA / f"{method}_model_v1.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        doc["state"]["forest_lo"]["trees"][0]["feature"][0] = 7
+        with pytest.raises(ValidationError, match="forest_lo"):
+            cj.model_from_json(json.dumps(doc))
+        doc = json.loads(text)
+        doc["k"] = 3
+        with pytest.raises(ValidationError, match="but k is 3"):
+            cj.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("entry, corrupt", [
+        ("calib_logits", lambda s: [row[:-1] for row in s["calib_logits"]]),
+        ("calib_logits", lambda s: s["calib_logits"][0]),
+        ("calib_logits", lambda s: []),
+        ("sorted_scores", lambda s: s["sorted_scores"][:5]),
+        ("sort_order", lambda s: s["sort_order"][:-1] + [len(s["sort_order"])]),
+        ("sort_order", lambda s: s["sort_order"][:-1] + s["sort_order"][:1]),
+        ("kernel", lambda s: {**s["kernel"], "means": s["kernel"]["means"][:3]}),
+        ("kernel", lambda s: {**s["kernel"], "stds": s["kernel"]["stds"] + [1.0]}),
+        ("kernel", lambda s: {**s["kernel"], "bandwidth": 0.0}),
+        ("kernel", lambda s: {**s["kernel"], "bandwidth": -1.0}),
+        ("kernel", lambda s: {**s["kernel"], "bandwidth": float("inf")}),
+        ("kernel", lambda s: {**s["kernel"], "bandwidth": float("nan")}),
+        ("kernel", lambda s: {**s["kernel"], "bandwidth": None}),
+        ("kernel", lambda s: {**s["kernel"], "bandwidth": "1.5"}),
+        ("kernel", lambda s: {**s["kernel"], "bandwidth": 10 ** 400}),
+    ])
+    def test_inconsistent_lvd_state_rejected(self, fitted, entry, corrupt):
+        doc = json.loads(cj.model_to_json(fitted[3]["lvd"]))
+        doc["state"][entry] = corrupt(doc["state"])
+        with pytest.raises(ValidationError, match=entry):
+            cj.model_from_json(json.dumps(doc))
+
     def test_alpha_validated(self, fitted):
         _, _, _, models = fitted
         with pytest.raises(ValidationError):
@@ -492,3 +540,174 @@ class TestForestDocumentCompatibility:
         train, calib, _ = cj.split(ds, cj.SplitSpec(expected["split_seed"]))
         model = cj.calibrate(method, train, calib, expected["alpha"], expected["hyper"])
         assert cj.model_to_json(model) == (DATA / f"{method}_model_v1.json").read_text(encoding="utf-8")
+
+
+class TestLvdDocumentCompatibility:
+    """An lvd document written by the dense kernel that preceded the
+    blocked one (tests/data)."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return json.loads((DATA / "lvd_model_v1_expected.json").read_text(encoding="utf-8"))
+
+    def test_old_document_gives_the_same_intervals(self, expected):
+        model = cj.model_from_json((DATA / "lvd_model_v1.json").read_text(encoding="utf-8"))
+        intervals = cj.predict_intervals(model, np.asarray(expected["rows"]))
+        assert [[iv.lo, iv.hi] for iv in intervals] == expected["intervals"]
+
+    def test_refit_writes_the_same_document(self, expected):
+        ds, _ = cj.generate(cj.GeneratorSpec(seed=expected["generator_seed"], n=expected["n"]))
+        train, calib, _ = cj.split(ds, cj.SplitSpec(expected["split_seed"]))
+        model = cj.calibrate("lvd", train, calib, expected["alpha"], expected["hyper"])
+        assert cj.model_to_json(model) == (DATA / "lvd_model_v1.json").read_text(encoding="utf-8")
+
+
+# The dense kernel code that preceded the blocked one, kept as the oracle:
+# it builds the (rows x points x features) difference tensor.
+
+
+def _dense_median_bandwidth(kernel, X):
+    Xs = kernel._standardize(X)
+    d2 = np.sum((Xs[:, None, :] - Xs[None, :, :]) ** 2, axis=-1)
+    tri = d2[np.triu_indices(len(Xs), k=1)]
+    bw = float(np.sqrt(np.median(tri))) if tri.size else 1.0
+    return bw if bw > 1e-12 else 1.0
+
+
+def _dense_weights(kernel, X_calib, Z):
+    bw = kernel.bandwidth
+    Xc = kernel._standardize(X_calib)
+    Zq = kernel._standardize(np.atleast_2d(Z))
+    d2 = np.sum((Zq[:, None, :] - Xc[None, :, :]) ** 2, axis=-1)
+    if not np.all(np.isfinite(d2)):
+        raise ValidationError("degenerate features")
+    w = np.exp(-d2 / (2.0 * bw * bw))
+    totals = w.sum(axis=1, keepdims=True)
+    dead = totals[:, 0] <= 0.0
+    if dead.any():
+        w[dead] = 0.0
+        w[dead, np.argmin(d2[dead], axis=1)] = 1.0
+        totals = w.sum(axis=1, keepdims=True)
+    return w / totals
+
+
+def _dense_lvd_quantiles(model, Z):
+    state = model.state
+    sorted_scores = state["sorted_scores"]
+    w = _dense_weights(state["kernel"], state["calib_logits"], Z)[:, state["sort_order"]]
+    cum = np.cumsum(w, axis=1)
+    idx = np.argmax(cum >= (1.0 - model.alpha) - 1e-12, axis=1)
+    reached = cum[np.arange(len(Z)), idx] >= (1.0 - model.alpha) - 1e-12
+    idx = np.where(reached, idx, len(sorted_scores) - 1)
+    return sorted_scores[idx]
+
+
+def _lvd_model(rng, m, k, bandwidth=None):
+    """An lvd model on m random calibration points with k features of
+    unequal spread; the median heuristic sets the bandwidth unless given."""
+    X = rng.normal(size=(m, k)) * rng.uniform(0.5, 3.0, size=k)
+    y = rng.choice(LIKERT.labels(), size=m)
+    ridge = cj.RidgePredictor(1.0).fit(X, y)
+    kernel = cj.KernelSimilarity(bandwidth).fit(X)
+    if bandwidth is None:
+        kernel.bandwidth = kernel.median_bandwidth(X)
+    scores = np.abs(ridge.predict(X) - y)
+    order = np.argsort(scores, kind="stable")
+    state = {"ridge": ridge, "kernel": kernel, "calib_logits": X,
+             "sorted_scores": scores[order], "sort_order": order}
+    return cj.CalibratedModel("lvd", 0.1, LIKERT, k, None, state, scores)
+
+
+def _small_blocks(monkeypatch, entries):
+    """Blocks of ``entries`` pairs; below 8 features each one is summed
+    feature by feature."""
+    monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(estimators, "_TENSOR_PAIRS", 0)
+
+
+class TestBlockedKernelMatchesDenseOracle:
+    """Bandwidth, weights and lvd quantiles are bit-identical to the dense
+    kernel's, whatever the block size."""
+
+    @pytest.mark.parametrize("m, n, k, entries", [
+        (37, 23, 3, 64),        # one row per block
+        (50, 31, 6, 350),       # 7 rows per block, neither m nor n a multiple of 7
+        (40, 1, 5, None),       # m below one block, a single query (through the tensor)
+        (300, 500, 3, None),    # the real block size: 218 rows per block
+        (50, 31, 13, 350),      # 8 features or more: the tensor, one row at a time
+        (30, 9, 130, 120),      # 130 features
+    ])
+    def test_bandwidth_weights_and_quantiles(self, monkeypatch, m, n, k, entries):
+        if entries is not None:
+            _small_blocks(monkeypatch, entries)
+        rng = np.random.default_rng(m + n + k)
+        model = _lvd_model(rng, m, k)
+        kernel, X = model.state["kernel"], model.state["calib_logits"]
+        assert kernel.bandwidth == _dense_median_bandwidth(kernel, X)
+        Z = rng.normal(size=(n, k)) * 2.0
+        assert kernel.weights_batch(X, Z).tobytes() == _dense_weights(kernel, X, Z).tobytes()
+        assert _lvd_local_quantiles(model, Z).tobytes() == _dense_lvd_quantiles(model, Z).tobytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_bandwidth_with_fewer_than_two_pairs(self, m):
+        kernel = cj.KernelSimilarity().fit(np.ones((3, 2)))
+        X = np.arange(2.0 * m).reshape(m, 2)
+        assert kernel.median_bandwidth(X) == _dense_median_bandwidth(kernel, X)
+
+    def test_underflowing_kernels_fall_back_to_nearest_point(self, monkeypatch):
+        _small_blocks(monkeypatch, 120)
+        rng = np.random.default_rng(7)
+        model = _lvd_model(rng, 60, 4, bandwidth=1e-6)
+        X = model.state["calib_logits"]
+        Z = np.vstack([rng.normal(size=(9, 4)), X[[3, 17]], rng.normal(size=(4, 4))])
+        qs = _lvd_local_quantiles(model, Z)
+        assert qs.tobytes() == _dense_lvd_quantiles(model, Z).tobytes()
+        # every kernel underflows, so each query takes its nearest point's score
+        kernel = model.state["kernel"]
+        Xs, Zs = kernel._standardize(X), kernel._standardize(Z)
+        nearest = np.argmin(((Zs[:, None] - Xs[None]) ** 2).sum(axis=-1), axis=1)
+        np.testing.assert_array_equal(qs, model.calib_scores[nearest])
+
+    def test_non_finite_features_rejected_in_any_block(self, monkeypatch):
+        _small_blocks(monkeypatch, 100)
+        rng = np.random.default_rng(8)
+        model = _lvd_model(rng, 50, 3)
+        Z = rng.normal(size=(12, 3))
+        Z[9, 1] = np.nan
+        with pytest.raises(ValidationError, match="degenerate features"):
+            _dense_lvd_quantiles(model, Z)
+        with pytest.raises(ValidationError, match="degenerate features"):
+            _lvd_local_quantiles(model, Z)
+        X = model.state["calib_logits"].copy()
+        X[4, 0] = np.inf
+        kernel = model.state["kernel"]
+        with np.errstate(invalid="ignore"):
+            assert kernel.median_bandwidth(X) == _dense_median_bandwidth(kernel, X)
+
+
+def test_lvd_memory_stays_bounded():
+    # the dense kernel peaked at 412 MB calibrating and 826 MB predicting here
+    rng = np.random.default_rng(9)
+    k = 5
+
+    def dataset(n, prefix):
+        Z = rng.normal(size=(n, k))
+        labels = np.clip(np.round(3.0 + Z[:, 0]), 1, 5)
+        return build_dataset(Z, labels, labels, prefix=prefix)
+
+    train, calib = dataset(500, "t"), dataset(3000, "c")
+    Z = rng.normal(size=(6000, k))
+    mb = 2 ** 20
+    tracemalloc.start()
+    try:
+        model = cj.calibrate("lvd", train, calib, 0.1)
+        calibrate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        intervals = cj.predict_intervals(model, Z)
+        predict_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(intervals) == 6000
+    assert calibrate_peak < 64 * mb, calibrate_peak / mb
+    assert predict_peak < 32 * mb, predict_peak / mb

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import confjudge.estimators as estimators
 from confjudge.core import Dataset, JudgeSample, LabelScale, ValidationError
 from confjudge.estimators import (
     BinClassifier,
@@ -453,6 +455,37 @@ class TestKernelSimilarity:
         sim.bandwidth = sim.median_bandwidth(Z)
         w = sim.weights_batch(ds.logits, Z[0])[0]
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# values that differ widely in magnitude, so the addition order shows
+_WIDE_FLOATS = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-30, 30))
+
+
+class TestSquaredDistances:
+    """Both paths of the distance helper give np.sum's bits: per-feature
+    terms below 8 features, the difference tensor a few rows at a time
+    above."""
+
+    @staticmethod
+    def _dense(A, B):
+        return np.sum((A[:, None] - B[None]) ** 2, axis=-1)
+
+    @given(st.integers(1, 40), st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_bitwise_equal_to_numpy_sum(self, k, a, b, data):
+        A = np.array(data.draw(st.lists(_WIDE_FLOATS, min_size=a * k, max_size=a * k))).reshape(a, k)
+        B = np.array(data.draw(st.lists(_WIDE_FLOATS, min_size=b * k, max_size=b * k))).reshape(b, k)
+        dense = self._dense(A, B).tobytes()
+        assert estimators._sq_distances(A, B).tobytes() == dense
+        # every input through the per-feature terms, or one row per tensor block
+        with mock.patch.multiple(estimators, _TENSOR_PAIRS=0, _BLOCK_ENTRIES=1):
+            assert estimators._sq_distances(A, B).tobytes() == dense
+
+    @pytest.mark.parametrize("k", [7, 8, 130])
+    def test_many_rows_in_blocks(self, k):
+        rng = np.random.default_rng(k)
+        A = rng.normal(size=(700, k)) * 10.0 ** rng.integers(-12, 12, size=(700, k))
+        B = rng.normal(size=(90, k)) * 10.0 ** rng.integers(-12, 12, size=(90, k))
+        assert estimators._sq_distances(A, B).tobytes() == self._dense(A, B).tobytes()
 
 
 class TestRidge:
