@@ -33,8 +33,8 @@ records = [
 
 ds, exclusions = extract_dataset(records, table, k=5, scale=LIKERT_5)
 print(f"extracted {len(ds)} samples, {len(exclusions)} exclusions\n")
-for s in ds.samples:
-    probs = [f"{math.exp(v):.2f}" for v in s.logits]
-    print(f"{s.id}: raw {s.raw_score:.0f}, label {s.label:.0f}, p(1..5) = {probs}")
+for sid, z, raw, label in zip(ds.ids, ds.logits, ds.raw_scores, ds.labels):
+    probs = [f"{math.exp(v):.2f}" for v in z]
+    print(f"{sid}: raw {raw:.0f}, label {label:.0f}, p(1..5) = {probs}")
 
 print("\nnote r1: the mass on '4', ' 4' and 'four' was pooled into rating 4")

@@ -48,7 +48,6 @@ from .core import (
     LIKERT_5,
     Dataset,
     Interval,
-    JudgeSample,
     LabelScale,
     SplitSpec,
     ValidationError,

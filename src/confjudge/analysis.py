@@ -166,7 +166,8 @@ def _coverage_width(intervals, labels):
 
 def _eval_cell(args):
     """One (method, seed) cell: ((row, empties, degenerate), None) on
-    success, (None, message) when the cell fails."""
+    success, (None, message) when the cell's data is invalid.  Any other
+    exception propagates."""
     (dataset, method, seed, alpha, policy, calib_fraction, inner_train_fraction,
      hyper, point_predictor) = args
     try:
@@ -183,7 +184,7 @@ def _eval_cell(args):
             adjusted = intervals
         coverage, mean_width, empties = _coverage_width(adjusted, test.labels)
         row = EvalRow(method, seed, _policy_name(policy), mean_width, coverage)
-    except Exception as exc:
+    except ValidationError as exc:
         return None, str(exc)
     return (row, empties, degenerate), None
 
@@ -194,8 +195,9 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
              point_predictor: str = "raw_score", jobs: int = 1,
              excluded: int = 0) -> EvalReport:
     """Split/calibrate/predict each (method, seed) cell and aggregate
-    width and coverage.  A failing cell is recorded and skipped rather than
-    aborting the run.  ``hyper`` maps method name to a hyperparameter dict.
+    width and coverage.  A cell that raises ValidationError is recorded and
+    skipped rather than aborting the run; any other exception aborts it.
+    ``hyper`` maps method name to a hyperparameter dict.
     """
     methods = list(methods)
     seeds = list(seeds)

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import analysis, conformal, synth
 from .adjust import AdjustmentPolicy
 from .core import Dataset, LabelScale, ValidationError, read_samples, write_samples
-from .extract import SynonymTable, extract_samples, read_transcripts
+from .extract import SynonymTable, extract_dataset, read_transcripts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -194,12 +194,9 @@ def cmd_extract(args) -> int:
     table = (SynonymTable.from_json(args.synonyms, args.k) if args.synonyms
              else SynonymTable.default(args.k))
     scale = _scale_from(args)
-    samples, exclusions = extract_samples(records, table, args.k, scale)
-    if not samples:
-        print("no samples", file=sys.stderr)
-        return EXIT_DATA
+    dataset, exclusions = extract_dataset(records, table, args.k, scale)
     out = Path(args.output)
-    write_samples(out, Dataset(tuple(samples), scale, args.k))
+    write_samples(out, dataset)
     excl_path = Path(args.exclusions) if args.exclusions else out.with_suffix(".exclusions.json")
     excl_path.write_text(
         json.dumps([{"id": i, "reason": r} for i, r in exclusions], indent=2) + "\n",
@@ -211,10 +208,10 @@ def cmd_extract(args) -> int:
         "config": {"k": args.k, "scale": scale.to_dict(), "synonyms": args.synonyms},
         "inputs": {args.transcripts: _git_blob_sha1(Path(args.transcripts))},
         "outputs": [str(out), str(excl_path)],
-        "written": len(samples),
+        "written": len(dataset),
         "excluded": len(exclusions),
     })
-    print(f"wrote {len(samples)} samples, {len(exclusions)} exclusions")
+    print(f"wrote {len(dataset)} samples, {len(exclusions)} exclusions")
     return EXIT_OK
 
 
@@ -257,7 +254,9 @@ def cmd_evaluate(args) -> int:
     for method, agg in sorted(report.aggregates.items()):
         print(f"{method}: width {agg['mean_width']:.4f} +/- {agg['std_width']:.4f}, "
               f"coverage {agg['mean_coverage']:.4%} +/- {agg['std_coverage']:.4%}")
-    return EXIT_OK
+    for (m, s), msg in sorted(report.errors.items()):
+        print(f"data error: cell {m}/{s}: {msg}", file=sys.stderr)
+    return EXIT_DATA if report.errors else EXIT_OK
 
 
 def cmd_midpoints(args) -> int:
@@ -288,11 +287,11 @@ def cmd_het(args) -> int:
     dataset = _load_dataset(args)
     excluded = _excluded_count(args.samples)
     groups: dict = {}
-    for s in dataset.samples:
-        groups.setdefault(s.meta.get("dimension", "all"), []).append(s)
+    for row, meta in enumerate(dataset.meta):
+        groups.setdefault(meta.get("dimension", "all"), []).append(row)
     entries = []
     for dim in sorted(groups):
-        sub = Dataset(tuple(groups[dim]), dataset.scale, dataset.k)
+        sub = dataset.subset(groups[dim])
         entries.append((dim, "bp", analysis.bp_test(sub.logits, sub.labels)))
         entries.append((dim, "white", analysis.white_test(sub.logits, sub.labels)))
     out_dir = Path(args.out_dir)

@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    GRID_TOL,
     Dataset,
     Interval,
     LabelScale,
@@ -126,8 +127,8 @@ class _Method:
     ``flags`` is None for methods without a degenerate fallback.
     ``state_keys`` names the entries of the state ``fit`` returns.
     ``qhat`` reads a document's qhat and rejects any other shape than the
-    one ``quantile`` returns.  ``check(state, k)``, when set, rejects a
-    decoded state that contradicts the document's k or itself.
+    one ``quantile`` returns.  ``check(state, k, scale)``, when set, rejects
+    a decoded state that contradicts the document's k, its scale or itself.
     """
 
     fit: Callable
@@ -177,6 +178,17 @@ def _fit_split_abs(train: Dataset, calib: Dataset, alpha: float, h: dict, kw: di
     return {"point_predictor": point_predictor, "ridge": ridge}
 
 
+def _check_ridge(state: dict, k: int) -> None:
+    ridge = state["ridge"]
+    if ridge is None or any(v.shape != (k,) for v in (ridge.coef, ridge.means, ridge.stds)):
+        raise ValidationError(f"model state 'ridge' must hold {k} coefficients, means and stds")
+
+
+def _check_split_abs(state: dict, k: int, scale: LabelScale) -> None:
+    if state["point_predictor"] == "ridge":
+        _check_ridge(state, k)
+
+
 def _score_split_abs(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
     return np.abs(_point_predictions(state, scale, Z, y_hats) - y)
 
@@ -199,7 +211,7 @@ def _fit_forests(train: Dataset, tail: float, h: dict) -> dict:
     }
 
 
-def _check_forests(state: dict, k: int) -> None:
+def _check_forests(state: dict, k: int, scale: LabelScale) -> None:
     for key in _FORESTS:
         used = max((int(tree.feature.max()) for tree in state[key].trees), default=-1)
         if used >= k:
@@ -243,6 +255,17 @@ def _interval_cqr(model: CalibratedModel, Z: np.ndarray, y_hats):
 def _fit_classifier(train: Dataset, h: dict) -> BinClassifier:
     clf = BinClassifier(train.scale.labels(), h["epochs"], h["lr"], h["l2"])
     return clf.fit(train.logits, train.labels)
+
+
+def _check_classifier(state: dict, k: int, scale: LabelScale) -> None:
+    clf, labels = state["classifier"], scale.labels()
+    m = len(labels)
+    if clf.bins.shape != (m,) or not np.allclose(clf.bins, labels, rtol=0.0, atol=GRID_TOL):
+        raise ValidationError(f"model state 'classifier' bins must be the scale's {m} labels")
+    if (clf.weights.shape != (m, k) or clf.bias.shape != (m,)
+            or clf.means.shape != (k,) or clf.stds.shape != (k,)):
+        raise ValidationError(
+            f"model state 'classifier' must hold ({m}, {k}) weights, {m} biases, {k} means and {k} stds")
 
 
 def _run_table(m: int):
@@ -321,7 +344,8 @@ def _fit_lvd(train: Dataset, calib: Dataset, alpha: float, h: dict, kw: dict) ->
             "sorted_scores": scores[order], "sort_order": order}
 
 
-def _check_lvd(state: dict, k: int) -> None:
+def _check_lvd(state: dict, k: int, scale: LabelScale) -> None:
+    _check_ridge(state, k)
     calib, order, kernel = state["calib_logits"], state["sort_order"], state["kernel"]
     if calib.ndim != 2 or calib.shape[1] != k or len(calib) == 0:
         raise ValidationError(f"model state 'calib_logits' must be an (m, {k}) array with m >= 1")
@@ -459,14 +483,16 @@ def _ordinal_values(state: dict, Z: np.ndarray) -> np.ndarray:
     return probs if weights is None else probs * weights[None, :]
 
 
+def _check_ordinal_rc(state: dict, k: int, scale: LabelScale) -> None:
+    if state["h"].shape != (k,) or not np.all(state["h"] > 0):
+        raise ValidationError(f"ordinal_rc needs {k} positive label weights 'h'")
+
+
 def _fit_ordinal_rc(train: Dataset, calib: Dataset, alpha: float, h: dict, kw: dict) -> dict:
     weights = kw.get("weights")
-    weights = np.ones(calib.k) if weights is None else np.asarray(weights, dtype=float)
-    if weights.shape != (calib.k,):
-        raise ValidationError(f"need {calib.k} label weights")
-    if np.any(weights <= 0):
-        raise ValidationError("label weights must be positive")
-    return {"h": weights}
+    state = {"h": np.ones(calib.k) if weights is None else np.asarray(weights, dtype=float)}
+    _check_ordinal_rc(state, calib.k, calib.scale)
+    return state
 
 
 def _score_ordinal(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
@@ -510,23 +536,25 @@ _FORESTS = ("forest_lo", "forest_hi")
 
 _METHOD_TABLE = {
     "split_abs": _Method(_fit_split_abs, _score_split_abs, conformal_quantile, _interval_split_abs,
-                         ("point_predictor", "ridge"), _number),
+                         ("point_predictor", "ridge"), _number, _check_split_abs),
     "cqr": _Method(lambda train, calib, alpha, h, kw: _fit_forests(train, alpha / 2, h),
                    _score_cqr, conformal_quantile, _interval_cqr, _FORESTS, _number, _check_forests),
     # one correction per side
     "asym_cqr": _Method(lambda train, calib, alpha, h, kw: _fit_forests(train, alpha, h),
                         _score_asym_cqr, _quantile_asym_cqr, _interval_cqr, _FORESTS, _pair, _check_forests),
     "chr": _Method(lambda train, calib, alpha, h, kw: {"classifier": _fit_classifier(train, h), "T": int(h["T"])},
-                   _score_chr, conformal_quantile, _interval_chr, ("classifier", "T"), _number),
+                   _score_chr, conformal_quantile, _interval_chr, ("classifier", "T"), _number, _check_classifier),
     # lvd takes its quantile per query, from the kernel-weighted scores
     "lvd": _Method(_fit_lvd, _score_lvd, lambda scores, alpha: None, _interval_lvd,
                    ("ridge", "kernel", "calib_logits", "sorted_scores", "sort_order"), _null, _check_lvd),
     # low density is non-conforming, so r2ccp keeps the lower quantile
     "r2ccp": _Method(lambda train, calib, alpha, h, kw: {"classifier": _fit_classifier(train, h)},
-                     _score_r2ccp, lower_conformal_quantile, _interval_r2ccp, ("classifier",), _number),
+                     _score_r2ccp, lower_conformal_quantile, _interval_r2ccp, ("classifier",), _number,
+                     _check_classifier),
     "ordinal_aps": _Method(lambda train, calib, alpha, h, kw: {},
                            _score_ordinal, conformal_quantile, _interval_ordinal, (), _number),
-    "ordinal_rc": _Method(_fit_ordinal_rc, _score_ordinal, conformal_quantile, _interval_ordinal, ("h",), _number),
+    "ordinal_rc": _Method(_fit_ordinal_rc, _score_ordinal, conformal_quantile, _interval_ordinal, ("h",), _number,
+                          _check_ordinal_rc),
 }
 
 
@@ -606,6 +634,12 @@ def score_samples(model: CalibratedModel, dataset: Dataset) -> np.ndarray:
 # Serialization
 
 
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"expected a positive integer, got {value!r}")
+    return value
+
+
 def _point_predictor(name: str) -> str:
     if name not in POINT_PREDICTORS:
         raise ValueError(f"unknown point predictor {name!r}")
@@ -619,7 +653,7 @@ _STATE_DECODERS = {
     "forest_lo": QuantileForest.from_dict,
     "forest_hi": QuantileForest.from_dict,
     "classifier": BinClassifier.from_dict,
-    "T": int,
+    "T": _count,
     "kernel": KernelSimilarity.from_dict,
     "calib_logits": lambda v: np.asarray(v, dtype=float),
     "sorted_scores": lambda v: np.asarray(v, dtype=float),
@@ -650,12 +684,6 @@ def model_to_json(model: CalibratedModel) -> str:
     return json.dumps(doc)
 
 
-def _count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"expected a positive integer, got {value!r}")
-    return value
-
-
 # how each top-level field is rebuilt from its JSON value
 _FIELD_DECODERS = {
     "alpha": _number,
@@ -678,8 +706,8 @@ def _decoded(entries: dict, decoders: dict, keys, what: str) -> dict:
 def model_from_json(text: str) -> CalibratedModel:
     """Rebuild a model written by :func:`model_to_json`.  An unknown method,
     a missing or malformed field or state entry, a qhat of another shape
-    than the method's, or a state that contradicts ``k`` raises
-    ValidationError."""
+    than the method's, or a state that contradicts ``k``, the scale or
+    itself raises ValidationError."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != "confjudge-model" or doc.get("v") != 1:
         raise ValidationError("unrecognized model document")
@@ -691,5 +719,5 @@ def model_from_json(text: str) -> CalibratedModel:
     fields = _decoded(doc, decoders, decoders, "field")
     state = _decoded(doc.get("state"), _STATE_DECODERS, spec.state_keys, "state")
     if spec.check is not None:
-        spec.check(state, fields["k"])
+        spec.check(state, fields["k"], fields["scale"])
     return CalibratedModel(method=method, state=state, **fields)

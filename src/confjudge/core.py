@@ -1,23 +1,28 @@
-"""Core data model: ordinal scales, samples, deterministic splits, and the
-split-conformal quantile shared by every interval method.
+"""Core data model: ordinal scales, the columnar dataset, deterministic
+splits, and the split-conformal quantile shared by every interval method.
 
-All types are immutable after construction and all operations are pure
-functions, so everything here is safe to share across workers.
+A :class:`Dataset` holds one judge run as columns.  Every sample invariant
+is defined once, in :func:`row_problems`, which the dataset constructor,
+``read_samples`` and transcript extraction all apply.
+
+All types are immutable after construction (the dataset's arrays are
+read-only) and all operations are pure functions, so everything here is
+safe to share across workers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ValidationError",
     "LabelScale",
-    "JudgeSample",
     "Dataset",
+    "row_problems",
     "SplitSpec",
     "Interval",
     "conformal_quantile",
@@ -66,9 +71,13 @@ class LabelScale:
         """All admissible labels, in increasing order."""
         return self.min + self.step * np.arange(self.n_labels)
 
-    def on_grid(self, value: float, tol: float = GRID_TOL) -> bool:
+    def on_grid(self, value, tol: float = GRID_TOL):
+        """Whether ``value`` is a label of the grid, within ``tol``; elementwise
+        for an array."""
         k = (value - self.min) / self.step
-        return abs(k - round(k)) * self.step <= tol and self.min - tol <= value <= self.max + tol
+        with np.errstate(invalid="ignore"):
+            off = np.abs(k - np.round(k)) * self.step
+        return (off <= tol) & (self.min - tol <= value) & (value <= self.max + tol)
 
     def nearest_label(self, value: float) -> float:
         k = round((value - self.min) / self.step)
@@ -87,62 +96,85 @@ LIKERT_5 = LabelScale(1.0, 5.0, 1.0)
 GPA_THIRDS = LabelScale(1.0, 5.0, 1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class JudgeSample:
-    """One evaluated item: rating-token logits, the judge's raw score, and
-    the human label on the scale grid."""
+def row_problems(ids, logits: np.ndarray, raw_scores: np.ndarray, labels: np.ndarray,
+                 scale: LabelScale) -> list:
+    """The rows that break a sample invariant, as (row, reason) pairs in row
+    order.  A row's reason is the first of: a non-finite logit, a raw score
+    outside the scale range, a label off the scale grid, an id already
+    taken by an earlier row."""
+    bad_logit = ~np.isfinite(logits).all(axis=1)
+    bad_raw = ~((raw_scores >= scale.min - GRID_TOL) & (raw_scores <= scale.max + GRID_TOL))
+    bad_label = ~scale.on_grid(labels)
+    problems = {}
+    for i in np.flatnonzero(bad_logit | bad_raw | bad_label).tolist():
+        if bad_logit[i]:
+            problems[i] = f"sample {ids[i]!r}: non-finite logit"
+        elif bad_raw[i]:
+            problems[i] = f"sample {ids[i]!r}: raw_score {float(raw_scores[i])} outside scale range"
+        else:
+            problems[i] = f"sample {ids[i]!r}: label {float(labels[i])} off the scale grid"
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for i, sid in enumerate(ids):
+            if sid in seen and i not in problems:
+                problems[i] = f"duplicate sample id {sid!r}"
+            seen.add(sid)
+    return sorted(problems.items())
 
-    id: str
-    logits: tuple
-    raw_score: float
-    label: float
-    meta: dict = field(default_factory=dict)
 
-    def validate(self, scale: LabelScale, k: int) -> None:
-        if len(self.logits) != k:
-            raise ValidationError(f"sample {self.id!r}: expected {k} logits, got {len(self.logits)}")
-        if not all(math.isfinite(v) for v in self.logits):
-            raise ValidationError(f"sample {self.id!r}: non-finite logit")
-        if not (scale.min - GRID_TOL <= self.raw_score <= scale.max + GRID_TOL):
-            raise ValidationError(f"sample {self.id!r}: raw_score {self.raw_score} outside scale range")
-        if not scale.on_grid(self.label):
-            raise ValidationError(f"sample {self.id!r}: label {self.label} off the scale grid")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered collection of samples sharing one scale and logit dimension."""
+    """One judge run in columns sharing one scale: row i is the sample
+    ``ids[i]`` with rating-token logits ``logits[i]`` (k of them), the
+    judge's ``raw_scores[i]``, the human ``labels[i]`` and the dict
+    ``meta[i]`` (empty when ``meta`` is None).
 
-    samples: tuple
+    The constructor copies the columns, makes the arrays read-only, and
+    raises ValidationError for the first row that :func:`row_problems`
+    names.  Subsets and unpickled copies go through it too."""
+
+    ids: tuple
+    logits: np.ndarray
+    raw_scores: np.ndarray
+    labels: np.ndarray
     scale: LabelScale
-    k: int
+    meta: tuple | None = None
 
     def __post_init__(self):
-        ids = set()
-        for s in self.samples:
-            s.validate(self.scale, self.k)
-            if s.id in ids:
-                raise ValidationError(f"duplicate sample id {s.id!r}")
-            ids.add(s.id)
+        ids = tuple(self.ids)
+        n = len(ids)
+        meta = tuple({} for _ in range(n)) if self.meta is None else tuple(dict(m) for m in self.meta)
+        logits, raw_scores, labels = (np.array(c, dtype=float) for c in (self.logits, self.raw_scores, self.labels))
+        if (logits.ndim != 2 or logits.shape[0] != n or logits.shape[1] == 0
+                or raw_scores.shape != (n,) or labels.shape != (n,) or len(meta) != n):
+            raise ValidationError(f"a dataset of {n} ids needs an ({n}, k) logit matrix with k >= 1 "
+                                  f"and {n} raw scores, labels and meta dicts")
+        for column in (logits, raw_scores, labels):
+            column.flags.writeable = False
+        for name, column in zip(("ids", "logits", "raw_scores", "labels", "meta"),
+                                (ids, logits, raw_scores, labels, meta)):
+            object.__setattr__(self, name, column)
+        problems = row_problems(ids, logits, raw_scores, labels, self.scale)
+        if problems:
+            raise ValidationError(problems[0][1])
+
+    def __reduce__(self):
+        return Dataset, (self.ids, self.logits, self.raw_scores, self.labels, self.scale, self.meta)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
     @property
-    def logits(self) -> np.ndarray:
-        """(n, k) matrix of raw logits."""
-        return np.array([s.logits for s in self.samples], dtype=float).reshape(len(self.samples), self.k)
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=float)
-
-    @property
-    def raw_scores(self) -> np.ndarray:
-        return np.array([s.raw_score for s in self.samples], dtype=float)
+    def k(self) -> int:
+        """Logits per sample."""
+        return self.logits.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        return Dataset(tuple(self.samples[i] for i in indices), self.scale, self.k)
+        """The rows at ``indices``, in that order."""
+        idx = np.asarray(indices, dtype=np.intp)
+        rows = idx.tolist()
+        return Dataset(tuple(self.ids[i] for i in rows), self.logits[idx], self.raw_scores[idx],
+                       self.labels[idx], self.scale, tuple(self.meta[i] for i in rows))
 
 
 @dataclass(frozen=True)
@@ -185,6 +217,17 @@ class Interval:
         return Interval(math.nan, math.nan, empty=True)
 
 
+def _sorted_scores(scores, alpha: float) -> np.ndarray:
+    s = np.asarray(scores, dtype=float)
+    if s.size == 0:
+        raise ValidationError("empty calibration")
+    if not np.all(np.isfinite(s)):
+        raise ValidationError("invalid score")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError("alpha must lie in (0, 1)")
+    return np.sort(s, kind="stable")
+
+
 def conformal_quantile(scores, alpha: float) -> float:
     """Calibrated quantile of non-conformity scores.
 
@@ -195,32 +238,18 @@ def conformal_quantile(scores, alpha: float) -> float:
     exchangeable, tie-free scores its coverage is n/(n+1), e.g. 0.833 at
     n = 5 and 0.75 at n = 3 for alpha = 0.1.
     """
-    s = np.asarray(scores, dtype=float)
-    if s.size == 0:
-        raise ValidationError("empty calibration")
-    if not np.all(np.isfinite(s)):
-        raise ValidationError("invalid score")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must lie in (0, 1)")
-    n = s.size
-    m = math.ceil((n + 1) * (1.0 - alpha))
-    m = min(m, n)
-    return float(np.sort(s, kind="stable")[m - 1])
+    s = _sorted_scores(scores, alpha)
+    m = min(math.ceil((s.size + 1) * (1.0 - alpha)), s.size)
+    return float(s[m - 1])
 
 
 def lower_conformal_quantile(scores, alpha: float) -> float:
     """Low-side counterpart: the floor((n+1)*alpha)-th smallest score,
     clamped to >= 1.  Used by density-scored methods where low scores are
     the non-conforming ones."""
-    s = np.asarray(scores, dtype=float)
-    if s.size == 0:
-        raise ValidationError("empty calibration")
-    if not np.all(np.isfinite(s)):
-        raise ValidationError("invalid score")
-    n = s.size
-    m = math.floor((n + 1) * alpha)
-    m = max(m, 1)
-    return float(np.sort(s, kind="stable")[m - 1])
+    s = _sorted_scores(scores, alpha)
+    m = max(math.floor((s.size + 1) * alpha), 1)
+    return float(s[m - 1])
 
 
 def split(dataset: Dataset, spec: SplitSpec):
@@ -258,53 +287,44 @@ def to_fine_grid(scale: LabelScale):
 # JSONL sample records
 
 
-def _sample_from_record(rec: dict, lineno: int) -> JudgeSample:
-    try:
-        return JudgeSample(
-            id=str(rec["id"]),
-            logits=tuple(float(v) for v in rec["logits"]),
-            raw_score=float(rec["raw_score"]),
-            label=float(rec["label"]),
-            meta={str(k): str(v) for k, v in rec.get("meta", {}).items()},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"line {lineno}: malformed sample record: {exc}") from exc
-
-
 def read_samples(path, scale: LabelScale, k: int | None = None) -> Dataset:
-    """Load a JSONL sample file, rejecting records that fail invariants
-    with line-numbered errors."""
-    samples = []
+    """Load a JSONL sample file.  A malformed record, a record with another
+    number of logits than ``k`` (default: the first record's), and then the
+    first record that breaks a row invariant raise ValidationError with
+    the line number."""
+    rows, linenos = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
-            sample = _sample_from_record(rec, lineno)
-            if k is None:
-                k = len(sample.logits)
             try:
-                sample.validate(scale, k)
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from exc
-            samples.append(sample)
-    if not samples:
+                row = (str(rec["id"]), [float(v) for v in rec["logits"]], float(rec["raw_score"]),
+                       float(rec["label"]), {str(key): str(v) for key, v in rec.get("meta", {}).items()})
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(f"line {lineno}: malformed sample record: {exc}") from exc
+            k = len(row[1]) if k is None else k
+            if len(row[1]) != k:
+                raise ValidationError(f"line {lineno}: sample {row[0]!r}: expected {k} logits, got {len(row[1])}")
+            rows.append(row)
+            linenos.append(lineno)
+    if not rows:
         raise ValidationError("no samples")
-    return Dataset(tuple(samples), scale, k)
+    ids, logits, raw_scores, labels, meta = zip(*rows)
+    columns = (ids, np.array(logits), np.array(raw_scores), np.array(labels))
+    problems = row_problems(*columns, scale)
+    if problems:
+        raise ValidationError(f"line {linenos[problems[0][0]]}: {problems[0][1]}")
+    return Dataset(*columns, scale, meta)
 
 
 def write_samples(path, dataset: Dataset) -> None:
+    columns = (dataset.ids, dataset.logits.tolist(), dataset.raw_scores.tolist(),
+               dataset.labels.tolist(), dataset.meta)
     with open(path, "w", encoding="utf-8") as fh:
-        for s in dataset.samples:
-            rec = {
-                "id": s.id,
-                "logits": list(s.logits),
-                "raw_score": s.raw_score,
-                "label": s.label,
-                "meta": s.meta,
-            }
+        for sid, logits, raw_score, label, meta in zip(*columns):
+            rec = {"id": sid, "logits": logits, "raw_score": raw_score, "label": label, "meta": meta}
             fh.write(json.dumps(rec) + "\n")

@@ -577,7 +577,7 @@ class RidgePredictor:
     def from_dict(cls, d: dict) -> "RidgePredictor":
         rp = cls(d["l2"])
         rp.coef = np.asarray(d["coef"], dtype=float)
-        rp.intercept = d["intercept"]
+        rp.intercept = float(d["intercept"])
         rp.means = np.asarray(d["means"], dtype=float)
         rp.stds = np.asarray(d["stds"], dtype=float)
         return rp

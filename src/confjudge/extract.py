@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, JudgeSample, LabelScale, ValidationError
+from .core import Dataset, LabelScale, ValidationError, row_problems
 from .ratings import rating_values
 
 __all__ = [
@@ -196,15 +196,17 @@ def build_feature(record: TranscriptRecord, pos: int, table: SynonymTable, k: in
 
 
 def extract_samples(records, table: SynonymTable, k: int, scale: LabelScale):
-    """Turn transcripts into judge samples; returns (samples, exclusions).
+    """Turn transcripts into a dataset; returns (dataset, exclusions).
 
     The raw score is the declared score when present, otherwise the rating
     of the located token mapped into scale units.  Records without a human
-    label cannot become samples and are excluded with a reason.
+    label or rating mass, and then records that break a row invariant of
+    :func:`~confjudge.core.row_problems`, are excluded with the reason; the
+    dataset may be empty.
     """
     positions, exclusions = locate_rating_positions(records, table)
     values = rating_values(scale, k)
-    samples = []
+    rows = []
     for rec, pos in zip(records, positions):
         if pos is None:
             continue
@@ -220,18 +222,22 @@ def extract_samples(records, table: SynonymTable, k: int, scale: LabelScale):
             raw = float(rec.declared_score)
         else:
             raw = float(values[table.lookup(rec.tokens[pos].text) - 1])
-        try:
-            sample = JudgeSample(rec.id, tuple(feature), raw, rec.label, dict(rec.meta))
-            sample.validate(scale, k)
-        except ValidationError as exc:
-            exclusions.append((rec.id, str(exc)))
-            continue
-        samples.append(sample)
-    return samples, exclusions
+        rows.append((rec.id, feature, raw, rec.label, rec.meta))
+    ids, logits, raw_scores, labels, meta = list(zip(*rows)) or [()] * 5
+    logits = np.reshape(np.array(logits, dtype=float), (len(ids), k))
+    raw_scores, labels = np.array(raw_scores, dtype=float), np.array(labels, dtype=float)
+    problems = dict(row_problems(ids, logits, raw_scores, labels, scale))
+    exclusions += [(ids[r], reason) for r, reason in problems.items()]
+    keep = [r for r in range(len(ids)) if r not in problems]
+    dataset = Dataset([ids[r] for r in keep], logits[keep], raw_scores[keep], labels[keep], scale,
+                      [meta[r] for r in keep])
+    return dataset, exclusions
 
 
 def extract_dataset(records, table: SynonymTable, k: int, scale: LabelScale):
-    samples, exclusions = extract_samples(records, table, k, scale)
-    if not samples:
+    """:func:`extract_samples` that raises ValidationError when no record
+    becomes a sample."""
+    dataset, exclusions = extract_samples(records, table, k, scale)
+    if not len(dataset):
         raise ValidationError("no samples")
-    return Dataset(tuple(samples), scale, k), exclusions
+    return dataset, exclusions

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, JudgeSample, LabelScale, ValidationError
+from .core import Dataset, LabelScale, ValidationError
 from .ratings import rating_values
 from .special import norm_ppf
 
@@ -134,10 +134,6 @@ def generate(spec: GeneratorSpec):
     y = scale.min + kidx * scale.step
 
     raw = ratings[np.argmax(z, axis=1)]
-    samples = tuple(
-        JudgeSample(id=f"s{i:06d}", logits=tuple(z[i]), raw_score=float(raw[i]), label=float(y[i]))
-        for i in range(spec.n)
-    )
-    dataset = Dataset(samples, scale, spec.k)
+    dataset = Dataset(tuple(f"s{i:06d}" for i in range(spec.n)), z, raw, y, scale)
     oracle = SynthOracle(noise=spec.noise, scale=scale, latent=q, sigma=sigma, shift=shift)
     return dataset, oracle

@@ -169,10 +169,16 @@ class TestEvaluate:
             assert a.coverage >= p.coverage
 
     def test_cell_error_recorded_not_fatal(self, dataset):
-        report = evaluate(dataset, ["split_abs", "cqr"], seeds=[1],
-                          hyper={"cqr": {"lr": None}})
+        report = evaluate(dataset, ["split_abs", "lvd"], seeds=[1],
+                          hyper={"lvd": {"l2": -1.0}})
         assert ("split_abs", 1) in {(r.method, r.seed) for r in report.rows}
-        assert any(k[0] == "cqr" for k in report.errors)
+        assert report.errors == {("lvd", 1): "l2 must be >= 0"}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_programming_error_propagates(self, dataset, jobs):
+        # a TypeError inside a method is a bug, not a per-cell data problem
+        with pytest.raises(TypeError):
+            evaluate(dataset, ["split_abs", "cqr"], seeds=[1], hyper={"cqr": {"lr": None}}, jobs=jobs)
 
     def test_unknown_method(self, dataset):
         with pytest.raises(ValidationError, match="valid"):

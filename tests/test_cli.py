@@ -161,6 +161,27 @@ class TestEvaluateCommand:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("evaluate", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path)) == 2
 
+    def test_failed_cells_exit_2_after_writing_outputs(self, synth_file, tmp_path, capsys):
+        # lower_conformal_quantile used to index past the scores at alpha 1.5
+        out = tmp_path / "run"
+        code = run("evaluate", str(synth_file), "--methods", "r2ccp,split_abs", "--seeds", "1,2",
+                   "--alpha", "1.5", "--out-dir", str(out), "--jobs", "1")
+        assert code == 2
+        assert "cell r2ccp/1: alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert (out / "eval.csv").read_text().splitlines() == ["method,seed,policy,mean_width,coverage"]
+        errors = json.loads((out / "manifest.json").read_text())["runs"][0]["errors"]
+        assert sorted(errors) == ["r2ccp/1", "r2ccp/2", "split_abs/1", "split_abs/2"]
+
+    def test_internal_error_in_cell_exits_3(self, synth_file, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kw):
+            raise KeyError("forest_lo")
+
+        monkeypatch.setattr("confjudge.conformal.calibrate", broken)
+        code = run("evaluate", str(synth_file), "--methods", "split_abs", "--seeds", "1",
+                   "--out-dir", str(tmp_path / "run"), "--jobs", "1")
+        assert code == 3
+        assert "internal error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sidecar", ["{not json", '{"id": "t1"}'])
     def test_malformed_exclusions_sidecar_is_data_error(self, synth_file, tmp_path, capsys, sidecar):
         path = synth_file.with_suffix(".exclusions.json")

@@ -19,7 +19,6 @@ from confjudge.conformal import (
 )
 from confjudge.core import (
     Dataset,
-    JudgeSample,
     LabelScale,
     ValidationError,
     conformal_quantile,
@@ -39,11 +38,7 @@ SMALL_HYPER = {
 
 
 def build_dataset(Z, raw, labels, scale=LIKERT, prefix="d"):
-    samples = tuple(
-        JudgeSample(f"{prefix}{i}", tuple(Z[i]), float(raw[i]), float(labels[i]))
-        for i in range(len(labels))
-    )
-    return Dataset(samples, scale, Z.shape[1])
+    return Dataset([f"{prefix}{i}" for i in range(len(labels))], Z, raw, labels, scale)
 
 
 def peaked_split(seed=11, n=600, scale=LIKERT, sigma=0.6):
@@ -206,7 +201,7 @@ class TestLvd:
             ds, oracle = cj.generate(
                 cj.GeneratorSpec(seed=1000 + trial, n=1200, noise=cj.Heteroscedastic(1.0)))
             train, calib, test = cj.split(ds, cj.SplitSpec(trial + 1, 2 / 3, 1 / 4))
-            test_idx = np.array([int(s.id[1:]) for s in test.samples])
+            test_idx = np.array([int(i[1:]) for i in test.ids])
             region = oracle.regions()[test_idx]
             devs = {}
             for m in ("lvd", "split_abs"):
@@ -461,6 +456,34 @@ class TestModelContract:
     def test_inconsistent_lvd_state_rejected(self, fitted, entry, corrupt):
         doc = json.loads(cj.model_to_json(fitted[3]["lvd"]))
         doc["state"][entry] = corrupt(doc["state"])
+        with pytest.raises(ValidationError, match=entry):
+            cj.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("method, entry, corrupt", [
+        ("split_abs", "ridge", lambda e: {**e, "coef": e["coef"][:3]}),
+        ("split_abs", "ridge", lambda e: {**e, "means": e["means"][:3]}),
+        ("split_abs", "ridge", lambda e: {**e, "stds": e["stds"] + [1.0]}),
+        ("split_abs", "ridge", lambda e: {**e, "intercept": "three"}),
+        ("split_abs", "ridge", lambda e: None),
+        ("lvd", "ridge", lambda e: {**e, "coef": e["coef"][:3]}),
+        ("lvd", "ridge", lambda e: {**e, "intercept": None}),
+        ("chr", "classifier", lambda e: {**e, "weights": [row[:3] for row in e["weights"]]}),
+        ("chr", "classifier", lambda e: {**e, "weights": e["weights"][:-1]}),
+        ("chr", "classifier", lambda e: {**e, "bias": e["bias"][:-1]}),
+        ("chr", "classifier", lambda e: {**e, "means": e["means"][:3]}),
+        ("chr", "classifier", lambda e: {**e, "stds": e["stds"][:3]}),
+        ("chr", "classifier", lambda e: {**e, "bins": [b + 0.5 for b in e["bins"]]}),
+        ("chr", "T", lambda e: 0),
+        ("chr", "T", lambda e: 2.5),
+        ("r2ccp", "classifier", lambda e: {**e, "bins": e["bins"][:-1]}),
+        ("r2ccp", "classifier", lambda e: {**e, "weights": [row[:3] for row in e["weights"]]}),
+        ("ordinal_rc", "h", lambda e: e[:3]),
+        ("ordinal_rc", "h", lambda e: [0.0] + e[1:]),
+    ])
+    def test_estimator_state_contradicting_the_document_rejected(self, fitted, method, entry, corrupt):
+        # each of these used to load and then fail inside predict_intervals
+        doc = json.loads(cj.model_to_json(fitted[3][method]))
+        doc["state"][entry] = corrupt(doc["state"][entry])
         with pytest.raises(ValidationError, match=entry):
             cj.model_from_json(json.dumps(doc))
 

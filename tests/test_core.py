@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 from confjudge.core import (
     Dataset,
     Interval,
-    JudgeSample,
     LabelScale,
     SplitSpec,
     ValidationError,
     conformal_quantile,
+    lower_conformal_quantile,
     read_samples,
+    row_problems,
     split,
     to_fine_grid,
     write_samples,
@@ -36,13 +38,13 @@ def brute_quantile(scores, alpha):
 def make_dataset(n=20, scale=LIKERT, k=5, seed=0):
     rng = np.random.default_rng(seed)
     labels = scale.labels()
-    samples = []
-    for i in range(n):
-        y = float(rng.choice(labels))
-        z = tuple(rng.normal(size=k))
-        raw = float(rng.integers(1, 6))
-        samples.append(JudgeSample(f"id{i}", z, raw, y))
-    return Dataset(tuple(samples), scale, k)
+    rows = [(rng.choice(labels), rng.normal(size=k), rng.integers(1, 6)) for _ in range(n)]
+    y, z, raw = zip(*rows)
+    return Dataset([f"id{i}" for i in range(n)], z, raw, y, scale)
+
+
+def one_row(logits=(0.0,) * 5, raw=3.0, label=3.0, sid="a"):
+    return Dataset([sid], [logits], [raw], [label], LIKERT)
 
 
 class TestConformalQuantile:
@@ -83,6 +85,12 @@ class TestConformalQuantile:
         with pytest.raises(ValidationError):
             conformal_quantile([1.0], 1.5)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
+    def test_alpha_outside_unit_interval(self, alpha):
+        for quantile in (conformal_quantile, lower_conformal_quantile):
+            with pytest.raises(ValidationError, match="alpha must lie in"):
+                quantile(np.arange(100.0), alpha)
+
     def test_ties_stable(self):
         assert conformal_quantile([1.0, 1.0, 2.0, 2.0], 0.5) == 2.0
 
@@ -100,13 +108,13 @@ class TestSplit:
         a = split(ds, SplitSpec(9))
         b = split(ds, SplitSpec(9))
         for x, y in zip(a, b):
-            assert [s.id for s in x.samples] == [s.id for s in y.samples]
+            assert x.ids == y.ids
 
     def test_is_partition(self):
         ds = make_dataset(33)
         train, calib, test = split(ds, SplitSpec(5, 0.6, 0.4))
-        ids = [s.id for part in (train, calib, test) for s in part.samples]
-        assert sorted(ids) == sorted(s.id for s in ds.samples)
+        ids = [i for part in (train, calib, test) for i in part.ids]
+        assert sorted(ids) == sorted(ds.ids)
         assert len(set(ids)) == len(ids)
 
     def test_thirty_seeds_distinct_test_sets(self):
@@ -114,7 +122,7 @@ class TestSplit:
         digests = set()
         for seed in range(1, 31):
             _, _, test = split(ds, SplitSpec(seed))
-            digest = hashlib.sha256(",".join(s.id for s in test.samples).encode()).hexdigest()
+            digest = hashlib.sha256(",".join(test.ids).encode()).hexdigest()
             digests.add(digest)
         assert len(digests) == 30
 
@@ -172,29 +180,101 @@ class TestScale:
 
 class TestSamples:
     def test_off_grid_label_rejected(self):
-        s = JudgeSample("a", (0.0,) * 5, 3.0, 3.2)
-        with pytest.raises(ValidationError, match="off the scale grid"):
-            s.validate(LIKERT, 5)
+        with pytest.raises(ValidationError, match="'a': label 3.2 off the scale grid"):
+            one_row(label=3.2)
 
-    def test_wrong_logit_count(self):
-        s = JudgeSample("a", (0.0,) * 4, 3.0, 3.0)
-        with pytest.raises(ValidationError, match="expected 5 logits"):
-            s.validate(LIKERT, 5)
+    def test_wrong_logit_count(self, tmp_path):
+        path = tmp_path / "short.jsonl"
+        recs = [{"id": "a", "logits": [0.0] * 5, "raw_score": 3.0, "label": 3.0},
+                {"id": "b", "logits": [0.0] * 4, "raw_score": 3.0, "label": 3.0}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        with pytest.raises(ValidationError, match="line 2: sample 'b': expected 5 logits, got 4"):
+            read_samples(path, LIKERT)
+        with pytest.raises(ValidationError, match="line 1: sample 'a': expected 4 logits, got 5"):
+            read_samples(path, LIKERT, k=4)
 
     def test_non_finite_logit(self):
-        s = JudgeSample("a", (0.0, 1.0, math.inf, 0.0, 0.0), 3.0, 3.0)
+        with pytest.raises(ValidationError, match="'a': non-finite"):
+            one_row(logits=(0.0, 1.0, math.inf, 0.0, 0.0))
         with pytest.raises(ValidationError, match="non-finite"):
-            s.validate(LIKERT, 5)
+            one_row(logits=(0.0, math.nan, 0.0, 0.0, 0.0))
 
     def test_raw_score_range(self):
-        s = JudgeSample("a", (0.0,) * 5, 6.0, 3.0)
+        with pytest.raises(ValidationError, match="'a': raw_score 6.0 outside scale range"):
+            one_row(raw=6.0)
         with pytest.raises(ValidationError, match="outside scale range"):
-            s.validate(LIKERT, 5)
+            one_row(raw=math.nan)
 
     def test_duplicate_ids_rejected(self):
-        s = JudgeSample("a", (0.0,) * 5, 3.0, 3.0)
+        with pytest.raises(ValidationError, match="duplicate sample id 'a'"):
+            Dataset(["a", "a"], np.zeros((2, 5)), [3.0, 3.0], [3.0, 3.0], LIKERT)
+
+    def test_first_bad_row_raises(self):
+        ds = make_dataset(6)
+        labels = np.array(ds.labels)
+        labels[[2, 4]] = 3.5
+        with pytest.raises(ValidationError, match="'id2'"):
+            Dataset(ds.ids, ds.logits, ds.raw_scores, labels, LIKERT)
+
+    def test_row_problems_first_reason_per_row(self):
+        logits = np.zeros((5, 5))
+        logits[1, 0] = math.inf
+        problems = row_problems(["a", "b", "a", "c", "b"], logits,
+                                np.array([3.0, 9.0, 3.0, 3.0, 3.0]),
+                                np.array([3.0, 3.5, 3.0, math.nan, 3.0]), LIKERT)
+        assert problems == [(1, "sample 'b': non-finite logit"),
+                            (2, "duplicate sample id 'a'"),
+                            (3, "sample 'c': label nan off the scale grid"),
+                            (4, "duplicate sample id 'b'")]
+
+    def test_label_grid_tolerance_matches_on_grid(self):
+        labels = np.array([1.0, 4.0 + 5e-7, 4.0 + 2e-6, 14 / 3, 4.5, 5.0 + 5e-7, 5.0 + 2e-6])
+        expected = [THIRDS.on_grid(float(y)) for y in labels]
+        assert expected == [True, True, False, True, False, True, False]
+        assert list(THIRDS.on_grid(labels)) == expected
+
+    def test_column_shapes_checked(self):
+        with pytest.raises(ValidationError, match="logit matrix"):
+            Dataset(["a", "b"], np.zeros((3, 5)), [3.0, 3.0], [3.0, 3.0], LIKERT)
+        with pytest.raises(ValidationError, match="logit matrix"):
+            Dataset(["a"], np.zeros(5), [3.0], [3.0], LIKERT)
+        with pytest.raises(ValidationError, match="meta"):
+            Dataset(["a"], np.zeros((1, 5)), [3.0], [3.0], LIKERT, meta=[{}, {}])
+
+
+class TestDatasetColumns:
+    def test_columns_are_read_only(self):
+        ds = make_dataset(4)
+        for column in (ds.logits, ds.raw_scores, ds.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+        with pytest.raises(TypeError):
+            ds.ids[0] = "x"
+        with pytest.raises(TypeError):
+            ds.meta[0] = {}
+
+    def test_constructor_copies_its_inputs(self):
+        z, meta = np.zeros((2, 5)), [{"dimension": "x"}, {}]
+        ds = Dataset(["a", "b"], z, [3.0, 3.0], [3.0, 3.0], LIKERT, meta)
+        z[0, 0], meta[0]["dimension"] = 7.0, "y"
+        assert ds.logits[0, 0] == 0.0 and ds.meta[0] == {"dimension": "x"}
+        assert ds.meta[1] == {} and ds.k == 5
+
+    def test_subset_indexes_the_columns(self):
+        ds = make_dataset(6)
+        sub = ds.subset([4, 1, -1])
+        assert sub.ids == ("id4", "id1", "id5")
+        np.testing.assert_array_equal(sub.logits, ds.logits[[4, 1, 5]])
+        np.testing.assert_array_equal(sub.labels, ds.labels[[4, 1, 5]])
         with pytest.raises(ValidationError, match="duplicate"):
-            Dataset((s, s), LIKERT, 5)
+            ds.subset([1, 1])
+
+    def test_pickle_keeps_columns_read_only(self):
+        ds = make_dataset(4)
+        back = pickle.loads(pickle.dumps(ds, protocol=4))
+        assert back.ids == ds.ids
+        np.testing.assert_array_equal(back.logits, ds.logits)
+        assert not back.logits.flags.writeable and not back.labels.flags.writeable
 
 
 class TestInterval:
@@ -221,6 +301,33 @@ class TestSampleIO:
         assert len(back) == 12
         np.testing.assert_allclose(back.logits, ds.logits)
         np.testing.assert_allclose(back.labels, ds.labels)
+
+    def test_roundtrip_keeps_every_column(self, tmp_path):
+        ds = make_dataset(3, scale=THIRDS)
+        ds = Dataset(ds.ids, ds.logits, ds.raw_scores, ds.labels, THIRDS,
+                     [{"dimension": "coherence"}, {}, {"dimension": "fluency"}])
+        path = tmp_path / "samples.jsonl"
+        write_samples(path, ds)
+        back = read_samples(path, THIRDS)
+        assert back.ids == ds.ids and back.meta == ds.meta
+        for a, b in ((back.logits, ds.logits), (back.raw_scores, ds.raw_scores), (back.labels, ds.labels)):
+            np.testing.assert_array_equal(a, b)
+        write_samples(tmp_path / "again.jsonl", back)
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+    def test_invariant_errors_name_their_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = {"id": "x", "logits": [0.0] * 5, "raw_score": 3.0, "label": 3.0}
+        lines = [good, {**good, "id": "y", "label": 3.3}, {**good, "id": "x"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        with pytest.raises(ValidationError, match="line 2: sample 'y': label 3.3 off the scale grid"):
+            read_samples(path, LIKERT)
+        path.write_text("".join(json.dumps(r) + "\n\n" for r in lines[::2]))
+        with pytest.raises(ValidationError, match="line 3: duplicate sample id 'x'"):
+            read_samples(path, LIKERT)
+        path.write_text(json.dumps({**good, "meta": ["not", "a", "dict"]}) + "\n")
+        with pytest.raises(ValidationError, match="line 1: malformed sample record"):
+            read_samples(path, LIKERT)
 
     def test_line_numbered_json_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import confjudge.estimators as estimators
-from confjudge.core import Dataset, JudgeSample, LabelScale, ValidationError
+from confjudge.core import Dataset, LabelScale, ValidationError
 from confjudge.estimators import (
     BinClassifier,
     KernelSimilarity,
@@ -23,11 +23,7 @@ LIKERT = LabelScale(1, 5, 1)
 
 
 def dataset_from_arrays(Z, y, scale=LIKERT):
-    samples = tuple(
-        JudgeSample(f"s{i}", tuple(Z[i]), float(np.clip(round(y[i]), 1, 5)), float(y[i]))
-        for i in range(len(y))
-    )
-    return Dataset(samples, scale, Z.shape[1])
+    return Dataset([f"s{i}" for i in range(len(y))], Z, np.clip(np.round(y), 1, 5), y, scale)
 
 
 class TestQuantileForest:

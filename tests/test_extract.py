@@ -148,19 +148,40 @@ class TestBuildFeature:
 class TestExtractSamples:
     def test_declared_score_wins_over_token(self):
         rec = record("a", ["Rating", "4"], label=3.0, declared=2.0)
-        samples, _ = extract_samples([rec], TABLE, 5, LIKERT)
-        assert samples[0].raw_score == 2.0
+        ds, _ = extract_samples([rec], TABLE, 5, LIKERT)
+        assert ds.raw_scores[0] == 2.0
 
     def test_token_rating_used_when_no_declared(self):
         rec = record("a", ["Rating", "4"], label=3.0)
-        samples, _ = extract_samples([rec], TABLE, 5, LIKERT)
-        assert samples[0].raw_score == 4.0
+        ds, _ = extract_samples([rec], TABLE, 5, LIKERT)
+        assert ds.raw_scores[0] == 4.0
 
     def test_missing_label_excluded(self):
         rec = record("a", ["Rating", "4"], label=None)
-        samples, exclusions = extract_samples([rec], TABLE, 5, LIKERT)
-        assert not samples
+        ds, exclusions = extract_samples([rec], TABLE, 5, LIKERT)
+        assert len(ds) == 0
         assert exclusions == [("a", "no label")]
+
+    def test_invalid_rows_excluded(self):
+        recs = [
+            record("a", ["Rating", "4"], label=3.5),
+            record("b", ["no", "score"]),
+            record("c", ["Rating", "4"], label=None),
+            record("d", ["Rating", "4"], declared=9.0),
+            record("e", ["Rating", "5"]),
+            record("f", ["Rating", "4"]),
+            record("e", ["Rating", "3"]),
+        ]
+        ds, exclusions = extract_samples(recs, TABLE, 5, LIKERT)
+        assert ds.ids == ("e", "f")
+        np.testing.assert_array_equal(ds.raw_scores, [5.0, 4.0])
+        assert exclusions == [
+            ("b", "unlocatable"),
+            ("c", "no label"),
+            ("a", "sample 'a': label 3.5 off the scale grid"),
+            ("d", "sample 'd': raw_score 9.0 outside scale range"),
+            ("e", "duplicate sample id 'e'"),
+        ]
 
     def test_three_records_one_unlocatable(self):
         recs = [
