@@ -220,6 +220,8 @@ def cmd_evaluate(args) -> int:
     for m in methods:
         if m not in conformal.METHODS:
             raise UsageError(f"unknown method {m!r}; valid: {', '.join(conformal.METHODS)}")
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha:g}")
     dataset = _load_dataset(args)
     policy = _policy_from(args, dataset.scale)
     seeds = _parse_seeds(args.seeds)

@@ -253,8 +253,13 @@ def _interval_cqr(model: CalibratedModel, Z: np.ndarray, y_hats):
 
 
 def _fit_classifier(train: Dataset, h: dict) -> BinClassifier:
-    clf = BinClassifier(train.scale.labels(), h["epochs"], h["lr"], h["l2"])
+    clf = BinClassifier(train.scale.labels(), h["epochs"], h["l2"])
     return clf.fit(train.logits, train.labels)
+
+
+def _fit_chr(train: Dataset, calib: Dataset, alpha: float, h: dict, kw: dict) -> dict:
+    T = _count(h["T"], "chr T")
+    return {"classifier": _fit_classifier(train, h), "T": T}
 
 
 def _check_classifier(state: dict, k: int, scale: LabelScale) -> None:
@@ -266,6 +271,11 @@ def _check_classifier(state: dict, k: int, scale: LabelScale) -> None:
             or clf.means.shape != (k,) or clf.stds.shape != (k,)):
         raise ValidationError(
             f"model state 'classifier' must hold ({m}, {k}) weights, {m} biases, {k} means and {k} stds")
+    # a NaN weight or a zero std would serve full-range intervals
+    arrays = (clf.weights, clf.bias, clf.means, clf.stds)
+    if not all(np.isfinite(v).all() for v in arrays) or not np.all(clf.stds > 0):
+        raise ValidationError("model state 'classifier' must hold finite weights, biases, means and "
+                              "stds, with every std positive")
 
 
 def _run_table(m: int):
@@ -542,8 +552,8 @@ _METHOD_TABLE = {
     # one correction per side
     "asym_cqr": _Method(lambda train, calib, alpha, h, kw: _fit_forests(train, alpha, h),
                         _score_asym_cqr, _quantile_asym_cqr, _interval_cqr, _FORESTS, _pair, _check_forests),
-    "chr": _Method(lambda train, calib, alpha, h, kw: {"classifier": _fit_classifier(train, h), "T": int(h["T"])},
-                   _score_chr, conformal_quantile, _interval_chr, ("classifier", "T"), _number, _check_classifier),
+    "chr": _Method(_fit_chr, _score_chr, conformal_quantile, _interval_chr, ("classifier", "T"), _number,
+                   _check_classifier),
     # lvd takes its quantile per query, from the kernel-weighted scores
     "lvd": _Method(_fit_lvd, _score_lvd, lambda scores, alpha: None, _interval_lvd,
                    ("ridge", "kernel", "calib_logits", "sorted_scores", "sort_order"), _null, _check_lvd),
@@ -634,9 +644,9 @@ def score_samples(model: CalibratedModel, dataset: Dataset) -> np.ndarray:
 # Serialization
 
 
-def _count(value) -> int:
+def _count(value, name: str = "value") -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"expected a positive integer, got {value!r}")
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     return value
 
 

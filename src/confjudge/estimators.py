@@ -8,6 +8,7 @@ saved and reloaded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ __all__ = [
 ]
 
 FOREST_DEFAULTS = {"n_trees": 200, "depth": 3, "lr": 0.05, "min_leaf": 10}
-CLASSIFIER_DEFAULTS = {"epochs": 500, "lr": 0.1, "l2": 1e-3}
+CLASSIFIER_DEFAULTS = {"epochs": 500, "l2": 1e-3}
 
 
 def pinball_loss(y, pred, tau: float) -> float:
@@ -280,27 +281,43 @@ class QuantileForest:
 # ---------------------------------------------------------------------------
 # Linear softmax bin classifier
 
+# the fit stops once every gradient entry is this small
+_GRAD_TOL = 1e-10
+# added to the Newton system's diagonal, far below the curvature of any
+# bin that holds labels
+_NEWTON_RIDGE = 1e-12
+# step halvings per Newton iteration before the fit stops
+_MAX_HALVINGS = 30
+
 
 class BinClassifier:
-    """Multinomial logistic model over the scale's label grid, fit by
-    full-batch gradient descent on cross-entropy + L2.
+    """Multinomial logistic model over the scale's label grid, fit by damped
+    Newton on cross-entropy + 0.5 * l2 * ||weights||^2.
 
-    Features are standardized internally and the step size is halved
-    whenever a step would increase the loss, so the training loss is
-    non-increasing.  Zero epochs leave the zero-initialized weights in
-    place (uniform probabilities).
+    Features are standardized internally.  Each iteration solves the Newton
+    system and halves the step until the loss does not increase, so
+    ``loss_history`` (the starting loss, then one entry per iteration) is
+    non-increasing.  The objective is convex, so the fit stops at its
+    optimum: when max |gradient| <= ``_GRAD_TOL``, when no halved step
+    lowers the loss any more, or after ``epochs`` iterations, the cap.
+    ``grad_norm`` holds the final max |gradient|.  Zero epochs leave the
+    zero-initialized weights in place (uniform probabilities).
     """
 
-    def __init__(self, bins, epochs: int = 500, lr: float = 0.1, l2: float = 1e-3):
+    def __init__(self, bins, epochs: int = 500, l2: float = 1e-3):
+        if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 0:
+            raise ValidationError(f"classifier epochs must be a non-negative integer, got {epochs!r}")
+        if isinstance(l2, bool) or not isinstance(l2, numbers.Real) or not math.isfinite(l2) or l2 < 0:
+            raise ValidationError(f"classifier l2 must be a finite number >= 0, got {l2!r}")
         self.bins = np.asarray(bins, dtype=float)
-        self.epochs = epochs
-        self.lr = lr
-        self.l2 = l2
+        self.epochs = int(epochs)
+        self.l2 = float(l2)
         self.weights = None
         self.bias = None
         self.means = None
         self.stds = None
         self.loss_history: list[float] = []
+        self.grad_norm = None
 
     def _bin_index(self, y: np.ndarray) -> np.ndarray:
         diffs = np.abs(y[:, None] - self.bins[None, :])
@@ -312,12 +329,15 @@ class BinClassifier:
     def _standardize(self, X: np.ndarray) -> np.ndarray:
         return (X - self.means) / self.stds
 
-    def _loss_grad(self, Xs, onehot):
-        n = Xs.shape[0]
+    def _probs(self, Xs: np.ndarray) -> np.ndarray:
         logits = Xs @ self.weights.T + self.bias
         logits -= logits.max(axis=1, keepdims=True)
         expv = np.exp(logits)
-        probs = expv / expv.sum(axis=1, keepdims=True)
+        return expv / expv.sum(axis=1, keepdims=True)
+
+    def _loss_grad(self, Xs, onehot):
+        n = Xs.shape[0]
+        probs = self._probs(Xs)
         ll = -np.mean(np.log(np.maximum((probs * onehot).sum(axis=1), 1e-300)))
         loss = ll + 0.5 * self.l2 * float((self.weights ** 2).sum())
         diff = probs - onehot
@@ -325,10 +345,30 @@ class BinClassifier:
         grad_b = diff.mean(axis=0)
         return loss, grad_w, grad_b
 
+    def _hessian(self, Xs: np.ndarray) -> np.ndarray:
+        """Hessian of the loss over the parameters ``[weights | bias]``,
+        flattened class by class: (1/n) sum_i (diag p_i - p_i p_i^T) kron
+        x_i x_i^T with x_i = [Xs_i, 1], plus l2 on the weight entries."""
+        n, k = Xs.shape
+        probs = self._probs(Xs)
+        m = probs.shape[1]
+        Xt = np.hstack([Xs, np.ones((n, 1))])
+        # row i of A is p_i kron x_i, so A^T A is the p p^T term and
+        # A^T Xt stacks the per-class blocks Xt^T diag(p_a) Xt
+        A = (probs[:, :, None] * Xt[:, None, :]).reshape(n, m * (k + 1))
+        H = -(A.T @ A)
+        blocks = H.reshape(m, k + 1, m, k + 1)
+        a = np.arange(m)
+        blocks[a, :, a, :] += (A.T @ Xt).reshape(m, k + 1, k + 1)
+        H /= n
+        weight_entries = np.tile(np.arange(k + 1) < k, m)
+        H[weight_entries, weight_entries] += self.l2
+        return H
+
     def fit(self, X, y) -> "BinClassifier":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
-        m = len(self.bins)
+        m, k = len(self.bins), X.shape[1]
         self.means = X.mean(axis=0)
         stds = X.std(axis=0)
         self.stds = np.where(stds > 1e-12, stds, 1.0)
@@ -336,34 +376,41 @@ class BinClassifier:
         idx = self._bin_index(y)
         onehot = np.zeros((len(y), m))
         onehot[np.arange(len(y)), idx] = 1.0
-        self.weights = np.zeros((m, X.shape[1]))
+        self.weights = np.zeros((m, k))
         self.bias = np.zeros(m)
-        step = self.lr
         loss, grad_w, grad_b = self._loss_grad(Xs, onehot)
         self.loss_history = [loss]
         for _ in range(self.epochs):
-            for _ in range(30):
-                w_new = self.weights - step * grad_w
-                b_new = self.bias - step * grad_b
-                w_old, b_old = self.weights, self.bias
-                self.weights, self.bias = w_new, b_new
+            grad = np.hstack([grad_w, grad_b[:, None]])
+            if np.abs(grad).max() <= _GRAD_TOL:
+                break
+            H = self._hessian(Xs)
+            # a common shift of the biases leaves the probabilities alone,
+            # so H is singular along it; the ridge makes the system solvable
+            H[np.diag_indices_from(H)] += _NEWTON_RIDGE
+            step = np.linalg.solve(H, grad.ravel()).reshape(m, k + 1)
+            w_old, b_old = self.weights, self.bias
+            t = 1.0
+            for _ in range(_MAX_HALVINGS):
+                self.weights, self.bias = w_old - t * step[:, :k], b_old - t * step[:, k]
                 new_loss, new_gw, new_gb = self._loss_grad(Xs, onehot)
-                if new_loss <= loss + 1e-12:
-                    loss, grad_w, grad_b = new_loss, new_gw, new_gb
+                if new_loss <= loss:
                     break
+                t *= 0.5
+            else:
+                # no step lowers the loss: the optimum is within rounding
                 self.weights, self.bias = w_old, b_old
-                step *= 0.5
+                break
+            loss, grad_w, grad_b = new_loss, new_gw, new_gb
             self.loss_history.append(loss)
+        self.grad_norm = float(max(np.abs(grad_w).max(), np.abs(grad_b).max()))
         return self
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if self.weights is None:
             raise ValidationError("classifier not fitted")
-        logits = self._standardize(X) @ self.weights.T + self.bias
-        logits -= logits.max(axis=1, keepdims=True)
-        expv = np.exp(logits)
-        return expv / expv.sum(axis=1, keepdims=True)
+        return self._probs(self._standardize(X))
 
     def to_dict(self) -> dict:
         return {
@@ -371,7 +418,6 @@ class BinClassifier:
             "v": 1,
             "bins": self.bins.tolist(),
             "epochs": self.epochs,
-            "lr": self.lr,
             "l2": self.l2,
             "weights": self.weights.tolist(),
             "bias": self.bias.tolist(),
@@ -381,7 +427,8 @@ class BinClassifier:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BinClassifier":
-        bc = cls(d["bins"], d["epochs"], d["lr"], d["l2"])
+        # v1 documents may also carry the "lr" and "seed" of older fits
+        bc = cls(d["bins"], d["epochs"], d["l2"])
         bc.weights = np.asarray(d["weights"], dtype=float)
         bc.bias = np.asarray(d["bias"], dtype=float)
         bc.means = np.asarray(d["means"], dtype=float)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from confjudge.cli import main
+from confjudge.core import ValidationError
 
 REFERENCE_LOGITS = (-12.69, -9.06, -5.06, -1.06, -0.44)
 
@@ -161,16 +162,29 @@ class TestEvaluateCommand:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("evaluate", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path)) == 2
 
-    def test_failed_cells_exit_2_after_writing_outputs(self, synth_file, tmp_path, capsys):
-        # lower_conformal_quantile used to index past the scores at alpha 1.5
+    def test_failed_cells_exit_2_after_writing_outputs(self, synth_file, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kw):
+            raise ValidationError("alpha must lie in (0, 1)")
+
+        monkeypatch.setattr("confjudge.conformal.calibrate", failing)
         out = tmp_path / "run"
         code = run("evaluate", str(synth_file), "--methods", "r2ccp,split_abs", "--seeds", "1,2",
-                   "--alpha", "1.5", "--out-dir", str(out), "--jobs", "1")
+                   "--out-dir", str(out), "--jobs", "1")
         assert code == 2
         assert "cell r2ccp/1: alpha must lie in (0, 1)" in capsys.readouterr().err
         assert (out / "eval.csv").read_text().splitlines() == ["method,seed,policy,mean_width,coverage"]
         errors = json.loads((out / "manifest.json").read_text())["runs"][0]["errors"]
         assert sorted(errors) == ["r2ccp/1", "r2ccp/2", "split_abs/1", "split_abs/2"]
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, synth_file, tmp_path, capsys, alpha):
+        # rejected before the samples are read, so no cell is fitted
+        out = tmp_path / "run"
+        code = run("evaluate", str(synth_file), "--methods", "r2ccp", "--alpha", alpha,
+                   "--out-dir", str(out), "--jobs", "1")
+        assert code == 1
+        assert "--alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_internal_error_in_cell_exits_3(self, synth_file, tmp_path, monkeypatch, capsys):
         def broken(*args, **kw):

@@ -477,6 +477,16 @@ class TestModelContract:
         ("chr", "T", lambda e: 2.5),
         ("r2ccp", "classifier", lambda e: {**e, "bins": e["bins"][:-1]}),
         ("r2ccp", "classifier", lambda e: {**e, "weights": [row[:3] for row in e["weights"]]}),
+        # a NaN weight or a zero std used to serve [1, 5] for every point
+        ("r2ccp", "classifier", lambda e: {**e, "weights": [[float("nan")] + e["weights"][0][1:]]
+                                                          + e["weights"][1:]}),
+        ("r2ccp", "classifier", lambda e: {**e, "stds": [0.0] + e["stds"][1:]}),
+        ("r2ccp", "classifier", lambda e: {**e, "stds": [-1.0] + e["stds"][1:]}),
+        ("r2ccp", "classifier", lambda e: {**e, "stds": [float("inf")] + e["stds"][1:]}),
+        ("r2ccp", "classifier", lambda e: {**e, "means": [float("nan")] + e["means"][1:]}),
+        ("chr", "classifier", lambda e: {**e, "bias": [float("-inf")] + e["bias"][1:]}),
+        ("chr", "classifier", lambda e: {**e, "l2": -1.0}),
+        ("chr", "classifier", lambda e: {**e, "epochs": 2.5}),
         ("ordinal_rc", "h", lambda e: e[:3]),
         ("ordinal_rc", "h", lambda e: [0.0] + e[1:]),
     ])
@@ -486,6 +496,21 @@ class TestModelContract:
         doc["state"][entry] = corrupt(doc["state"][entry])
         with pytest.raises(ValidationError, match=entry):
             cj.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("method, hyper, name", [
+        ("chr", {"T": 0}, "T"),
+        ("chr", {"T": 2.5}, "T"),
+        ("r2ccp", {"epochs": 2.5}, "epochs"),
+        ("r2ccp", {"epochs": -1}, "epochs"),
+        ("r2ccp", {"l2": -1.0}, "l2"),
+        ("chr", {"l2": float("nan")}, "l2"),
+    ])
+    def test_bad_classifier_hyperparameters_rejected(self, fitted, method, hyper, name):
+        # T = 0 used to divide by zero, epochs = 2.5 to raise TypeError, and
+        # negative epochs or l2 to be accepted
+        train, calib = fitted[0], fitted[1]
+        with pytest.raises(ValidationError, match=name):
+            cj.calibrate(method, train, calib, 0.1, hyper)
 
     def test_alpha_validated(self, fitted):
         _, _, _, models = fitted

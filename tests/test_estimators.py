@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import confjudge as cj
 import confjudge.estimators as estimators
 from confjudge.core import Dataset, LabelScale, ValidationError
 from confjudge.estimators import (
@@ -334,7 +335,7 @@ class TestBinClassifier:
         rng = np.random.default_rng(2)
         X = np.vstack([rng.normal(-3, 0.5, size=(60, 2)), rng.normal(3, 0.5, size=(60, 2))])
         y = np.array([1.0] * 60 + [2.0] * 60)
-        clf = BinClassifier([1.0, 2.0], epochs=400, lr=0.5).fit(X, y)
+        clf = BinClassifier([1.0, 2.0], epochs=400).fit(X, y)
         Xt = np.vstack([rng.normal(-3, 0.5, size=(40, 2)), rng.normal(3, 0.5, size=(40, 2))])
         yt = np.array([1.0] * 40 + [2.0] * 40)
         preds = clf.bins[np.argmax(clf.predict_proba(Xt), axis=1)]
@@ -370,7 +371,7 @@ class TestBinClassifier:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(80, 5)) * 10
         y = rng.choice([1.0, 2.0, 3.0, 4.0, 5.0], size=80)
-        clf = BinClassifier(LIKERT.labels(), epochs=200, lr=1.0).fit(X, y)
+        clf = BinClassifier(LIKERT.labels(), epochs=200).fit(X, y)
         diffs = np.diff(clf.loss_history)
         assert np.all(diffs <= 1e-6)
 
@@ -395,9 +396,99 @@ class TestBinClassifier:
         back = BinClassifier.from_dict(clf.to_dict())
         Z = np.hstack([X, X[:, :1]])
         np.testing.assert_allclose(clf.predict_proba(Z), back.predict_proba(Z), atol=1e-12)
-        # v1 documents also carried an unused "seed" entry
-        legacy = BinClassifier.from_dict({**clf.to_dict(), "seed": 0})
+        # v1 documents also carried an unused "seed" entry, and the step
+        # size "lr" of the gradient-descent fit
+        assert "lr" not in clf.to_dict()
+        legacy = BinClassifier.from_dict({**clf.to_dict(), "seed": 0, "lr": 0.1})
         np.testing.assert_allclose(clf.predict_proba(Z), legacy.predict_proba(Z), atol=1e-12)
+
+    @pytest.mark.parametrize("kw", [{"epochs": 2.5}, {"epochs": -1}, {"epochs": True}, {"epochs": "9"},
+                                    {"l2": -1.0}, {"l2": float("nan")}, {"l2": float("inf")},
+                                    {"l2": "0.1"}, {"l2": None}])
+    def test_bad_hyperparameters_rejected(self, kw):
+        with pytest.raises(ValidationError, match=next(iter(kw))):
+            BinClassifier(LIKERT.labels(), **kw)
+
+    def test_hyperparameters_stored_as_plain_numbers(self):
+        clf = BinClassifier(LIKERT.labels(), epochs=np.int64(7), l2=np.float32(0.5))
+        assert type(clf.epochs) is int and type(clf.l2) is float
+
+
+def _eval_wide_train():
+    """A training split the size of the eval-wide benchmark's: 2000 rows,
+    5 features, the 13 GPA bins."""
+    ds, _ = cj.generate(cj.GeneratorSpec(seed=7, n=8000, noise=cj.Heteroscedastic(0.5), scale=cj.GPA_THIRDS))
+    return cj.split(ds, cj.SplitSpec(7))[0]
+
+
+def _onehot(clf, y):
+    return np.eye(len(clf.bins))[clf._bin_index(y)]
+
+
+def _flat_grad(clf, Xs, onehot):
+    _, grad_w, grad_b = clf._loss_grad(Xs, onehot)
+    return np.hstack([grad_w, grad_b[:, None]]).ravel()
+
+
+class TestNewtonSolver:
+    def test_hessian_matches_finite_differences_of_the_gradient(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(25, 3))
+        y = rng.choice(LIKERT.labels(), size=25)
+        clf = BinClassifier(LIKERT.labels(), epochs=0, l2=0.3).fit(X, y)
+        m, k = clf.weights.shape
+        theta = rng.normal(size=(m, k + 1)) * 0.5
+        Xs, onehot = clf._standardize(X), _onehot(clf, y)
+
+        def grad_at(t):
+            clf.weights, clf.bias = t[:, :k].copy(), t[:, k].copy()
+            return _flat_grad(clf, Xs, onehot)
+
+        grad_at(theta)
+        H = clf._hessian(Xs)
+        h = 1e-6
+        numeric = np.empty_like(H)
+        for j in range(theta.size):
+            step = np.zeros(theta.size)
+            step[j] = h
+            step = step.reshape(theta.shape)
+            numeric[:, j] = (grad_at(theta + step) - grad_at(theta - step)) / (2 * h)
+        np.testing.assert_allclose(H, H.T, atol=1e-15)
+        np.testing.assert_allclose(H, numeric, atol=1e-7)
+
+    def test_converges_on_an_eval_wide_sized_split(self):
+        train = _eval_wide_train()
+        clf = BinClassifier(train.scale.labels()).fit(train.logits, train.labels)
+        assert len(clf.loss_history) - 1 <= 30
+        grad = _flat_grad(clf, clf._standardize(train.logits), _onehot(clf, train.labels))
+        assert np.abs(grad).max() <= 1e-8
+        assert clf.grad_norm == pytest.approx(np.abs(grad).max(), abs=1e-15)
+
+    def test_probabilities_do_not_depend_on_the_cap_once_converged(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(200, 4))
+        y = np.clip(np.round(3 + X[:, 0] + rng.normal(size=200)), 1, 5)
+        Xt = rng.normal(size=(50, 4))
+        probs = [BinClassifier(LIKERT.labels(), epochs=e).fit(X, y).predict_proba(Xt) for e in (40, 500, 5000)]
+        np.testing.assert_allclose(probs[0], probs[1], atol=1e-12)
+        np.testing.assert_allclose(probs[0], probs[2], atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["empty_bins", "separable", "separable_unpenalized"])
+    def test_hard_cases_end_within_the_cap(self, case):
+        rng = np.random.default_rng(13)
+        if case == "empty_bins":
+            X = rng.normal(size=(30, 3))
+            y = rng.choice([1.0, 2.0], size=30)
+            bins, l2 = LIKERT.labels(), 1e-3
+        else:
+            X = np.vstack([rng.normal(-3, 0.5, size=(60, 2)), rng.normal(3, 0.5, size=(60, 2))])
+            y = np.array([1.0] * 60 + [2.0] * 60)
+            bins, l2 = [1.0, 2.0], 0.0 if case == "separable_unpenalized" else 1e-3
+        clf = BinClassifier(bins, epochs=100, l2=l2).fit(X, y)
+        assert len(clf.loss_history) - 1 < 100
+        assert np.isfinite(clf.weights).all() and np.isfinite(clf.bias).all()
+        assert np.all(np.diff(clf.loss_history) <= 0)
+        assert clf.grad_norm <= 1e-8
 
 
 class TestKernelSimilarity:
