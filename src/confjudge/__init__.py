@@ -29,14 +29,8 @@ from .conformal import (
     METHODS,
     CalibratedModel,
     calibrate,
-    calibrate_asym_cqr,
-    calibrate_chr,
-    calibrate_cqr,
-    calibrate_lvd,
     calibrate_ordinal_aps,
     calibrate_ordinal_rc,
-    calibrate_r2ccp,
-    calibrate_split_abs,
     model_from_json,
     model_to_json,
     predict_interval,

@@ -168,14 +168,10 @@ def _eval_cell(args):
     """One (method, seed) cell: ((row, empties, degenerate), None) on
     success, (None, message) when the cell's data is invalid.  Any other
     exception propagates."""
-    (dataset, method, seed, alpha, policy, calib_fraction, inner_train_fraction,
-     hyper, point_predictor) = args
+    dataset, method, seed, alpha, policy, calib_fraction, inner_train_fraction, hyper = args
     try:
         train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
-        kw = {}
-        if method == "split_abs":
-            kw["point_predictor"] = point_predictor
-        model = conformal.calibrate(method, train, calib, alpha, hyper, **kw)
+        model = conformal.calibrate(method, train, calib, alpha, hyper)
         intervals, flags = conformal.predict_intervals_flagged(model, test.logits, test.raw_scores)
         degenerate = sum(1 for f in flags if f)
         if policy is not None:
@@ -191,24 +187,23 @@ def _eval_cell(args):
 
 def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
              policy: AdjustmentPolicy | None = None, calib_fraction: float = 0.5,
-             inner_train_fraction: float = 0.5, hyper: dict | None = None,
-             point_predictor: str = "raw_score", jobs: int = 1,
+             inner_train_fraction: float = 0.5, hyper: dict | None = None, jobs: int = 1,
              excluded: int = 0) -> EvalReport:
     """Split/calibrate/predict each (method, seed) cell and aggregate
     width and coverage.  A cell that raises ValidationError is recorded and
     skipped rather than aborting the run; any other exception aborts it.
-    ``hyper`` maps method name to a hyperparameter dict.
+    ``hyper`` maps method name to a hyperparameter dict.  An unknown method
+    or a bad hyperparameter raises ValidationError before any split.
     """
     methods = list(methods)
     seeds = list(seeds)
+    hyper = hyper or {}
     if not seeds:
         raise ValidationError("need at least one seed")
-    for m in methods:
-        if m not in conformal.METHODS:
-            raise ValidationError(f"unknown method {m!r}; valid: {', '.join(conformal.METHODS)}")
+    for m in dict.fromkeys([*methods, *hyper]):
+        conformal.checked_hyper(m, hyper.get(m))
     cells = [
-        (dataset, m, s, alpha, policy, calib_fraction, inner_train_fraction,
-         (hyper or {}).get(m), point_predictor)
+        (dataset, m, s, alpha, policy, calib_fraction, inner_train_fraction, hyper.get(m))
         for m in methods for s in seeds
     ]
     if jobs > 1:

@@ -57,13 +57,16 @@ def _append_manifest(out_dir: Path, entry: dict) -> None:
 
 def _parse_seeds(text: str) -> list:
     seeds = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            a, b = part.split("..")
-            seeds.extend(range(int(a), int(b) + 1))
-        elif part:
-            seeds.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if ".." in part:
+                a, b = part.split("..")
+                seeds.extend(range(int(a), int(b) + 1))
+            elif part:
+                seeds.append(int(part))
+    except ValueError as exc:
+        raise UsageError(f"bad seed list: {text!r}") from exc
     if not seeds:
         raise UsageError("no seeds given")
     return seeds
@@ -88,7 +91,11 @@ def _policy_from(args, scale: LabelScale) -> AdjustmentPolicy | None:
     lam = args.lam
     if lam is None or lam == "full":
         return AdjustmentPolicy.full(scale)
-    return AdjustmentPolicy("nearest", float(lam))
+    try:
+        lam = float(lam)
+    except ValueError as exc:
+        raise UsageError(f'--lambda must be a number or "full", got {lam!r}') from exc
+    return AdjustmentPolicy("nearest", lam)
 
 
 def _add_scale_flags(p: argparse.ArgumentParser) -> None:
@@ -165,9 +172,15 @@ def build_parser() -> _Parser:
 
 def _default_jobs() -> int:
     env = os.environ.get("CONFJUDGE_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise UsageError(f"CONFJUDGE_JOBS must be a positive integer, got {env!r}")
+    return jobs
 
 
 def _excluded_count(samples_path: str) -> int:
@@ -222,14 +235,16 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"unknown method {m!r}; valid: {', '.join(conformal.METHODS)}")
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha:g}")
-    dataset = _load_dataset(args)
-    policy = _policy_from(args, dataset.scale)
     seeds = _parse_seeds(args.seeds)
-    jobs = args.jobs if args.jobs else _default_jobs()
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
+    jobs = args.jobs or _default_jobs()
+    policy = _policy_from(args, _scale_from(args))
+    dataset = _load_dataset(args)
     report = analysis.evaluate(
         dataset, methods, seeds, alpha=args.alpha, policy=policy,
         calib_fraction=args.calib_fraction, inner_train_fraction=args.inner_train_fraction,
-        point_predictor=args.point_predictor, jobs=jobs,
+        hyper={"split_abs": {"point_predictor": args.point_predictor}}, jobs=jobs,
         excluded=_excluded_count(args.samples),
     )
     out_dir = Path(args.out_dir)
@@ -262,9 +277,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_midpoints(args) -> int:
+    seeds = _parse_seeds(args.seeds)
     dataset = _load_dataset(args)
     excluded = _excluded_count(args.samples)
-    seeds = _parse_seeds(args.seeds)
     rows = analysis.midpoint_report(
         dataset, seeds, alpha=args.alpha,
         calib_fraction=args.calib_fraction, inner_train_fraction=args.inner_train_fraction,
@@ -315,10 +330,10 @@ def cmd_het(args) -> int:
 def cmd_sweep(args) -> int:
     if args.method not in conformal.METHODS:
         raise UsageError(f"unknown method {args.method!r}; valid: {', '.join(conformal.METHODS)}")
-    dataset = _load_dataset(args)
-    excluded = _excluded_count(args.samples)
     seeds = _parse_seeds(args.seeds)
     fractions = _parse_fractions(args.fractions)
+    dataset = _load_dataset(args)
+    excluded = _excluded_count(args.samples)
     rows = analysis.calibration_sweep(
         dataset, args.method, seeds, fractions, alpha=args.alpha,
         calib_fraction=args.calib_fraction, inner_train_fraction=args.inner_train_fraction,
@@ -368,6 +383,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_human_baseline(args) -> int:
+    seeds = _parse_seeds(args.seeds)
     annotations = []
     with open(args.annotations, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -379,7 +395,6 @@ def cmd_human_baseline(args) -> int:
                 annotations.append([float(v) for v in rec["annotations"]])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"line {lineno}: malformed annotation record: {exc}") from exc
-    seeds = _parse_seeds(args.seeds)
     rows = analysis.human_baseline(annotations, alpha=args.alpha, seeds=seeds,
                                    calib_fraction=args.calib_fraction)
     out_dir = Path(args.out_dir)

@@ -6,7 +6,7 @@ those scores, then build one interval per test point.  ``_METHOD_TABLE``
 holds one record per method with those four steps; :func:`calibrate`,
 :func:`score_samples` and :func:`predict_intervals_flagged` only look the
 record up, so calibration and test-time scores come from the same function.
-The ``calibrate_*`` functions are shorthands for :func:`calibrate`.
+Each record also declares its method's hyperparameters: defaults and checks.
 
 Regression methods consume raw logits; the ordinal methods consume
 softmaxed probabilities.  Calibrated models are immutable and hold their
@@ -44,13 +44,15 @@ from .core import (
     lower_conformal_quantile,
 )
 from .estimators import (
-    CLASSIFIER_DEFAULTS,
-    FOREST_DEFAULTS,
     BinClassifier,
     KernelSimilarity,
     QuantileForest,
     RidgePredictor,
     _block_rows,
+    integer,
+    one_of,
+    or_none,
+    real,
 )
 from .ratings import rating_values, softmax, weighted_average
 
@@ -58,12 +60,6 @@ __all__ = [
     "METHODS",
     "CalibratedModel",
     "calibrate",
-    "calibrate_split_abs",
-    "calibrate_cqr",
-    "calibrate_asym_cqr",
-    "calibrate_chr",
-    "calibrate_lvd",
-    "calibrate_r2ccp",
     "calibrate_ordinal_aps",
     "calibrate_ordinal_rc",
     "predict_interval",
@@ -72,22 +68,12 @@ __all__ = [
     "score_samples",
     "model_to_json",
     "model_from_json",
+    "checked_hyper",
 ]
 
 METHODS = ("split_abs", "cqr", "asym_cqr", "chr", "lvd", "r2ccp", "ordinal_aps", "ordinal_rc")
 
 POINT_PREDICTORS = ("raw_score", "weighted_average", "ridge")
-
-DEFAULT_HYPER = {
-    "split_abs": {"point_predictor": "raw_score", "l2": 1.0},
-    "cqr": dict(FOREST_DEFAULTS),
-    "asym_cqr": dict(FOREST_DEFAULTS),
-    "chr": {"T": 100, **CLASSIFIER_DEFAULTS},
-    "lvd": {"l2": 1.0, "bandwidth": None},
-    "r2ccp": dict(CLASSIFIER_DEFAULTS),
-    "ordinal_aps": {},
-    "ordinal_rc": {},
-}
 
 _TOL = 1e-12
 
@@ -119,12 +105,14 @@ class _Method:
     """One method's steps, called in this order by :func:`calibrate` and
     :func:`predict_intervals_flagged`:
 
-    fit(train, calib, alpha, hyper, kw) -> state     estimators and arrays
+    fit(train, calib, alpha, hyper) -> state         estimators and arrays
     score(state, scale, Z, y, y_hats) -> scores      non-conformity scores
     quantile(scores, alpha) -> qhat                  calibrated quantile(s)
     interval(model, Z, y_hats) -> (lo, hi, flags)    bounds before clamping
 
     ``flags`` is None for methods without a degenerate fallback.
+    ``hyper`` maps each hyperparameter's name to its (default, check); ``fit``
+    gets every declared name, with values checked by :func:`checked_hyper`.
     ``state_keys`` names the entries of the state ``fit`` returns.
     ``qhat`` reads a document's qhat and rejects any other shape than the
     one ``quantile`` returns.  ``check(state, k, scale)``, when set, rejects
@@ -137,6 +125,7 @@ class _Method:
     interval: Callable
     state_keys: tuple
     qhat: Callable
+    hyper: dict
     check: Callable | None = None
 
 
@@ -168,20 +157,22 @@ def _point_predictions(state: dict, scale: LabelScale, Z: np.ndarray, y_hats) ->
     return state["ridge"].predict(Z)
 
 
-def _fit_split_abs(train: Dataset, calib: Dataset, alpha: float, h: dict, kw: dict) -> dict:
-    point_predictor = kw.get("point_predictor", h["point_predictor"])
-    if point_predictor not in POINT_PREDICTORS:
-        raise ValidationError(f"unknown point predictor {point_predictor!r}")
-    ridge = None
-    if point_predictor == "ridge":
-        ridge = RidgePredictor(l2=h["l2"]).fit(train.logits, train.labels)
-    return {"point_predictor": point_predictor, "ridge": ridge}
+def _fit_split_abs(train: Dataset, calib: Dataset, alpha: float, h: dict) -> dict:
+    ridge = RidgePredictor(h["l2"]).fit(train.logits, train.labels) if h["point_predictor"] == "ridge" else None
+    return {"point_predictor": h["point_predictor"], "ridge": ridge}
+
+
+def _check_finite(key: str, arrays, stds=()) -> None:
+    # a NaN weight or a zero std would serve NaN or full-range intervals
+    if not all(np.isfinite(v).all() for v in (*arrays, stds)) or not np.all(np.greater(stds, 0)):
+        raise ValidationError(f"model state {key!r} must hold finite numbers, and any stds positive")
 
 
 def _check_ridge(state: dict, k: int) -> None:
     ridge = state["ridge"]
     if ridge is None or any(v.shape != (k,) for v in (ridge.coef, ridge.means, ridge.stds)):
         raise ValidationError(f"model state 'ridge' must hold {k} coefficients, means and stds")
+    _check_finite("ridge", (ridge.coef, ridge.intercept, ridge.means), ridge.stds)
 
 
 def _check_split_abs(state: dict, k: int, scale: LabelScale) -> None:
@@ -213,9 +204,12 @@ def _fit_forests(train: Dataset, tail: float, h: dict) -> dict:
 
 def _check_forests(state: dict, k: int, scale: LabelScale) -> None:
     for key in _FORESTS:
-        used = max((int(tree.feature.max()) for tree in state[key].trees), default=-1)
+        forest = state[key]
+        used = max((int(tree.feature.max()) for tree in forest.trees), default=-1)
         if used >= k:
             raise ValidationError(f"model state {key!r} splits on feature {used}, but k is {k}")
+        _check_finite(key, [forest.base] + [a for t in forest.trees for a in (t.thresh, t.value)])
+        _FOREST_HYPER["lr"][1](forest.lr, f"model state {key!r} lr")
 
 
 def _forest_bounds(state: dict, Z: np.ndarray):
@@ -257,11 +251,6 @@ def _fit_classifier(train: Dataset, h: dict) -> BinClassifier:
     return clf.fit(train.logits, train.labels)
 
 
-def _fit_chr(train: Dataset, calib: Dataset, alpha: float, h: dict, kw: dict) -> dict:
-    T = _count(h["T"], "chr T")
-    return {"classifier": _fit_classifier(train, h), "T": T}
-
-
 def _check_classifier(state: dict, k: int, scale: LabelScale) -> None:
     clf, labels = state["classifier"], scale.labels()
     m = len(labels)
@@ -271,11 +260,7 @@ def _check_classifier(state: dict, k: int, scale: LabelScale) -> None:
             or clf.means.shape != (k,) or clf.stds.shape != (k,)):
         raise ValidationError(
             f"model state 'classifier' must hold ({m}, {k}) weights, {m} biases, {k} means and {k} stds")
-    # a NaN weight or a zero std would serve full-range intervals
-    arrays = (clf.weights, clf.bias, clf.means, clf.stds)
-    if not all(np.isfinite(v).all() for v in arrays) or not np.all(clf.stds > 0):
-        raise ValidationError("model state 'classifier' must hold finite weights, biases, means and "
-                              "stds, with every std positive")
+    _check_finite("classifier", (clf.weights, clf.bias, clf.means), clf.stds)
 
 
 def _run_table(m: int):
@@ -341,9 +326,9 @@ def _score_lvd(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
     return np.abs(state["ridge"].predict(Z) - y)
 
 
-def _fit_lvd(train: Dataset, calib: Dataset, alpha: float, h: dict, kw: dict) -> dict:
+def _fit_lvd(train: Dataset, calib: Dataset, alpha: float, h: dict) -> dict:
     calib_Z = calib.logits
-    ridge = RidgePredictor(l2=h["l2"]).fit(train.logits, train.labels)
+    ridge = RidgePredictor(h["l2"]).fit(train.logits, train.labels)
     kernel = KernelSimilarity(h["bandwidth"]).fit(train.logits)
     if kernel.bandwidth is None:
         kernel.bandwidth = kernel.median_bandwidth(calib_Z)
@@ -366,9 +351,10 @@ def _check_lvd(state: dict, k: int, scale: LabelScale) -> None:
         raise ValidationError(f"model state 'sort_order' must be a permutation of 0..{m - 1}")
     if kernel.means.shape != (k,) or kernel.stds.shape != (k,):
         raise ValidationError(f"model state 'kernel' must hold {k} means and {k} stds")
-    bw = kernel.bandwidth
-    if bw is None or not (math.isfinite(bw) and bw > 0):
-        raise ValidationError(f"model state 'kernel' bandwidth must be finite and > 0, got {bw!r}")
+    _check_finite("kernel", (kernel.means,), kernel.stds)
+    # from_dict checks any bandwidth given
+    if kernel.bandwidth is None:
+        raise ValidationError("model state 'kernel' has no bandwidth")
 
 
 def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
@@ -494,13 +480,19 @@ def _ordinal_values(state: dict, Z: np.ndarray) -> np.ndarray:
 
 
 def _check_ordinal_rc(state: dict, k: int, scale: LabelScale) -> None:
-    if state["h"].shape != (k,) or not np.all(state["h"] > 0):
-        raise ValidationError(f"ordinal_rc needs {k} positive label weights 'h'")
+    if state["h"].shape != (k,) or not np.all((state["h"] > 0) & np.isfinite(state["h"])):
+        raise ValidationError(f"ordinal_rc needs {k} finite positive label weights 'h'")
 
 
-def _fit_ordinal_rc(train: Dataset, calib: Dataset, alpha: float, h: dict, kw: dict) -> dict:
-    weights = kw.get("weights")
-    state = {"h": np.ones(calib.k) if weights is None else np.asarray(weights, dtype=float)}
+def _label_weights(value, label="value") -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{label} must be numbers, got {value!r}") from exc
+
+
+def _fit_ordinal_rc(train: Dataset, calib: Dataset, alpha: float, h: dict) -> dict:
+    state = {"h": np.ones(calib.k) if h["weights"] is None else h["weights"]}
     _check_ordinal_rc(state, calib.k, calib.scale)
     return state
 
@@ -525,10 +517,7 @@ def _interval_ordinal(model: CalibratedModel, Z: np.ndarray, y_hats):
 # The method table
 
 
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+_number = real()
 
 
 def _pair(value) -> tuple:
@@ -544,65 +533,67 @@ def _null(value) -> None:
 
 _FORESTS = ("forest_lo", "forest_hi")
 
+# hyperparameter name -> (default, check)
+_RIDGE_HYPER = {"l2": (1.0, real(0))}
+_FOREST_HYPER = {"n_trees": (200, integer(0)), "depth": (3, integer(0)), "lr": (0.05, real(0, strict=True)),
+                 "min_leaf": (10, integer(1))}
+_CLASSIFIER_HYPER = {"epochs": (500, integer(0)), "l2": (1e-3, real(0))}
+
 _METHOD_TABLE = {
     "split_abs": _Method(_fit_split_abs, _score_split_abs, conformal_quantile, _interval_split_abs,
-                         ("point_predictor", "ridge"), _number, _check_split_abs),
-    "cqr": _Method(lambda train, calib, alpha, h, kw: _fit_forests(train, alpha / 2, h),
-                   _score_cqr, conformal_quantile, _interval_cqr, _FORESTS, _number, _check_forests),
+                         ("point_predictor", "ridge"), _number,
+                         {"point_predictor": ("raw_score", one_of("point predictor", POINT_PREDICTORS)),
+                          **_RIDGE_HYPER},
+                         _check_split_abs),
+    "cqr": _Method(lambda train, calib, alpha, h: _fit_forests(train, alpha / 2, h),
+                   _score_cqr, conformal_quantile, _interval_cqr, _FORESTS, _number, _FOREST_HYPER, _check_forests),
     # one correction per side
-    "asym_cqr": _Method(lambda train, calib, alpha, h, kw: _fit_forests(train, alpha, h),
-                        _score_asym_cqr, _quantile_asym_cqr, _interval_cqr, _FORESTS, _pair, _check_forests),
-    "chr": _Method(_fit_chr, _score_chr, conformal_quantile, _interval_chr, ("classifier", "T"), _number,
-                   _check_classifier),
+    "asym_cqr": _Method(lambda train, calib, alpha, h: _fit_forests(train, alpha, h),
+                        _score_asym_cqr, _quantile_asym_cqr, _interval_cqr, _FORESTS, _pair, _FOREST_HYPER,
+                        _check_forests),
+    "chr": _Method(lambda train, calib, alpha, h: {"classifier": _fit_classifier(train, h), "T": h["T"]},
+                   _score_chr, conformal_quantile, _interval_chr, ("classifier", "T"), _number,
+                   {"T": (100, integer(1)), **_CLASSIFIER_HYPER}, _check_classifier),
     # lvd takes its quantile per query, from the kernel-weighted scores
     "lvd": _Method(_fit_lvd, _score_lvd, lambda scores, alpha: None, _interval_lvd,
-                   ("ridge", "kernel", "calib_logits", "sorted_scores", "sort_order"), _null, _check_lvd),
+                   ("ridge", "kernel", "calib_logits", "sorted_scores", "sort_order"), _null,
+                   {**_RIDGE_HYPER, "bandwidth": (None, or_none(real(0, strict=True)))}, _check_lvd),
     # low density is non-conforming, so r2ccp keeps the lower quantile
-    "r2ccp": _Method(lambda train, calib, alpha, h, kw: {"classifier": _fit_classifier(train, h)},
+    "r2ccp": _Method(lambda train, calib, alpha, h: {"classifier": _fit_classifier(train, h)},
                      _score_r2ccp, lower_conformal_quantile, _interval_r2ccp, ("classifier",), _number,
-                     _check_classifier),
-    "ordinal_aps": _Method(lambda train, calib, alpha, h, kw: {},
-                           _score_ordinal, conformal_quantile, _interval_ordinal, (), _number),
+                     _CLASSIFIER_HYPER, _check_classifier),
+    "ordinal_aps": _Method(lambda train, calib, alpha, h: {},
+                           _score_ordinal, conformal_quantile, _interval_ordinal, (), _number, {}),
+    # the weights' length and sign are checked against k by _check_ordinal_rc
     "ordinal_rc": _Method(_fit_ordinal_rc, _score_ordinal, conformal_quantile, _interval_ordinal, ("h",), _number,
-                          _check_ordinal_rc),
+                          {"weights": (None, or_none(_label_weights))}, _check_ordinal_rc),
 }
+
+
+def checked_hyper(method: str, hyper: dict | None = None, **kw) -> dict:
+    """Every hyperparameter ``method`` declares: its default, overridden by
+    ``hyper`` and then by ``kw``, each value checked.  An unknown method or
+    name, a wrong type or an out-of-range value raises ValidationError."""
+    if method not in _METHOD_TABLE:
+        raise ValidationError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+    declared = _METHOD_TABLE[method].hyper
+    given = {**(hyper or {}), **kw}
+    unknown = [name for name in given if name not in declared]
+    if unknown:
+        raise ValidationError(f"{method} has no hyperparameter {unknown[0]!r}; valid: {', '.join(declared) or 'none'}")
+    return {name: check(given.get(name, default), f"{method} hyperparameter {name!r}")
+            for name, (default, check) in declared.items()}
 
 
 def calibrate(method: str, train: Dataset, calib: Dataset, alpha: float,
               hyper: dict | None = None, **kw) -> CalibratedModel:
-    """Calibrate one method by name; see :data:`METHODS`.  ``kw`` carries
-    ``point_predictor`` (split_abs) and ``weights`` (ordinal_rc)."""
-    if method not in _METHOD_TABLE:
-        raise ValidationError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+    """Calibrate one method by name; see :data:`METHODS`.  Its hyperparameters,
+    ``hyper`` updated by ``kw``, are checked before any fitting."""
+    h = checked_hyper(method, hyper, **kw)
     spec = _METHOD_TABLE[method]
-    state = spec.fit(train, calib, alpha, {**DEFAULT_HYPER[method], **(hyper or {})}, kw)
+    state = spec.fit(train, calib, alpha, h)
     scores = spec.score(state, calib.scale, calib.logits, calib.labels, calib.raw_scores)
     return CalibratedModel(method, alpha, calib.scale, calib.k, spec.quantile(scores, alpha), state, scores)
-
-
-def calibrate_split_abs(train: Dataset, calib: Dataset, alpha: float,
-                        point_predictor: str = "raw_score", hyper: dict | None = None) -> CalibratedModel:
-    return calibrate("split_abs", train, calib, alpha, hyper, point_predictor=point_predictor)
-
-
-def calibrate_cqr(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
-    return calibrate("cqr", train, calib, alpha, hyper)
-
-
-def calibrate_asym_cqr(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
-    return calibrate("asym_cqr", train, calib, alpha, hyper)
-
-
-def calibrate_chr(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
-    return calibrate("chr", train, calib, alpha, hyper)
-
-
-def calibrate_lvd(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
-    return calibrate("lvd", train, calib, alpha, hyper)
-
-
-def calibrate_r2ccp(train: Dataset, calib: Dataset, alpha: float, hyper: dict | None = None) -> CalibratedModel:
-    return calibrate("r2ccp", train, calib, alpha, hyper)
 
 
 def calibrate_ordinal_aps(calib: Dataset, alpha: float) -> CalibratedModel:
@@ -644,31 +635,19 @@ def score_samples(model: CalibratedModel, dataset: Dataset) -> np.ndarray:
 # Serialization
 
 
-def _count(value, name: str = "value") -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
-def _point_predictor(name: str) -> str:
-    if name not in POINT_PREDICTORS:
-        raise ValueError(f"unknown point predictor {name!r}")
-    return name
-
-
-# how each state entry is rebuilt from its JSON value
+# how each state entry is rebuilt from its JSON value (a hyperparameter by its declared check)
 _STATE_DECODERS = {
-    "point_predictor": _point_predictor,
+    "point_predictor": _METHOD_TABLE["split_abs"].hyper["point_predictor"][1],
     "ridge": lambda d: None if d is None else RidgePredictor.from_dict(d),
     "forest_lo": QuantileForest.from_dict,
     "forest_hi": QuantileForest.from_dict,
     "classifier": BinClassifier.from_dict,
-    "T": _count,
+    "T": _METHOD_TABLE["chr"].hyper["T"][1],
     "kernel": KernelSimilarity.from_dict,
     "calib_logits": lambda v: np.asarray(v, dtype=float),
     "sorted_scores": lambda v: np.asarray(v, dtype=float),
     "sort_order": lambda v: np.asarray(v, dtype=int),
-    "h": lambda v: np.asarray(v, dtype=float),
+    "h": _label_weights,
 }
 
 
@@ -698,7 +677,7 @@ def model_to_json(model: CalibratedModel) -> str:
 _FIELD_DECODERS = {
     "alpha": _number,
     "scale": LabelScale.from_dict,
-    "k": _count,
+    "k": integer(1),
     "calib_scores": lambda v: np.asarray(v, dtype=float),
 }
 

@@ -25,14 +25,54 @@ __all__ = [
     "pinball_loss",
 ]
 
-FOREST_DEFAULTS = {"n_trees": 200, "depth": 3, "lr": 0.05, "min_leaf": 10}
-CLASSIFIER_DEFAULTS = {"epochs": 500, "l2": 1e-3}
-
 
 def pinball_loss(y, pred, tau: float) -> float:
     """Mean pinball loss; its minimizer is the conditional tau-quantile."""
     d = np.asarray(y, dtype=float) - np.asarray(pred, dtype=float)
     return float(np.mean(np.maximum(tau * d, (tau - 1.0) * d)))
+
+
+# ---------------------------------------------------------------------------
+# Value checks: each check(value, label) returns the value as a plain Python
+# object or raises ValidationError naming label.  numpy scalars pass; a bool
+# is not a number.
+
+
+def integer(lo: int):
+    """An integer >= lo."""
+    def check(value, label="value"):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+            raise ValidationError(f"{label} must be an integer >= {lo}, got {value!r}")
+        return int(value)
+    return check
+
+
+def real(lo: float = -math.inf, strict: bool = False):
+    """A finite real >= lo, or > lo when ``strict``."""
+    def check(value, label="value"):
+        try:
+            x = math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+        except OverflowError:  # an int past the largest float
+            x = math.inf
+        if not (math.isfinite(x) and (x > lo if strict else x >= lo)):
+            raise ValidationError(f"{label} must be a finite number {'>' if strict else '>='} {lo:g}, "
+                                  f"got {value!r}")
+        return x
+    return check
+
+
+def one_of(what: str, choices):
+    """One of the names in ``choices``, each a ``what``."""
+    def check(value, label="value"):
+        if not isinstance(value, str) or value not in choices:
+            raise ValidationError(f"{label} must be a {what} ({', '.join(choices)}), got {value!r}")
+        return value
+    return check
+
+
+def or_none(check):
+    """None, or a value that passes ``check``."""
+    return lambda value, label="value": None if value is None else check(value, label)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +200,7 @@ class QuantileForest:
     without routing them through the new tree.
     """
 
-    def __init__(self, tau: float, n_trees: int = 200, depth: int = 3, lr: float = 0.05,
-                 min_leaf: int = 10):
+    def __init__(self, tau: float, n_trees: int, depth: int, lr: float, min_leaf: int):
         if not 0.0 < tau < 1.0:
             raise ValidationError("tau must lie in (0, 1)")
         self.tau = tau
@@ -304,14 +343,10 @@ class BinClassifier:
     zero-initialized weights in place (uniform probabilities).
     """
 
-    def __init__(self, bins, epochs: int = 500, l2: float = 1e-3):
-        if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 0:
-            raise ValidationError(f"classifier epochs must be a non-negative integer, got {epochs!r}")
-        if isinstance(l2, bool) or not isinstance(l2, numbers.Real) or not math.isfinite(l2) or l2 < 0:
-            raise ValidationError(f"classifier l2 must be a finite number >= 0, got {l2!r}")
+    def __init__(self, bins, epochs: int, l2: float):
         self.bins = np.asarray(bins, dtype=float)
-        self.epochs = int(epochs)
-        self.l2 = float(l2)
+        self.epochs = integer(0)(epochs, "classifier epochs")
+        self.l2 = real(0)(l2, "classifier l2")
         self.weights = None
         self.bias = None
         self.means = None
@@ -497,7 +532,7 @@ class KernelSimilarity:
     ``median_bandwidth`` holds one buffer of the m(m-1)/2 distinct pair
     distances plus one block."""
 
-    def __init__(self, bandwidth: float | None = None):
+    def __init__(self, bandwidth: float | None):
         self.bandwidth = bandwidth
         self.means = None
         self.stds = None
@@ -567,10 +602,7 @@ class KernelSimilarity:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSimilarity":
-        bw = d["bandwidth"]
-        if bw is not None and (isinstance(bw, bool) or not isinstance(bw, (int, float))):
-            raise TypeError(f"bandwidth must be a number or null, got {bw!r}")
-        ks = cls(None if bw is None else float(bw))
+        ks = cls(or_none(real(0, strict=True))(d["bandwidth"], "bandwidth"))
         ks.means = np.asarray(d["means"], dtype=float)
         ks.stds = np.asarray(d["stds"], dtype=float)
         return ks
@@ -583,10 +615,8 @@ class KernelSimilarity:
 class RidgePredictor:
     """Closed-form ridge regression on standardized features."""
 
-    def __init__(self, l2: float = 1.0):
-        if l2 < 0:
-            raise ValidationError("l2 must be >= 0")
-        self.l2 = l2
+    def __init__(self, l2: float):
+        self.l2 = real(0)(l2, "ridge l2")
         self.coef = None
         self.intercept = 0.0
         self.means = None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import confjudge as cj
+from confjudge import analysis
 from confjudge.analysis import (
     EvalRow,
     _coverage_width,
@@ -169,16 +170,37 @@ class TestEvaluate:
             assert a.coverage >= p.coverage
 
     def test_cell_error_recorded_not_fatal(self, dataset):
-        report = evaluate(dataset, ["split_abs", "lvd"], seeds=[1],
-                          hyper={"lvd": {"l2": -1.0}})
+        # logits of +-1e308 overflow lvd's kernel distances; the raw score
+        # split_abs serves does not read them
+        Z = dataset.logits.copy()
+        Z[:, 0] = np.where(np.arange(len(Z)) % 2 == 0, 1e308, -1e308)
+        bad = cj.Dataset(dataset.ids, Z, dataset.raw_scores, dataset.labels, dataset.scale)
+        with np.errstate(invalid="ignore", over="ignore"):
+            report = evaluate(bad, ["split_abs", "lvd"], seeds=[1])
         assert ("split_abs", 1) in {(r.method, r.seed) for r in report.rows}
-        assert report.errors == {("lvd", 1): "l2 must be >= 0"}
+        assert report.errors == {("lvd", 1): "degenerate features"}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_programming_error_propagates(self, dataset, jobs):
-        # a TypeError inside a method is a bug, not a per-cell data problem
-        with pytest.raises(TypeError):
-            evaluate(dataset, ["split_abs", "cqr"], seeds=[1], hyper={"cqr": {"lr": None}}, jobs=jobs)
+        # an AttributeError inside a cell is a bug, not a per-cell data problem
+        with pytest.raises(AttributeError):
+            evaluate(dataset, ["split_abs", "cqr"], seeds=[1], policy="nearest", jobs=jobs)
+
+    @pytest.mark.parametrize("hyper, match", [
+        ({"median": {}}, "unknown method 'median'"),
+        ({"cqr": {"n_trees": "x"}}, "cqr hyperparameter 'n_trees'"),
+        ({"lvd": {"bandwdith": 1.0}}, "lvd has no hyperparameter 'bandwdith'"),
+        # checked although r2ccp does not run
+        ({"r2ccp": {"epochs": -1}}, "r2ccp hyperparameter 'epochs'"),
+    ])
+    def test_bad_hyperparameters_rejected_before_any_split(self, dataset, monkeypatch, hyper, match):
+        calls = []
+        monkeypatch.setattr(analysis, "split", lambda *a: calls.append(a) or cj.split(*a))
+        with pytest.raises(ValidationError, match=match):
+            evaluate(dataset, ["split_abs", "cqr", "lvd"], seeds=[1, 2], hyper=hyper)
+        assert calls == []
+        evaluate(dataset, ["ordinal_aps"], seeds=[1])
+        assert len(calls) == 1
 
     def test_unknown_method(self, dataset):
         with pytest.raises(ValidationError, match="valid"):

@@ -253,6 +253,21 @@ class TestOtherCommands:
     def test_usage_error_on_bad_seeds(self, synth_file, tmp_path):
         assert run("evaluate", str(synth_file), "--seeds", "", "--out-dir", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("flags, env", [
+        (("--seeds", "1..x"), None),
+        (("--adjust", "nearest", "--lambda", "abc"), None),
+        (("--jobs", "-3"), None),
+        ((), "abc"),
+    ])
+    def test_bad_flags_are_usage_errors_before_any_read(self, tmp_path, monkeypatch, capsys, flags, env):
+        # each used to end as an internal error (exit 3) or, for --jobs -3,
+        # to run serially without a word; the samples file does not exist,
+        # so exit 1 also shows that nothing was read
+        if env is not None:
+            monkeypatch.setenv("CONFJUDGE_JOBS", env)
+        assert run("evaluate", str(tmp_path / "missing.jsonl"), *flags, "--out-dir", str(tmp_path)) == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_jobs_env_override(self, monkeypatch):
         from confjudge.cli import _default_jobs
 

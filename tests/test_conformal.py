@@ -15,6 +15,7 @@ from confjudge.conformal import (
     _lvd_local_quantiles,
     _ordinal_growth_predict,
     _superlevel_interval,
+    checked_hyper,
     predict_intervals_flagged,
 )
 from confjudge.core import (
@@ -60,7 +61,7 @@ class TestSplitAbs:
         Z = rng.normal(size=(20, 5))
         raw = rng.choice([2.0, 3.0, 4.0], size=20)
         ds = build_dataset(Z, raw, raw)
-        model = cj.calibrate_split_abs(ds, ds, 0.1)
+        model = cj.calibrate("split_abs", ds, ds, 0.1)
         iv = cj.predict_interval(model, Z[0], y_hat=3.0)
         assert (iv.lo, iv.hi) == (3.0, 3.0)
 
@@ -69,7 +70,7 @@ class TestSplitAbs:
         Z = rng.normal(size=(4, 5))
         raw = np.array([2.0, 3.0, 4.0, 5.0])
         ds = build_dataset(Z, raw, raw - 1.0)
-        model = cj.calibrate_split_abs(ds, ds, 0.1)
+        model = cj.calibrate("split_abs", ds, ds, 0.1)
         assert model.qhat == 1.0
         iv = cj.predict_interval(model, Z[0], y_hat=3.0)
         assert (iv.lo, iv.hi) == (2.0, 4.0)
@@ -79,18 +80,18 @@ class TestSplitAbs:
         Z = rng.normal(size=(4, 5))
         raw = np.array([2.0, 3.0, 4.0, 5.0])
         ds = build_dataset(Z, raw, raw - 1.0)
-        model = cj.calibrate_split_abs(ds, ds, 0.1)
+        model = cj.calibrate("split_abs", ds, ds, 0.1)
         iv = cj.predict_interval(model, Z[0], y_hat=5.0)
         assert (iv.lo, iv.hi) == (4.0, 5.0)
 
     def test_other_point_predictors(self):
         train, calib, test = peaked_split()
         for pp in ("weighted_average", "ridge"):
-            model = cj.calibrate_split_abs(train, calib, 0.1, point_predictor=pp)
+            model = cj.calibrate("split_abs", train, calib, 0.1, point_predictor=pp)
             ivals = cj.predict_intervals(model, test.logits)
             assert all(iv.lo <= iv.hi for iv in ivals)
         with pytest.raises(ValidationError, match="point predictor"):
-            cj.calibrate_split_abs(train, calib, 0.1, point_predictor="mean")
+            cj.calibrate("split_abs", train, calib, 0.1, point_predictor="mean")
 
 
 class TestCqr:
@@ -98,7 +99,7 @@ class TestCqr:
         rng = np.random.default_rng(3)
         Z = rng.normal(size=(40, 5))
         ds = build_dataset(Z, np.full(40, 3.0), np.full(40, 3.0))
-        model = cj.calibrate_cqr(ds, ds, 0.1, {"n_trees": 10})
+        model = cj.calibrate("cqr", ds, ds, 0.1, {"n_trees": 10})
         ivals = cj.predict_intervals(model, Z)
         assert all(iv.width == pytest.approx(0.0, abs=1e-9) for iv in ivals)
 
@@ -114,7 +115,7 @@ class TestCqr:
         raw = np.full(n, 3.0)
         ds = build_dataset(Z, raw, y, scale=FINE)
         train, calib, test = cj.split(ds, cj.SplitSpec(4))
-        model = cj.calibrate_cqr(train, calib, 0.1, {"n_trees": 0})
+        model = cj.calibrate("cqr", train, calib, 0.1, {"n_trees": 0})
         assert abs(model.qhat) < 0.1
         iv = cj.predict_interval(model, test.logits[0])
         assert iv.lo == pytest.approx(3.0 - 0.5 * 1.6449, abs=0.15)
@@ -130,7 +131,7 @@ class TestAsymCqr:
         Z = rng.normal(size=(n, 5))
         ds = build_dataset(Z, np.full(n, 3.0), y, scale=FINE)
         train, calib, _ = cj.split(ds, cj.SplitSpec(5))
-        model = cj.calibrate_asym_cqr(train, calib, 0.1, {"n_trees": 0})
+        model = cj.calibrate("asym_cqr", train, calib, 0.1, {"n_trees": 0})
         q_lo, q_hi = model.qhat
         assert abs(q_lo - q_hi) < 0.15
 
@@ -138,7 +139,7 @@ class TestAsymCqr:
         rng = np.random.default_rng(6)
         Z = rng.normal(size=(30, 5))
         ds = build_dataset(Z, np.full(30, 4.0), np.full(30, 4.0))
-        model = cj.calibrate_asym_cqr(ds, ds, 0.1, {"n_trees": 5})
+        model = cj.calibrate("asym_cqr", ds, ds, 0.1, {"n_trees": 5})
         ivals = cj.predict_intervals(model, Z)
         assert all(iv.width == pytest.approx(0.0, abs=1e-9) for iv in ivals)
 
@@ -168,7 +169,7 @@ class TestChrFamily:
 
     def test_end_to_end_grid_endpoints(self):
         train, calib, test = peaked_split()
-        model = cj.calibrate_chr(train, calib, 0.1, SMALL_HYPER["chr"])
+        model = cj.calibrate("chr", train, calib, 0.1, SMALL_HYPER["chr"])
         ivals = cj.predict_intervals(model, test.logits)
         for iv in ivals[:50]:
             assert LIKERT.on_grid(iv.lo) and LIKERT.on_grid(iv.hi)
@@ -177,7 +178,7 @@ class TestChrFamily:
 class TestLvd:
     def test_uniform_weights_reduce_to_global_quantile(self):
         train, calib, test = peaked_split()
-        model = cj.calibrate_lvd(train, calib, 0.1, {"bandwidth": 1e9})
+        model = cj.calibrate("lvd", train, calib, 0.1, {"bandwidth": 1e9})
         scores = np.sort(model.calib_scores)
         expected = scores[math.ceil(0.9 * len(scores)) - 1]
         qs = _lvd_local_quantiles(model, test.logits[:20])
@@ -185,7 +186,7 @@ class TestLvd:
 
     def test_all_weight_on_one_point(self):
         train, calib, _ = peaked_split()
-        model = cj.calibrate_lvd(train, calib, 0.1, {"bandwidth": 1e-6})
+        model = cj.calibrate("lvd", train, calib, 0.1, {"bandwidth": 1e-6})
         j = 13
         iv = cj.predict_interval(model, calib.logits[j])
         pred = model.state["ridge"].predict(calib.logits[j:j + 1])[0]
@@ -221,7 +222,7 @@ class TestR2ccp:
         Z = rng.normal(size=(40, 5))
         y = rng.choice(LIKERT.labels(), size=40)
         ds = build_dataset(Z, y, y)
-        model = cj.calibrate_r2ccp(ds, ds, 0.1, {"epochs": 0})
+        model = cj.calibrate("r2ccp", ds, ds, 0.1, {"epochs": 0})
         ivals = cj.predict_intervals(model, Z)
         assert all((iv.lo, iv.hi) == (1.0, 5.0) for iv in ivals)
 
@@ -250,7 +251,7 @@ class TestR2ccp:
         Z = rng.normal(size=(30, 5))
         y = rng.choice(LIKERT.labels(), size=30)
         ds = build_dataset(Z, y, y)
-        model = cj.calibrate_r2ccp(ds, ds, 0.1, {"epochs": 30})
+        model = cj.calibrate("r2ccp", ds, ds, 0.1, {"epochs": 30})
         forced = dataclasses.replace(model, qhat=1e9)
         ivals, flags = predict_intervals_flagged(forced, Z)
         assert all(f == "degenerate" for f in flags)
@@ -263,7 +264,7 @@ class TestR2ccp:
         y = rng.choice(thirds.labels(), size=40)
         raw = rng.choice([1.0, 2.0, 3.0, 4.0, 5.0], size=40)
         ds = build_dataset(Z, raw, y, scale=thirds)
-        model = cj.calibrate_r2ccp(ds, ds, 0.1, {"epochs": 0})
+        model = cj.calibrate("r2ccp", ds, ds, 0.1, {"epochs": 0})
         # uniform over 13 bins of width 1/3: density 3/13 everywhere
         assert model.calib_scores[0] == pytest.approx(3 / 13, abs=1e-9)
 
@@ -489,6 +490,16 @@ class TestModelContract:
         ("chr", "classifier", lambda e: {**e, "epochs": 2.5}),
         ("ordinal_rc", "h", lambda e: e[:3]),
         ("ordinal_rc", "h", lambda e: [0.0] + e[1:]),
+        # non-finite numbers used to load and serve NaN bounds, and a string
+        # lr to raise numpy's UFuncTypeError in predict_intervals
+        ("split_abs", "ridge", lambda e: {**e, "coef": [float("nan")] + e["coef"][1:]}),
+        ("lvd", "ridge", lambda e: {**e, "stds": [0.0] + e["stds"][1:]}),
+        ("lvd", "kernel", lambda e: {**e, "means": [float("inf")] + e["means"][1:]}),
+        ("cqr", "forest_lo", lambda e: {**e, "base": float("nan")}),
+        ("asym_cqr", "forest_hi", lambda e: {**e, "trees": [{**e["trees"][0], "value": [float("nan")]
+                                                            * len(e["trees"][0]["value"])}]}),
+        ("cqr", "forest_hi", lambda e: {**e, "lr": "x"}),
+        ("ordinal_rc", "h", lambda e: [float("inf")] + e[1:]),
     ])
     def test_estimator_state_contradicting_the_document_rejected(self, fitted, method, entry, corrupt):
         # each of these used to load and then fail inside predict_intervals
@@ -511,6 +522,34 @@ class TestModelContract:
         train, calib = fitted[0], fitted[1]
         with pytest.raises(ValidationError, match=name):
             cj.calibrate(method, train, calib, 0.1, hyper)
+
+    @pytest.mark.parametrize("method, hyper, kw, name", [
+        ("cqr", {"n_trees": "x"}, {}, "n_trees"),
+        ("cqr", {"n_trees": True}, {}, "n_trees"),
+        ("lvd", {"bandwdith": 1.0}, {}, "bandwdith"),
+        ("cqr", {"depth": -1}, {}, "depth"),
+        ("asym_cqr", {"min_leaf": 0}, {}, "min_leaf"),
+        ("cqr", {"lr": float("nan")}, {}, "lr"),
+        ("lvd", {"bandwidth": -1.0}, {}, "bandwidth"),
+        ("lvd", {"bandwidth": 0}, {}, "bandwidth"),
+        ("chr", {"T": np.int64(0)}, {}, "T"),
+        ("cqr", None, {"point_predictor": "ridge"}, "point_predictor"),
+        ("split_abs", {"point_predictor": "ridge"}, {"point_predictor": 3}, "point_predictor"),
+        ("ordinal_aps", None, {"weights": [0.0] * 5}, "weights"),
+        ("ordinal_rc", None, {"weights": "heavy"}, "weights"),
+    ])
+    def test_bad_hyperparameters_rejected(self, fitted, monkeypatch, method, hyper, kw, name):
+        # each of these used to be accepted, ignored, or to fail inside a fit;
+        # now the check comes before any fitting
+        monkeypatch.setitem(_METHOD_TABLE, method, dataclasses.replace(_METHOD_TABLE[method], fit=None))
+        with pytest.raises(ValidationError, match=f"^{method} .*'{name}'"):
+            cj.calibrate(method, fitted[0], fitted[1], 0.1, hyper, **kw)
+
+    def test_checked_hyper_fills_defaults_and_keywords_win(self):
+        for method in cj.METHODS:
+            assert checked_hyper(method) == {name: d for name, (d, _) in _METHOD_TABLE[method].hyper.items()}
+        h = checked_hyper("lvd", {"l2": np.int64(2), "bandwidth": 1.0}, bandwidth=np.float32(0.5))
+        assert h == {"l2": 2.0, "bandwidth": 0.5} and type(h["l2"]) is float
 
     def test_alpha_validated(self, fitted):
         _, _, _, models = fitted
@@ -698,7 +737,7 @@ class TestBlockedKernelMatchesDenseOracle:
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_bandwidth_with_fewer_than_two_pairs(self, m):
-        kernel = cj.KernelSimilarity().fit(np.ones((3, 2)))
+        kernel = cj.KernelSimilarity(None).fit(np.ones((3, 2)))
         X = np.arange(2.0 * m).reshape(m, 2)
         assert kernel.median_bandwidth(X) == _dense_median_bandwidth(kernel, X)
 

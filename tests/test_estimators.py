@@ -32,13 +32,13 @@ class TestQuantileForest:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(50, 3))
         y = np.full(50, 3.0)
-        qf = QuantileForest(0.5, n_trees=20, depth=2, min_leaf=5).fit(X, y)
+        qf = QuantileForest(0.5, n_trees=20, depth=2, lr=0.05, min_leaf=5).fit(X, y)
         np.testing.assert_allclose(qf.predict(rng.normal(size=(10, 3))), 3.0)
 
     def test_zero_trees_is_empirical_quantile(self):
         X = np.zeros((5, 2))
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        qf = QuantileForest(0.5, n_trees=0).fit(X, y)
+        qf = QuantileForest(0.5, n_trees=0, depth=3, lr=0.05, min_leaf=10).fit(X, y)
         np.testing.assert_allclose(qf.predict(np.zeros((3, 2))), 3.0)
 
     def test_beats_constant_model_on_heteroscedastic_signal(self):
@@ -72,15 +72,15 @@ class TestQuantileForest:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(100, 4))
         y = rng.normal(size=100)
-        a = QuantileForest(0.7, n_trees=15, depth=3).fit(X, y).predict(X)
-        b = QuantileForest(0.7, n_trees=15, depth=3).fit(X, y).predict(X)
+        a = QuantileForest(0.7, n_trees=15, depth=3, lr=0.05, min_leaf=10).fit(X, y).predict(X)
+        b = QuantileForest(0.7, n_trees=15, depth=3, lr=0.05, min_leaf=10).fit(X, y).predict(X)
         np.testing.assert_array_equal(a, b)
 
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(80, 3))
         y = rng.normal(size=80)
-        qf = QuantileForest(0.5, n_trees=10).fit(X, y)
+        qf = QuantileForest(0.5, n_trees=10, depth=3, lr=0.05, min_leaf=10).fit(X, y)
         back = QuantileForest.from_dict(qf.to_dict())
         np.testing.assert_array_equal(qf.predict(X), back.predict(X))
         # v1 documents also carried an unused "seed" entry
@@ -92,7 +92,7 @@ class TestQuantileForest:
         Z = rng.normal(size=(60, 5))
         y = rng.choice([1.0, 2.0, 3.0, 4.0, 5.0], size=60)
         ds = dataset_from_arrays(Z, y)
-        qf = QuantileForest(0.5, n_trees=5).fit(ds.logits, ds.labels)
+        qf = QuantileForest(0.5, n_trees=5, depth=3, lr=0.05, min_leaf=10).fit(ds.logits, ds.labels)
         assert np.all(np.isfinite(qf.predict(Z)))
 
 
@@ -232,7 +232,7 @@ class TestLevelWiseBuilderMatchesRecursiveOracle:
 
     def test_non_finite_labels_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            QuantileForest(0.5, n_trees=2).fit(np.zeros((3, 1)), np.array([1.0, np.nan, 2.0]))
+            QuantileForest(0.5, n_trees=2, depth=3, lr=0.05, min_leaf=10).fit(np.zeros((3, 1)), np.array([1.0, np.nan, 2.0]))
 
 
 _TAUS = st.one_of(
@@ -271,7 +271,7 @@ def _small_forest_dict() -> dict:
     rng = np.random.default_rng(8)
     X = rng.normal(size=(40, 2))
     y = X[:, 0] + rng.normal(size=40)
-    d = QuantileForest(0.5, n_trees=2, depth=2, min_leaf=3).fit(X, y).to_dict()
+    d = QuantileForest(0.5, n_trees=2, depth=2, lr=0.05, min_leaf=3).fit(X, y).to_dict()
     assert d["trees"][0]["feature"][0] >= 0
     return d
 
@@ -319,14 +319,14 @@ class TestBinClassifier:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 4))
         y = rng.choice([1.0, 2.0, 3.0], size=30)
-        clf = BinClassifier([1.0, 2.0, 3.0], epochs=0).fit(X, y)
+        clf = BinClassifier([1.0, 2.0, 3.0], epochs=0, l2=1e-3).fit(X, y)
         np.testing.assert_allclose(clf.predict_proba(X), 1 / 3, atol=1e-12)
 
     def test_simplex_output(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(60, 5))
         y = rng.choice([1.0, 2.0, 3.0, 4.0, 5.0], size=60)
-        clf = BinClassifier(LIKERT.labels(), epochs=100).fit(X, y)
+        clf = BinClassifier(LIKERT.labels(), epochs=100, l2=1e-3).fit(X, y)
         probs = clf.predict_proba(rng.normal(size=(40, 5)))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs >= 0)
@@ -335,7 +335,7 @@ class TestBinClassifier:
         rng = np.random.default_rng(2)
         X = np.vstack([rng.normal(-3, 0.5, size=(60, 2)), rng.normal(3, 0.5, size=(60, 2))])
         y = np.array([1.0] * 60 + [2.0] * 60)
-        clf = BinClassifier([1.0, 2.0], epochs=400).fit(X, y)
+        clf = BinClassifier([1.0, 2.0], epochs=400, l2=1e-3).fit(X, y)
         Xt = np.vstack([rng.normal(-3, 0.5, size=(40, 2)), rng.normal(3, 0.5, size=(40, 2))])
         yt = np.array([1.0] * 40 + [2.0] * 40)
         preds = clf.bins[np.argmax(clf.predict_proba(Xt), axis=1)]
@@ -371,20 +371,20 @@ class TestBinClassifier:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(80, 5)) * 10
         y = rng.choice([1.0, 2.0, 3.0, 4.0, 5.0], size=80)
-        clf = BinClassifier(LIKERT.labels(), epochs=200).fit(X, y)
+        clf = BinClassifier(LIKERT.labels(), epochs=200, l2=1e-3).fit(X, y)
         diffs = np.diff(clf.loss_history)
         assert np.all(diffs <= 1e-6)
 
     def test_label_off_grid_rejected(self):
         X = np.zeros((4, 2))
         with pytest.raises(ValidationError, match="off the bin grid"):
-            BinClassifier([1.0, 2.0]).fit(X, np.array([1.0, 1.5, 2.0, 2.0]))
+            BinClassifier([1.0, 2.0], epochs=500, l2=1e-3).fit(X, np.array([1.0, 1.5, 2.0, 2.0]))
 
     def test_empty_bins_allowed(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(30, 3))
         y = rng.choice([1.0, 2.0], size=30)
-        clf = BinClassifier(LIKERT.labels(), epochs=50).fit(X, y)
+        clf = BinClassifier(LIKERT.labels(), epochs=50, l2=1e-3).fit(X, y)
         assert clf.predict_proba(X).shape == (30, 5)
 
     def test_serialization_roundtrip(self):
@@ -392,7 +392,7 @@ class TestBinClassifier:
         X = rng.normal(size=(40, 4))
         y = rng.choice([1.0, 2.0, 3.0, 4.0, 5.0], size=40)
         ds = dataset_from_arrays(np.hstack([X, X[:, :1]]), y)
-        clf = BinClassifier(ds.scale.labels(), epochs=30).fit(ds.logits, ds.labels)
+        clf = BinClassifier(ds.scale.labels(), epochs=30, l2=1e-3).fit(ds.logits, ds.labels)
         back = BinClassifier.from_dict(clf.to_dict())
         Z = np.hstack([X, X[:, :1]])
         np.testing.assert_allclose(clf.predict_proba(Z), back.predict_proba(Z), atol=1e-12)
@@ -407,7 +407,7 @@ class TestBinClassifier:
                                     {"l2": "0.1"}, {"l2": None}])
     def test_bad_hyperparameters_rejected(self, kw):
         with pytest.raises(ValidationError, match=next(iter(kw))):
-            BinClassifier(LIKERT.labels(), **kw)
+            BinClassifier(LIKERT.labels(), **{"epochs": 500, "l2": 1e-3, **kw})
 
     def test_hyperparameters_stored_as_plain_numbers(self):
         clf = BinClassifier(LIKERT.labels(), epochs=np.int64(7), l2=np.float32(0.5))
@@ -458,7 +458,7 @@ class TestNewtonSolver:
 
     def test_converges_on_an_eval_wide_sized_split(self):
         train = _eval_wide_train()
-        clf = BinClassifier(train.scale.labels()).fit(train.logits, train.labels)
+        clf = BinClassifier(train.scale.labels(), epochs=500, l2=1e-3).fit(train.logits, train.labels)
         assert len(clf.loss_history) - 1 <= 30
         grad = _flat_grad(clf, clf._standardize(train.logits), _onehot(clf, train.labels))
         assert np.abs(grad).max() <= 1e-8
@@ -469,7 +469,7 @@ class TestNewtonSolver:
         X = rng.normal(size=(200, 4))
         y = np.clip(np.round(3 + X[:, 0] + rng.normal(size=200)), 1, 5)
         Xt = rng.normal(size=(50, 4))
-        probs = [BinClassifier(LIKERT.labels(), epochs=e).fit(X, y).predict_proba(Xt) for e in (40, 500, 5000)]
+        probs = [BinClassifier(LIKERT.labels(), epochs=e, l2=1e-3).fit(X, y).predict_proba(Xt) for e in (40, 500, 5000)]
         np.testing.assert_allclose(probs[0], probs[1], atol=1e-12)
         np.testing.assert_allclose(probs[0], probs[2], atol=1e-12)
 
@@ -510,7 +510,7 @@ class TestKernelSimilarity:
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(1)
         Xc = rng.normal(size=(50, 4))
-        sim = KernelSimilarity().fit(Xc)
+        sim = KernelSimilarity(None).fit(Xc)
         sim.bandwidth = sim.median_bandwidth(Xc)
         W = sim.weights_batch(Xc, rng.normal(size=(30, 4)))
         np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-12)
@@ -538,7 +538,7 @@ class TestKernelSimilarity:
         Z = rng.normal(size=(25, 5))
         y = rng.choice([1.0, 2.0, 3.0], size=25)
         ds = dataset_from_arrays(Z, y)
-        sim = KernelSimilarity().fit(Z)
+        sim = KernelSimilarity(None).fit(Z)
         sim.bandwidth = sim.median_bandwidth(Z)
         w = sim.weights_batch(ds.logits, Z[0])[0]
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
