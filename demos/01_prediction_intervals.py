@@ -8,8 +8,6 @@ alpha = 0.1 every method should cover about 90% of test labels, and the
 interesting differences are in how wide the intervals must be to get there.
 """
 
-import numpy as np
-
 import confjudge as cj
 
 ds, _ = cj.generate(cj.GeneratorSpec(seed=7, n=1200, noise=cj.Homoscedastic(0.5)))
@@ -22,8 +20,8 @@ for method in cj.METHODS:
     hyper = {"n_trees": 60} if "cqr" in method else None
     model = cj.calibrate(method, train, calib, alpha=0.1, hyper=hyper, **kw)
     intervals = cj.predict_intervals(model, test.logits, test.raw_scores)
-    width = np.mean([iv.width for iv in intervals])
-    coverage = np.mean([iv.covers(y) for iv, y in zip(intervals, test.labels)])
+    width = intervals.width.mean()
+    coverage = intervals.covers(test.labels).mean()
     print(f"{method:<12} {width:>10.3f} {coverage:>9.2%}")
 
 print("\nOne test item in detail:")

@@ -9,10 +9,8 @@ The run below is the plain calibrate-on-A / evaluate-on-B protocol, no
 reweighting.
 """
 
-import numpy as np
-
 import confjudge as cj
-from confjudge import LIKERT_5, AdjustmentPolicy, adjust
+from confjudge import LIKERT_5, AdjustmentPolicy, adjust_all
 
 source, _ = cj.generate(cj.GeneratorSpec(seed=1, n=1000, noise=cj.Homoscedastic(0.35)))
 shifted, _ = cj.generate(cj.GeneratorSpec(seed=2, n=1000, noise=cj.Homoscedastic(0.9)))
@@ -25,8 +23,8 @@ full = AdjustmentPolicy.full(LIKERT_5)
 def coverage(test, adjusted=False):
     intervals = cj.predict_intervals(model, test.logits, test.raw_scores)
     if adjusted:
-        intervals = [adjust(iv, LIKERT_5, full) for iv in intervals]
-    return np.mean([iv.covers(y) for iv, y in zip(intervals, test.labels)])
+        intervals = adjust_all(intervals, LIKERT_5, full)
+    return intervals.covers(test.labels).mean()
 
 
 print(f"{'test data':<22} {'continuous':>10} {'adjusted':>9}")

@@ -6,7 +6,7 @@ continuous intervals to the ordinal rating grid, and report coverage, width,
 and midpoint accuracy over seeded splits.
 """
 
-from .adjust import EXPAND, NEAREST, SHRINK, AdjustmentPolicy, adjust, fallback_label, midpoint
+from .adjust import EXPAND, NEAREST, SHRINK, AdjustmentPolicy, adjust, adjust_all, fallback_label, midpoint
 from .analysis import (
     EvalReport,
     EvalRow,
@@ -42,6 +42,7 @@ from .core import (
     LIKERT_5,
     Dataset,
     Interval,
+    Intervals,
     LabelScale,
     SplitSpec,
     ValidationError,

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conformal
-from .adjust import AdjustmentPolicy, adjust, fallback_label, midpoint
+from .adjust import AdjustmentPolicy, adjust_all, fallback_label, midpoint
 from .core import Dataset, SplitSpec, ValidationError, conformal_quantile, split
-from .estimators import ols
+from .estimators import _block_rows, ols
 from .ratings import weighted_average
 from .special import chi2_sf, f_sf
 
@@ -76,17 +76,10 @@ def pearson(x, y) -> float:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j < len(x) and sx[j] == sx[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
-    return ranks
+    # a group of ties at sorted positions i..j-1 shares the rank (i + j - 1)/2 + 1
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (0.5 * (2 * ends - counts - 1) + 1.0)[inverse]
 
 
 def spearman(x, y) -> float:
@@ -100,16 +93,19 @@ def kendall_tau_b(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
-    dx = np.sign(x[:, None] - x[None, :])
-    dy = np.sign(y[:, None] - y[None, :])
-    concordant_minus_discordant = float((dx * dy).sum()) / 2.0
+    # (sum of dx*dy, tied pairs in x, in y) over blocks of rows; integer-valued, so exact
+    sums = np.zeros(3)
+    step = _block_rows(n)
+    for r0 in range(0, n, step):
+        dx = np.sign(x[r0:r0 + step, None] - x[None, :])
+        dy = np.sign(y[r0:r0 + step, None] - y[None, :])
+        sums += ((dx * dy).sum(), np.count_nonzero(dx == 0), np.count_nonzero(dy == 0))
     n0 = n * (n - 1) / 2.0
-    ties_x = (np.count_nonzero(dx == 0) - n) / 2.0
-    ties_y = (np.count_nonzero(dy == 0) - n) / 2.0
+    ties_x, ties_y = (sums[1:] - n) / 2.0
     denom = np.sqrt((n0 - ties_x) * (n0 - ties_y))
     if denom <= 1e-300:
         return 0.0
-    return concordant_minus_discordant / denom
+    return float(sums[0] / 2.0 / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +134,6 @@ class EvalReport:
     errors: dict = field(default_factory=dict)
     empty_intervals: int = 0
     degenerate_intervals: int = 0
-    excluded: int = 0
 
 
 def _policy_name(policy: AdjustmentPolicy | None) -> str:
@@ -147,21 +142,6 @@ def _policy_name(policy: AdjustmentPolicy | None) -> str:
     if policy.kind == "nearest":
         return f"nearest({policy.lam:g})"
     return policy.kind
-
-
-def _coverage_width(intervals, labels):
-    covered = 0
-    widths = []
-    empties = 0
-    for iv, y in zip(intervals, labels):
-        if iv.empty:
-            empties += 1
-            widths.append(0.0)
-            continue
-        widths.append(iv.width)
-        if iv.covers(y):
-            covered += 1
-    return covered / len(labels), float(np.mean(widths)), empties
 
 
 def _eval_cell(args):
@@ -173,27 +153,24 @@ def _eval_cell(args):
         train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
         model = conformal.calibrate(method, train, calib, alpha, hyper)
         intervals, flags = conformal.predict_intervals_flagged(model, test.logits, test.raw_scores)
-        degenerate = sum(1 for f in flags if f)
         if policy is not None:
-            adjusted = [adjust(iv, dataset.scale, policy) for iv in intervals]
-        else:
-            adjusted = intervals
-        coverage, mean_width, empties = _coverage_width(adjusted, test.labels)
-        row = EvalRow(method, seed, _policy_name(policy), mean_width, coverage)
+            intervals = adjust_all(intervals, dataset.scale, policy)
+        coverage = int(intervals.covers(test.labels).sum()) / len(test)
+        row = EvalRow(method, seed, _policy_name(policy), float(np.mean(intervals.width)), coverage)
     except ValidationError as exc:
         return None, str(exc)
-    return (row, empties, degenerate), None
+    return (row, int(intervals.empty.sum()), sum(1 for f in flags if f)), None
 
 
 def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
              policy: AdjustmentPolicy | None = None, calib_fraction: float = 0.5,
-             inner_train_fraction: float = 0.5, hyper: dict | None = None, jobs: int = 1,
-             excluded: int = 0) -> EvalReport:
+             inner_train_fraction: float = 0.5, hyper: dict | None = None, jobs: int = 1) -> EvalReport:
     """Split/calibrate/predict each (method, seed) cell and aggregate
     width and coverage.  A cell that raises ValidationError is recorded and
     skipped rather than aborting the run; any other exception aborts it.
-    ``hyper`` maps method name to a hyperparameter dict.  An unknown method
-    or a bad hyperparameter raises ValidationError before any split.
+    ``hyper`` maps method name to a hyperparameter dict.  An unknown method,
+    a bad hyperparameter, alpha, split fraction or policy raises
+    ValidationError before any split.
     """
     methods = list(methods)
     seeds = list(seeds)
@@ -202,6 +179,11 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
         raise ValidationError("need at least one seed")
     for m in dict.fromkeys([*methods, *hyper]):
         conformal.checked_hyper(m, hyper.get(m))
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError("alpha must lie in (0, 1)")
+    SplitSpec(0, calib_fraction, inner_train_fraction)  # checks the fractions
+    if policy is not None:
+        policy.validate_for(dataset.scale)
     cells = [
         (dataset, m, s, alpha, policy, calib_fraction, inner_train_fraction, hyper.get(m))
         for m in methods for s in seeds
@@ -237,7 +219,7 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
                 "mean_coverage": statistics.fmean(covs),
                 "std_coverage": statistics.pstdev(covs) if len(covs) > 1 else 0.0,
             }
-    return EvalReport(rows, aggregates, errors, empties, degenerates, excluded)
+    return EvalReport(rows, aggregates, errors, empties, degenerates)
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +258,14 @@ def midpoint_report(dataset: Dataset, seeds, alpha: float = 0.1,
         train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
         model = conformal.calibrate("r2ccp", train, calib, alpha, hyper)
         intervals = conformal.predict_intervals(model, test.logits)
-        con = np.array([midpoint(iv) for iv in intervals])
-        dis = []
-        for iv in intervals:
-            adj = adjust(iv, dataset.scale, full)
-            dis.append(fallback_label(iv, dataset.scale) if adj.empty else midpoint(adj))
+        adjusted = adjust_all(intervals, dataset.scale, full)
+        dis = fallback_label(intervals, dataset.scale)
+        dis[~adjusted.empty] = midpoint(adjusted[~adjusted.empty])
         preds = {
             "raw_score": test.raw_scores,
             "weighted_avg": weighted_average(test.logits, dataset.scale),
-            "con_midpoint": con,
-            "dis_midpoint": np.array(dis),
+            "con_midpoint": midpoint(intervals),
+            "dis_midpoint": dis,
         }
         for name, p in preds.items():
             if float(np.std(p)) <= 1e-12:
@@ -400,11 +380,12 @@ def _subsample(ds: Dataset, fraction: float, rng) -> Dataset:
 def calibration_sweep(dataset: Dataset, method: str, seeds, fractions,
                       alpha: float = 0.1, calib_fraction: float = 0.5,
                       inner_train_fraction: float = 0.5, hyper: dict | None = None,
-                      point_predictor: str = "raw_score") -> list:
+                      point_predictor: str | None = None) -> list:
     """Coverage mean and std per calibration fraction.  Each seed's pool is
     subsampled (seeded by seed and fraction), recalibrated, and evaluated on
     the untouched test split; fractions that leave fewer than 5 calibration
-    points are flagged and skipped."""
+    points are flagged and skipped.  ``point_predictor``, when given,
+    overrides ``hyper``'s entry of that name, which only split_abs has."""
     rows = []
     for fraction in fractions:
         if not 0.0 < fraction <= 1.0:
@@ -419,11 +400,10 @@ def calibration_sweep(dataset: Dataset, method: str, seeds, fractions,
             if len(calib_s) < 5:
                 skipped = True
                 break
-            kw = {"point_predictor": point_predictor} if method == "split_abs" else {}
+            kw = {} if point_predictor is None else {"point_predictor": point_predictor}
             model = conformal.calibrate(method, train_s, calib_s, alpha, hyper, **kw)
             intervals = conformal.predict_intervals(model, test.logits, test.raw_scores)
-            covered = sum(iv.covers(y) for iv, y in zip(intervals, test.labels))
-            covs.append(covered / len(test))
+            covs.append(int(intervals.covers(test.labels).sum()) / len(test))
         if skipped or not covs:
             rows.append(SweepRow(fraction, float("nan"), float("nan"), skipped=True))
         else:

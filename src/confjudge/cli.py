@@ -92,10 +92,11 @@ def _policy_from(args, scale: LabelScale) -> AdjustmentPolicy | None:
     if lam is None or lam == "full":
         return AdjustmentPolicy.full(scale)
     try:
-        lam = float(lam)
-    except ValueError as exc:
-        raise UsageError(f'--lambda must be a number or "full", got {lam!r}') from exc
-    return AdjustmentPolicy("nearest", lam)
+        policy = AdjustmentPolicy("nearest", float(lam))
+        policy.validate_for(scale)
+    except ValueError as exc:  # ValidationError is a ValueError
+        raise UsageError(f'--lambda must be a number in [0, step/2] or "full", got {lam!r}') from exc
+    return policy
 
 
 def _add_scale_flags(p: argparse.ArgumentParser) -> None:
@@ -104,12 +105,18 @@ def _add_scale_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale-step", type=float, default=1.0)
 
 
-def _add_common_eval_flags(p: argparse.ArgumentParser) -> None:
+def _add_seeded_flags(p: argparse.ArgumentParser) -> None:
+    """The flags every seeded command reads, human-baseline included."""
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--seeds", default="1..30", help="e.g. 1..30 or 1,2,5")
     p.add_argument("--calib-fraction", type=float, default=0.5)
-    p.add_argument("--inner-train-fraction", type=float, default=0.5)
     p.add_argument("--out-dir", default=".")
+
+
+def _add_common_eval_flags(p: argparse.ArgumentParser) -> None:
+    _add_seeded_flags(p)
+    p.add_argument("--inner-train-fraction", type=float, default=0.5)
+    _add_scale_flags(p)
 
 
 def build_parser() -> _Parser:
@@ -132,12 +139,10 @@ def build_parser() -> _Parser:
     p.add_argument("--point-predictor", choices=conformal.POINT_PREDICTORS, default="raw_score")
     p.add_argument("--jobs", type=int, default=None)
     _add_common_eval_flags(p)
-    _add_scale_flags(p)
 
     p = sub.add_parser("midpoints", help="midpoint scorers vs raw score vs weighted average")
     p.add_argument("samples")
     _add_common_eval_flags(p)
-    _add_scale_flags(p)
 
     p = sub.add_parser("het", help="Breusch-Pagan and White tests per dimension")
     p.add_argument("samples")
@@ -149,7 +154,6 @@ def build_parser() -> _Parser:
     p.add_argument("--method", default="r2ccp")
     p.add_argument("--fractions", default="0.25,0.5,0.75,1.0")
     _add_common_eval_flags(p)
-    _add_scale_flags(p)
 
     p = sub.add_parser("synth", help="generate synthetic judge data")
     p.add_argument("--noise", choices=["homoscedastic", "heteroscedastic", "asymmetric"],
@@ -165,8 +169,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("human-baseline", help="conformal interval around one random annotation")
     p.add_argument("annotations", help='JSONL with {"id", "annotations": [...]} records')
-    _add_common_eval_flags(p)
-    _add_scale_flags(p)
+    _add_seeded_flags(p)
     return parser
 
 
@@ -241,11 +244,11 @@ def cmd_evaluate(args) -> int:
     jobs = args.jobs or _default_jobs()
     policy = _policy_from(args, _scale_from(args))
     dataset = _load_dataset(args)
+    excluded = _excluded_count(args.samples)
     report = analysis.evaluate(
         dataset, methods, seeds, alpha=args.alpha, policy=policy,
         calib_fraction=args.calib_fraction, inner_train_fraction=args.inner_train_fraction,
         hyper={"split_abs": {"point_predictor": args.point_predictor}}, jobs=jobs,
-        excluded=_excluded_count(args.samples),
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -266,7 +269,7 @@ def cmd_evaluate(args) -> int:
         "errors": {f"{m}/{s}": msg for (m, s), msg in sorted(report.errors.items())},
         "empty_intervals": report.empty_intervals,
         "degenerate_intervals": report.degenerate_intervals,
-        "excluded": report.excluded,
+        "excluded": excluded,
     })
     for method, agg in sorted(report.aggregates.items()):
         print(f"{method}: width {agg['mean_width']:.4f} +/- {agg['std_width']:.4f}, "

@@ -38,6 +38,7 @@ from .core import (
     GRID_TOL,
     Dataset,
     Interval,
+    Intervals,
     LabelScale,
     ValidationError,
     conformal_quantile,
@@ -127,12 +128,6 @@ class _Method:
     qhat: Callable
     hyper: dict
     check: Callable | None = None
-
-
-def _clamped(lo: float, hi: float, scale: LabelScale) -> Interval:
-    lo = min(max(lo, scale.min), scale.max)
-    hi = min(max(hi, scale.min), scale.max)
-    return Interval(lo, max(lo, hi))
 
 
 def _check_dim(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
@@ -605,21 +600,21 @@ def calibrate_ordinal_rc(calib: Dataset, alpha: float, weights=None) -> Calibrat
 
 
 def predict_intervals_flagged(model: CalibratedModel, Z, y_hats=None):
-    """Batch prediction returning (intervals, flags), each interval clamped
-    to the scale range; a flag marks the rare degenerate fallback (currently
-    only r2ccp's empty superlevel set)."""
+    """Batch prediction returning (intervals, flags): an :class:`Intervals`
+    batch clamped to the scale range, and one flag per row marking the rare
+    degenerate fallback (currently only r2ccp's empty superlevel set)."""
     lo, hi, flags = _METHOD_TABLE[model.method].interval(model, _check_dim(model, Z), y_hats)
-    intervals = [_clamped(a, b, model.scale) for a, b in zip(lo, hi)]
+    intervals = Intervals._clamp(lo, hi, model.scale)
     return intervals, flags if flags is not None else [None] * len(intervals)
 
 
-def predict_intervals(model: CalibratedModel, Z, y_hats=None):
+def predict_intervals(model: CalibratedModel, Z, y_hats=None) -> Intervals:
     return predict_intervals_flagged(model, Z, y_hats)[0]
 
 
 def predict_interval(model: CalibratedModel, z, y_hat=None) -> Interval:
-    """Prediction interval for a single point, clamped to the scale range
-    and never empty before boundary adjustment."""
+    """Prediction interval for a single point: row 0 of a one-row batch,
+    clamped to the scale range and never empty before boundary adjustment."""
     y_hats = None if y_hat is None else np.asarray([y_hat], dtype=float)
     return predict_intervals(model, np.atleast_2d(np.asarray(z, dtype=float)), y_hats)[0]
 

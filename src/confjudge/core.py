@@ -3,7 +3,8 @@ splits, and the split-conformal quantile shared by every interval method.
 
 A :class:`Dataset` holds one judge run as columns.  Every sample invariant
 is defined once, in :func:`row_problems`, which the dataset constructor,
-``read_samples`` and transcript extraction all apply.
+``read_samples`` and transcript extraction all apply.  An :class:`Intervals`
+batch holds predicted intervals as columns too.
 
 All types are immutable after construction (the dataset's arrays are
 read-only) and all operations are pure functions, so everything here is
@@ -25,6 +26,7 @@ __all__ = [
     "row_problems",
     "SplitSpec",
     "Interval",
+    "Intervals",
     "conformal_quantile",
     "split",
     "to_fine_grid",
@@ -33,6 +35,7 @@ __all__ = [
 ]
 
 GRID_TOL = 1e-6
+_COVER_TOL = 1e-9  # an interval covers a label this close to its bounds
 
 
 class ValidationError(ValueError):
@@ -79,9 +82,9 @@ class LabelScale:
             off = np.abs(k - np.round(k)) * self.step
         return (off <= tol) & (self.min - tol <= value) & (value <= self.max + tol)
 
-    def nearest_label(self, value: float) -> float:
-        k = round((value - self.min) / self.step)
-        k = min(max(k, 0), self.n_labels - 1)
+    def nearest_label(self, value):
+        """The label nearest ``value`` (ties to the even index); elementwise for an array."""
+        k = np.clip(np.round((value - self.min) / self.step), 0, self.n_labels - 1)
         return self.min + k * self.step
 
     def to_dict(self) -> dict:
@@ -209,12 +212,70 @@ class Interval:
     def width(self) -> float:
         return 0.0 if self.empty else self.hi - self.lo
 
-    def covers(self, value: float, tol: float = 1e-9) -> bool:
+    def covers(self, value: float, tol: float = _COVER_TOL) -> bool:
         return (not self.empty) and self.lo - tol <= value <= self.hi + tol
 
     @staticmethod
     def make_empty() -> "Interval":
         return Interval(math.nan, math.nan, empty=True)
+
+
+@dataclass(frozen=True, eq=False)
+class Intervals:
+    """A batch of intervals in read-only columns: row i is ``Interval(lo[i],
+    hi[i], empty[i])``, an empty row has NaN bounds, and ``empty`` defaults to
+    all False.  An integer index gives that row, a slice or mask a batch.
+    Batches compare by identity; compare their columns or ``list(batch)``."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    empty: np.ndarray | None = None
+
+    def __post_init__(self):
+        lo, hi = np.array(self.lo, dtype=float), np.array(self.hi, dtype=float)
+        empty = np.zeros(lo.shape, dtype=bool) if self.empty is None else np.array(self.empty, dtype=bool)
+        if lo.ndim != 1 or hi.shape != lo.shape or empty.shape != lo.shape:
+            raise ValidationError("interval columns must be 1-D and of equal length")
+        if np.count_nonzero(~empty & (lo > hi + 1e-12)):
+            raise ValidationError("interval lo > hi")
+        self._set_columns(lo, hi, empty)
+
+    def _set_columns(self, lo, hi, empty) -> None:
+        for name, column in (("lo", lo), ("hi", hi), ("empty", empty)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def _clamp(cls, lo, hi, scale: LabelScale, empty=None) -> "Intervals":
+        """Equal-length 1-D [lo, hi] clamped to the scale range, hi raised to lo
+        where below it.  The new columns hold lo <= hi, so they skip the
+        constructor's copies and checks, which every served point would pay."""
+        lo = np.minimum(np.maximum(lo, scale.min), scale.max)
+        # lo lies in the range, so raising hi to lo also raises it to the minimum
+        hi = np.maximum(lo, np.minimum(hi, scale.max))
+        out = object.__new__(cls)
+        out._set_columns(lo, hi, np.zeros(len(lo), dtype=bool) if empty is None else empty)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return Interval(self.lo.item(i), self.hi.item(i), self.empty.item(i))
+        return Intervals(self.lo[i], self.hi[i], self.empty[i])
+
+    def __iter__(self):
+        return map(Interval, self.lo.tolist(), self.hi.tolist(), self.empty.tolist())
+
+    @property
+    def width(self) -> np.ndarray:
+        """Per-row width, 0 for an empty row."""
+        return np.where(self.empty, 0.0, self.hi - self.lo)
+
+    def covers(self, labels) -> np.ndarray:
+        """Per-row :meth:`Interval.covers` of ``labels[i]``."""
+        return ~self.empty & (self.lo - _COVER_TOL <= labels) & (labels <= self.hi + _COVER_TOL)
 
 
 def _sorted_scores(scores, alpha: float) -> np.ndarray:

@@ -130,8 +130,7 @@ def generate(spec: GeneratorSpec):
 
     sigma, shift = _noise_params(spec.noise, q, scale)
     y_cont = q + shift + sigma * rng.standard_normal(spec.n)
-    kidx = np.clip(np.round((y_cont - scale.min) / scale.step), 0, scale.n_labels - 1)
-    y = scale.min + kidx * scale.step
+    y = scale.nearest_label(y_cont)
 
     raw = ratings[np.argmax(z, axis=1)]
     dataset = Dataset(tuple(f"s{i:06d}" for i in range(spec.n)), z, raw, y, scale)

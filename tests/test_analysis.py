@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ import confjudge as cj
 from confjudge import analysis
 from confjudge.analysis import (
     EvalRow,
-    _coverage_width,
     _lm_from_aux,
+    _midranks,
     bp_test,
     calibration_sweep,
     evaluate,
@@ -24,10 +26,18 @@ from confjudge.analysis import (
     write_midpoints_csv,
     write_sweep_csv,
 )
-from confjudge.core import Interval, LabelScale, ValidationError, conformal_quantile
+from confjudge.core import LabelScale, ValidationError, conformal_quantile
 
 LIKERT = LabelScale(1, 5, 1)
 REFERENCE_LOGITS = (-12.69, -9.06, -5.06, -1.06, -0.44)
+
+
+class PolicyWithoutKind:
+    """Passes evaluate's up-front policy check, then fails inside a cell the
+    way a bug would."""
+
+    def validate_for(self, scale):
+        pass
 
 
 def kendall_brute(x, y):
@@ -52,6 +62,34 @@ def kendall_brute(x, y):
     n0 = n * (n - 1) / 2
     denom = np.sqrt((n0 - ties_x) * (n0 - ties_y))
     return 0.0 if denom == 0 else (concordant - discordant) / denom
+
+
+def kendall_dense(x, y):
+    # the n x n sign-matrix formula the blocked sums replace
+    n = len(x)
+    dx = np.sign(x[:, None] - x[None, :])
+    dy = np.sign(y[:, None] - y[None, :])
+    concordant_minus_discordant = float((dx * dy).sum()) / 2.0
+    n0 = n * (n - 1) / 2.0
+    ties_x = (np.count_nonzero(dx == 0) - n) / 2.0
+    ties_y = (np.count_nonzero(dy == 0) - n) / 2.0
+    denom = np.sqrt((n0 - ties_x) * (n0 - ties_y))
+    return 0.0 if denom <= 1e-300 else concordant_minus_discordant / denom
+
+
+def midranks_loop(x):
+    # the tie-group walk np.unique replaces
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x))
+    sx = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j < len(x) and sx[j] == sx[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
+        i = j
+    return ranks
 
 
 def spearman_brute(x, y):
@@ -97,6 +135,36 @@ class TestMetrics:
             y = rng.integers(1, 6, size=n).astype(float)
             assert kendall_tau_b(x, y) == pytest.approx(kendall_brute(x, y), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 150, 300, 1000])
+    def test_blocked_kendall_equals_dense_formula(self, n):
+        # rating data is tie-heavy: few distinct values on both sides, and
+        # n >= 300 spans more than one block of rows
+        rng = np.random.default_rng(n)
+        for x, y in [(rng.integers(1, 6, size=n), rng.integers(1, 4, size=n)),
+                     (rng.integers(1, 3, size=n), rng.normal(size=n).round(1)),
+                     (np.full(n, 2.0), rng.integers(1, 6, size=n))]:
+            x, y = x.astype(float), y.astype(float)
+            assert kendall_tau_b(x, y) == kendall_dense(x, y)
+
+    def test_kendall_memory_is_bounded(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.integers(1, 6, size=(2, 4000)).astype(float)
+        tracemalloc.start()
+        try:
+            kendall_tau_b(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each dense 4000 x 4000 sign matrix alone is 128 MB
+        assert peak < 8 * 2 ** 20, peak / 2 ** 20
+
+    def test_midranks_equal_the_sorting_loop(self):
+        rng = np.random.default_rng(2)
+        for x in (rng.integers(1, 6, size=200).astype(float), rng.normal(size=50), np.ones(7), np.array([])):
+            np.testing.assert_array_equal(_midranks(x), midranks_loop(x))
+        # the loop never ended on a NaN (NaN == NaN is false); the NaNs now share the last rank
+        np.testing.assert_array_equal(_midranks(np.array([2.0, np.nan, 1.0, np.nan])), [2.0, 3.5, 1.0, 3.5])
+
     def test_spearman_matches_midrank_oracle(self):
         rng = np.random.default_rng(1)
         for n in (5, 50, 200):
@@ -123,25 +191,6 @@ class TestWeightedAverage:
     def test_scale_mapping(self):
         thirds = LabelScale(1, 5, 1 / 3)
         assert weighted_average((0.0,) * 5, thirds) == pytest.approx(3.0, abs=1e-12)
-
-
-class TestCoverageCounting:
-    def test_fraction_from_example(self):
-        intervals = [Interval(2, 4), Interval(4, 5), Interval(1, 2)]
-        labels = np.array([3.0, 4.0, 5.0])
-        cov, width, empties = _coverage_width(intervals, labels)
-        assert cov == pytest.approx(2 / 3)
-        assert empties == 0
-
-    def test_zero_width_at_label_covers(self):
-        intervals = [Interval(3, 3), Interval(5, 5)]
-        cov, width, _ = _coverage_width(intervals, np.array([3.0, 5.0]))
-        assert cov == 1.0 and width == 0.0
-
-    def test_empty_counts_nothing(self):
-        intervals = [Interval.make_empty(), Interval(1, 5)]
-        cov, width, empties = _coverage_width(intervals, np.array([3.0, 3.0]))
-        assert cov == 0.5 and empties == 1
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +233,45 @@ class TestEvaluate:
     def test_programming_error_propagates(self, dataset, jobs):
         # an AttributeError inside a cell is a bug, not a per-cell data problem
         with pytest.raises(AttributeError):
-            evaluate(dataset, ["split_abs", "cqr"], seeds=[1], policy="nearest", jobs=jobs)
+            evaluate(dataset, ["split_abs", "cqr"], seeds=[1], policy=PolicyWithoutKind(), jobs=jobs)
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"alpha": 1.5}, r"alpha must lie in \(0, 1\)"),
+        ({"alpha": 0.0}, r"alpha must lie in \(0, 1\)"),
+        ({"policy": cj.AdjustmentPolicy("nearest", 0.9)}, "lambda must not exceed step/2"),
+        ({"calib_fraction": 1.0}, "calib_fraction"),
+        ({"inner_train_fraction": 0.0}, "inner_train_fraction"),
+    ])
+    def test_bad_alpha_policy_or_fraction_rejected_before_any_split(self, dataset, monkeypatch, kw, match):
+        # each used to be filed once per cell as a data error, after the split
+        calls = []
+        monkeypatch.setattr(analysis, "split", lambda *a: calls.append(a) or cj.split(*a))
+        with pytest.raises(ValidationError, match=match):
+            evaluate(dataset, ["split_abs", "cqr"], seeds=[1, 2], **kw)
+        assert calls == []
+
+    @pytest.mark.parametrize("policy", [None, cj.AdjustmentPolicy("shrink"), cj.AdjustmentPolicy.full(LIKERT)])
+    def test_rows_equal_the_scalar_path(self, dataset, policy):
+        # each cell rebuilt one interval at a time with adjust and Interval.covers;
+        # at alpha = 0.5 the intervals are narrow, and shrinking empties some
+        methods, seeds = ["lvd", "ordinal_aps", "r2ccp", "split_abs"], [1, 2]  # the order of report.rows
+        report = evaluate(dataset, methods, seeds, alpha=0.5, policy=policy)
+        rows, empties = [], 0
+        for method in methods:
+            for seed in seeds:
+                train, calib, test = cj.split(dataset, cj.SplitSpec(seed))
+                model = cj.calibrate(method, train, calib, 0.5)
+                intervals = cj.predict_intervals(model, test.logits, test.raw_scores)
+                if policy is not None:
+                    intervals = [cj.adjust(iv, dataset.scale, policy) for iv in intervals]
+                widths = [0.0 if iv.empty else iv.width for iv in intervals]
+                covered = sum(iv.covers(y) for iv, y in zip(intervals, test.labels))
+                empties += sum(iv.empty for iv in intervals)
+                rows.append(EvalRow(method, seed, analysis._policy_name(policy),
+                                    float(np.mean(widths)), covered / len(test)))
+        assert report.rows == rows
+        assert report.empty_intervals == empties
+        assert (empties > 0) == (policy == cj.AdjustmentPolicy("shrink"))
 
     @pytest.mark.parametrize("hyper, match", [
         ({"median": {}}, "unknown method 'median'"),
@@ -230,6 +317,28 @@ class TestMidpointReport:
         ds, _ = cj.generate(cj.GeneratorSpec(seed=10, n=300))
         rows = midpoint_report(ds, seeds=[1], hyper={"epochs": 60})
         assert [r.scorer for r in rows] == ["raw_score", "weighted_avg", "con_midpoint", "dis_midpoint"]
+
+    def test_interval_scorers_equal_the_scalar_path(self):
+        # midpoints rebuilt one interval at a time with adjust, midpoint and fallback_label
+        ds, _ = cj.generate(cj.GeneratorSpec(seed=11, n=300, scale=cj.GPA_THIRDS))
+        seeds, full = [1, 2], cj.AdjustmentPolicy.full(ds.scale)
+        sums = {"con_midpoint": np.zeros(5), "dis_midpoint": np.zeros(5)}
+        for seed in seeds:
+            train, calib, test = cj.split(ds, cj.SplitSpec(seed))
+            model = cj.calibrate("r2ccp", train, calib, 0.1, {"epochs": 60})
+            intervals = list(cj.predict_intervals(model, test.logits))
+            snapped = [cj.adjust(iv, ds.scale, full) for iv in intervals]
+            preds = {"con_midpoint": np.array([cj.midpoint(iv) for iv in intervals]),
+                     "dis_midpoint": np.array([cj.fallback_label(iv, ds.scale) if a.empty else cj.midpoint(a)
+                                               for iv, a in zip(intervals, snapped)])}
+            for name, p in preds.items():
+                sums[name] += [mse(p, test.labels), mae(p, test.labels), pearson(p, test.labels),
+                               spearman(p, test.labels), kendall_tau_b(p, test.labels)]
+        rows = {r.scorer: r for r in midpoint_report(ds, seeds, hyper={"epochs": 60})}
+        for name, v in sums.items():
+            v = v / len(seeds)
+            assert (rows[name].mse, rows[name].mae, rows[name].pearson, rows[name].spearman,
+                    rows[name].kendall) == tuple(v), name
 
 
 class TestHetTests:
@@ -322,6 +431,19 @@ class TestCalibrationSweep:
         rows = calibration_sweep(sweep_dataset, "split_abs", seeds, [1.0])
         report = evaluate(sweep_dataset, ["split_abs"], seeds)
         assert rows[0].mean_coverage == pytest.approx(report.aggregates["split_abs"]["mean_coverage"])
+
+    def test_point_predictor_from_hyper(self, sweep_dataset):
+        # the keyword's default used to override hyper, giving raw-score rows
+        seeds, fractions = [1, 2], [0.5, 1.0]
+        by_hyper = calibration_sweep(sweep_dataset, "split_abs", seeds, fractions,
+                                     hyper={"point_predictor": "ridge"})
+        by_keyword = calibration_sweep(sweep_dataset, "split_abs", seeds, fractions, point_predictor="ridge")
+        raw = calibration_sweep(sweep_dataset, "split_abs", seeds, fractions)
+        assert by_hyper == by_keyword
+        assert by_hyper != raw
+        # other methods used to ignore the keyword without a word
+        with pytest.raises(ValidationError, match="ordinal_aps has no hyperparameter 'point_predictor'"):
+            calibration_sweep(sweep_dataset, "ordinal_aps", seeds, fractions, point_predictor="ridge")
 
     def test_tiny_fraction_skipped(self, sweep_dataset):
         rows = calibration_sweep(sweep_dataset, "split_abs", [1], [0.01])

@@ -242,6 +242,16 @@ class TestOtherCommands:
         lines = (out / "human.csv").read_text().splitlines()
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("flags", [("--scale-step", "7"), ("--inner-train-fraction", "0.9"),
+                                       ("--scale-min", "0")])
+    def test_human_baseline_rejects_flags_it_does_not_read(self, tmp_path, capsys, flags):
+        # these were registered and ignored, so the run exited 0
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text("".join(json.dumps({"id": f"h{i}", "annotations": [i % 5 + 1, 3]}) + "\n" for i in range(8)))
+        assert run("human-baseline", str(ann), *flags, "--out-dir", str(tmp_path)) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert run("human-baseline", str(ann), "--seeds", "1", "--out-dir", str(tmp_path)) == 0
+
     def test_manifest_appends(self, synth_file, tmp_path):
         out = tmp_path / "run"
         run("evaluate", str(synth_file), "--methods", "split_abs", "--seeds", "1",
@@ -256,6 +266,12 @@ class TestOtherCommands:
     @pytest.mark.parametrize("flags, env", [
         (("--seeds", "1..x"), None),
         (("--adjust", "nearest", "--lambda", "abc"), None),
+        # a NaN lambda used to run and write nearest(nan) rows, and 0.9 > step/2
+        # was filed as a data error in every cell after fitting
+        (("--adjust", "nearest", "--lambda", "nan"), None),
+        (("--adjust", "nearest", "--lambda", "-0.1"), None),
+        (("--adjust", "nearest", "--lambda", "0.9"), None),
+        (("--adjust", "nearest", "--lambda", "inf"), None),
         (("--jobs", "-3"), None),
         ((), "abc"),
     ])

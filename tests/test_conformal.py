@@ -362,6 +362,18 @@ class TestModelContract:
             cj.predict_interval(model, test.logits[0], test.raw_scores[0])
             cj.score_samples(model, calib)
 
+    def test_single_point_is_the_batch_row(self, fitted):
+        _, _, test, models = fitted
+        assert set(models) == set(cj.METHODS)
+        for name, model in models.items():
+            batch = cj.predict_intervals(model, test.logits, test.raw_scores)
+            assert isinstance(batch, cj.Intervals) and len(batch) == len(test)
+            for i in range(0, len(test), 7):
+                one = cj.predict_interval(model, test.logits[i], test.raw_scores[i])
+                # a one-row matrix product may round the last bit differently
+                assert (one.lo, one.hi) == pytest.approx((batch[i].lo, batch[i].hi), rel=0, abs=1e-12), (name, i)
+                assert not one.empty and not batch[i].empty
+
     def test_deterministic_prediction(self, fitted):
         _, _, test, models = fitted
         for model in models.values():

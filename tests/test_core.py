@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from confjudge.core import (
     Dataset,
     Interval,
+    Intervals,
     LabelScale,
     SplitSpec,
     ValidationError,
@@ -176,6 +177,68 @@ class TestScale:
         assert not THIRDS.on_grid(4.5)
         assert THIRDS.nearest_label(4.6) == pytest.approx(14 / 3)
         assert LIKERT.nearest_label(7.2) == 5
+
+    def test_nearest_label_elementwise(self):
+        values = np.array([-3.0, 1.49, 1.5, 2.5, 3.5000001, 4.6, 7.2])
+        # halves go to the even grid index, as Python's round does
+        np.testing.assert_array_equal(LIKERT.nearest_label(values), [1, 1, 1, 3, 4, 5, 5])
+        assert [LIKERT.nearest_label(v) for v in values] == LIKERT.nearest_label(values).tolist()
+
+
+class TestIntervals:
+    # the coverage cases were written against analysis._coverage_width, which
+    # the batch's covers and width replace
+    def test_coverage_fraction_from_example(self):
+        intervals = Intervals([2, 4, 1], [4, 5, 2])
+        assert intervals.covers(np.array([3.0, 4.0, 5.0])).mean() == pytest.approx(2 / 3)
+        assert not intervals.empty.any()
+
+    def test_zero_width_at_label_covers(self):
+        intervals = Intervals([3, 5], [3, 5])
+        assert intervals.covers(np.array([3.0, 5.0])).mean() == 1.0 and intervals.width.mean() == 0.0
+
+    def test_empty_counts_nothing(self):
+        intervals = Intervals([np.nan, 1], [np.nan, 5], [True, False])
+        assert intervals.covers(np.array([3.0, 3.0])).mean() == 0.5 and intervals.empty.sum() == 1
+        np.testing.assert_array_equal(intervals.width, [0.0, 4.0])
+
+    def test_rows_match_scalar_intervals(self):
+        rows = [Interval(2.0, 4.0), Interval(3.0, 3.0), Interval.make_empty(), Interval(1.0, 5.0)]
+        batch = Intervals([r.lo for r in rows], [r.hi for r in rows], [r.empty for r in rows])
+        labels = np.array([4.0 + 1e-10, 3.0, 3.0, 0.5])
+        assert len(batch) == 4
+        np.testing.assert_array_equal(batch.covers(labels), [r.covers(y) for r, y in zip(rows, labels)])
+        np.testing.assert_array_equal(batch.width, [r.width for r in rows])
+        assert batch[0] == rows[0] and batch[-1] == rows[-1] and batch[np.int64(1)] == rows[1]
+        assert batch[2].empty and math.isnan(batch[2].lo)
+        assert [(r.lo, r.hi) for r in batch[::3]] == [(2.0, 4.0), (1.0, 5.0)]
+        assert [r.lo for r in batch[batch.width > 1.0]] == [2.0, 1.0]
+        assert [r.hi for r in batch][:2] == [4.0, 3.0]
+        with pytest.raises(IndexError):
+            batch[4]
+
+    def test_columns_are_read_only_copies(self):
+        lo = np.array([1.0, 2.0])
+        batch = Intervals(lo, [2.0, 2.0])
+        lo[0] = 5.0
+        assert batch.lo[0] == 1.0
+        for copy in (batch, batch[:], Intervals._clamp(np.array([0.0, 2.0]), np.array([3.0, 9.0]), LIKERT)):
+            for column in (copy.lo, copy.hi, copy.empty):
+                with pytest.raises(ValueError):
+                    column[0] = column[1]
+
+    def test_invalid_batches_rejected(self):
+        with pytest.raises(ValidationError, match="lo > hi"):
+            Intervals([1.0, 3.0], [2.0, 2.0])
+        with pytest.raises(ValidationError, match="equal length"):
+            Intervals([1.0, 2.0], [2.0])
+        with pytest.raises(ValidationError, match="equal length"):
+            Intervals([[1.0]], [[2.0]])
+        Intervals([3.0], [2.0], [True])  # an empty row's bounds are not compared
+
+    def test_clamped_to_the_scale(self):
+        batch = Intervals._clamp(np.array([0.2, 4.5, 5.5, 3.0]), np.array([1.5, 6.0, 7.0, 2.0]), LIKERT)
+        assert [(r.lo, r.hi) for r in batch] == [(1.0, 1.5), (4.5, 5.0), (5.0, 5.0), (3.0, 3.0)]
 
 
 class TestSamples:
