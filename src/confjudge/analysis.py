@@ -144,15 +144,50 @@ def _policy_name(policy: AdjustmentPolicy | None) -> str:
     return policy.kind
 
 
+def _check_run(dataset: Dataset, hyper: dict, seeds: list, alpha: float, calib_fraction: float,
+               inner_train_fraction: float, policy: AdjustmentPolicy | None = None, fractions=()) -> None:
+    """Raise ValidationError, before any split, for a seeded run's bad
+    configuration: no seeds, an unknown method or bad hyperparameter in
+    ``hyper`` (method -> its hyperparameters), or a bad alpha, split
+    fraction, policy or sweep fraction."""
+    if not seeds:
+        raise ValidationError("need at least one seed")
+    for m, h in hyper.items():
+        conformal.checked_hyper(m, h)
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError("alpha must lie in (0, 1)")
+    SplitSpec(0, calib_fraction, inner_train_fraction)  # checks the fractions
+    if policy is not None:
+        policy.validate_for(dataset.scale)
+    if not all(0.0 < f <= 1.0 for f in fractions):
+        raise ValidationError("fractions must lie in (0, 1]")
+
+
+def _cell(dataset: Dataset, method: str, seed: int, alpha: float, calib_fraction: float,
+          inner_train_fraction: float, hyper: dict | None, fraction: float | None = None):
+    """One seeded split-conformal cell: split by ``seed``, calibrate
+    ``method`` on train and calib, predict the test split.  With a sweep
+    ``fraction``, train and calib are first subsampled (seeded by seed and
+    fraction), and None is returned when fewer than 5 calibration points
+    remain.  Returns (test, intervals, flags)."""
+    train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
+    if fraction is not None:
+        rng = np.random.default_rng([seed, int(round(fraction * 1_000_000))])
+        train = _subsample(train, fraction, rng)
+        calib = _subsample(calib, fraction, rng)
+        if len(calib) < 5:
+            return None
+    model = conformal.calibrate(method, train, calib, alpha, hyper)
+    return (test, *conformal.predict_intervals_flagged(model, test.logits, test.raw_scores))
+
+
 def _eval_cell(args):
     """One (method, seed) cell: ((row, empties, degenerate), None) on
     success, (None, message) when the cell's data is invalid.  Any other
     exception propagates."""
     dataset, method, seed, alpha, policy, calib_fraction, inner_train_fraction, hyper = args
     try:
-        train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
-        model = conformal.calibrate(method, train, calib, alpha, hyper)
-        intervals, flags = conformal.predict_intervals_flagged(model, test.logits, test.raw_scores)
+        test, intervals, flags = _cell(dataset, method, seed, alpha, calib_fraction, inner_train_fraction, hyper)
         if policy is not None:
             intervals = adjust_all(intervals, dataset.scale, policy)
         coverage = int(intervals.covers(test.labels).sum()) / len(test)
@@ -175,15 +210,8 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
     methods = list(methods)
     seeds = list(seeds)
     hyper = hyper or {}
-    if not seeds:
-        raise ValidationError("need at least one seed")
-    for m in dict.fromkeys([*methods, *hyper]):
-        conformal.checked_hyper(m, hyper.get(m))
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must lie in (0, 1)")
-    SplitSpec(0, calib_fraction, inner_train_fraction)  # checks the fractions
-    if policy is not None:
-        policy.validate_for(dataset.scale)
+    _check_run(dataset, {m: hyper.get(m) for m in [*methods, *hyper]}, seeds, alpha,
+               calib_fraction, inner_train_fraction, policy)
     cells = [
         (dataset, m, s, alpha, policy, calib_fraction, inner_train_fraction, hyper.get(m))
         for m in methods for s in seeds
@@ -249,15 +277,12 @@ def midpoint_report(dataset: Dataset, seeds, alpha: float = 0.1,
     nearest adjustment (shrink-emptied intervals fall back to the nearest
     label)."""
     seeds = list(seeds)
-    if not seeds:
-        raise ValidationError("need at least one seed")
+    _check_run(dataset, {"r2ccp": hyper}, seeds, alpha, calib_fraction, inner_train_fraction)
     full = AdjustmentPolicy.full(dataset.scale)
     sums = {s: np.zeros(5) for s in _SCORERS}
     flagged = {s: False for s in _SCORERS}
     for seed in seeds:
-        train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
-        model = conformal.calibrate("r2ccp", train, calib, alpha, hyper)
-        intervals = conformal.predict_intervals(model, test.logits)
+        test, intervals, _ = _cell(dataset, "r2ccp", seed, alpha, calib_fraction, inner_train_fraction, hyper)
         adjusted = adjust_all(intervals, dataset.scale, full)
         dis = fallback_label(intervals, dataset.scale)
         dis[~adjusted.empty] = midpoint(adjusted[~adjusted.empty])
@@ -386,32 +411,23 @@ def calibration_sweep(dataset: Dataset, method: str, seeds, fractions,
     the untouched test split; fractions that leave fewer than 5 calibration
     points are flagged and skipped.  ``point_predictor``, when given,
     overrides ``hyper``'s entry of that name, which only split_abs has."""
+    seeds, fractions = list(seeds), list(fractions)
+    if point_predictor is not None:
+        hyper = {**(hyper or {}), "point_predictor": point_predictor}
+    _check_run(dataset, {method: hyper}, seeds, alpha, calib_fraction, inner_train_fraction,
+               fractions=fractions)
     rows = []
     for fraction in fractions:
-        if not 0.0 < fraction <= 1.0:
-            raise ValidationError("fractions must lie in (0, 1]")
         covs = []
-        skipped = False
         for seed in seeds:
-            train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
-            rng = np.random.default_rng([seed, int(round(fraction * 1_000_000))])
-            train_s = _subsample(train, fraction, rng)
-            calib_s = _subsample(calib, fraction, rng)
-            if len(calib_s) < 5:
-                skipped = True
+            cell = _cell(dataset, method, seed, alpha, calib_fraction, inner_train_fraction, hyper, fraction)
+            if cell is None:
+                rows.append(SweepRow(fraction, float("nan"), float("nan"), skipped=True))
                 break
-            kw = {} if point_predictor is None else {"point_predictor": point_predictor}
-            model = conformal.calibrate(method, train_s, calib_s, alpha, hyper, **kw)
-            intervals = conformal.predict_intervals(model, test.logits, test.raw_scores)
+            test, intervals, _ = cell
             covs.append(int(intervals.covers(test.labels).sum()) / len(test))
-        if skipped or not covs:
-            rows.append(SweepRow(fraction, float("nan"), float("nan"), skipped=True))
         else:
-            rows.append(SweepRow(
-                fraction,
-                statistics.fmean(covs),
-                statistics.pstdev(covs) if len(covs) > 1 else 0.0,
-            ))
+            rows.append(SweepRow(fraction, statistics.fmean(covs), statistics.pstdev(covs)))
     return rows
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import analysis, conformal, synth
 from .adjust import AdjustmentPolicy
-from .core import Dataset, LabelScale, ValidationError, read_samples, write_samples
+from .core import LabelScale, ValidationError, read_samples, write_samples
 from .extract import SynonymTable, extract_dataset, read_transcripts
 
 EXIT_OK = 0
@@ -74,9 +74,21 @@ def _parse_seeds(text: str) -> list:
 
 def _parse_fractions(text: str) -> list:
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        fractions = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise UsageError(f"bad fraction list: {text!r}") from exc
+    if not fractions or not all(0.0 < f <= 1.0 for f in fractions):
+        raise UsageError(f"--fractions must list numbers in (0, 1], got {text!r}")
+    return fractions
+
+
+def _parse_alpha(text: str) -> float:
+    try:
+        if 0.0 < float(text) < 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise UsageError(f"--alpha must lie in (0, 1), got {text}")
 
 
 def _scale_from(args) -> LabelScale:
@@ -106,9 +118,11 @@ def _add_scale_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_seeded_flags(p: argparse.ArgumentParser) -> None:
-    """The flags every seeded command reads, human-baseline included."""
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--seeds", default="1..30", help="e.g. 1..30 or 1,2,5")
+    """The flags every seeded command reads, human-baseline included.  A
+    UsageError raised by a type function passes through argparse, so a bad
+    --alpha or --seeds is rejected while parsing, before any input is read."""
+    p.add_argument("--alpha", type=_parse_alpha, default="0.1")
+    p.add_argument("--seeds", type=_parse_seeds, default="1..30", help="e.g. 1..30 or 1,2,5")
     p.add_argument("--calib-fraction", type=float, default=0.5)
     p.add_argument("--out-dir", default=".")
 
@@ -152,7 +166,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="coverage vs calibration fraction")
     p.add_argument("samples")
     p.add_argument("--method", default="r2ccp")
-    p.add_argument("--fractions", default="0.25,0.5,0.75,1.0")
+    p.add_argument("--fractions", type=_parse_fractions, default="0.25,0.5,0.75,1.0")
     _add_common_eval_flags(p)
 
     p = sub.add_parser("synth", help="generate synthetic judge data")
@@ -186,23 +200,37 @@ def _default_jobs() -> int:
     return jobs
 
 
-def _excluded_count(samples_path: str) -> int:
-    """Extraction exclusions recorded next to the sample file; their count
-    rides along in every downstream report."""
-    sidecar = Path(samples_path).with_suffix(".exclusions.json")
+def _load_dataset(args) -> tuple:
+    """The samples, and the count of the extraction exclusions recorded next
+    to them, which rides along in every downstream report."""
+    dataset = read_samples(args.samples, _scale_from(args))
+    sidecar = Path(args.samples).with_suffix(".exclusions.json")
     if not sidecar.exists():
-        return 0
+        return dataset, 0
     try:
         exclusions = json.loads(sidecar.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValidationError(f"{sidecar}: exclusions sidecar is not JSON: {exc}") from exc
     if not isinstance(exclusions, list):
         raise ValidationError(f"{sidecar}: exclusions sidecar is not a JSON list")
-    return len(exclusions)
+    return dataset, len(exclusions)
 
 
-def _load_dataset(args) -> Dataset:
-    return read_samples(args.samples, _scale_from(args))
+def _write_report(args, name: str, write, rows, config: dict, source: str, **extra) -> None:
+    """Write the CSV ``name`` into --out-dir with ``write`` and append the
+    run's manifest entry: the command, its configuration, the hash of the
+    input file ``source``, the CSV, and any ``extra`` fields."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / name
+    write(csv_path, rows)
+    _append_manifest(out_dir, {
+        "command": args.command,
+        "config": config,
+        "inputs": {source: _git_blob_sha1(Path(source))},
+        "outputs": [str(csv_path)],
+        **extra,
+    })
 
 
 def cmd_extract(args) -> int:
@@ -236,41 +264,31 @@ def cmd_evaluate(args) -> int:
     for m in methods:
         if m not in conformal.METHODS:
             raise UsageError(f"unknown method {m!r}; valid: {', '.join(conformal.METHODS)}")
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha:g}")
-    seeds = _parse_seeds(args.seeds)
     if args.jobs is not None and args.jobs < 1:
         raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
     jobs = args.jobs or _default_jobs()
     policy = _policy_from(args, _scale_from(args))
-    dataset = _load_dataset(args)
-    excluded = _excluded_count(args.samples)
+    dataset, excluded = _load_dataset(args)
     report = analysis.evaluate(
-        dataset, methods, seeds, alpha=args.alpha, policy=policy,
+        dataset, methods, args.seeds, alpha=args.alpha, policy=policy,
         calib_fraction=args.calib_fraction, inner_train_fraction=args.inner_train_fraction,
         hyper={"split_abs": {"point_predictor": args.point_predictor}}, jobs=jobs,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "eval.csv"
-    analysis.write_eval_csv(csv_path, report.rows)
-    _append_manifest(out_dir, {
-        "command": "evaluate",
-        "config": {
-            "methods": methods, "seeds": seeds, "alpha": args.alpha,
-            "adjust": args.adjust, "lambda": args.lam,
-            "calib_fraction": args.calib_fraction,
-            "inner_train_fraction": args.inner_train_fraction,
-            "point_predictor": args.point_predictor,
-            "scale": dataset.scale.to_dict(),
-        },
-        "inputs": {args.samples: _git_blob_sha1(Path(args.samples))},
-        "outputs": [str(csv_path)],
-        "errors": {f"{m}/{s}": msg for (m, s), msg in sorted(report.errors.items())},
-        "empty_intervals": report.empty_intervals,
-        "degenerate_intervals": report.degenerate_intervals,
-        "excluded": excluded,
-    })
+    config = {
+        "methods": methods, "seeds": args.seeds, "alpha": args.alpha,
+        "adjust": args.adjust, "lambda": args.lam,
+        "calib_fraction": args.calib_fraction,
+        "inner_train_fraction": args.inner_train_fraction,
+        "point_predictor": args.point_predictor,
+        "scale": dataset.scale.to_dict(),
+    }
+    _write_report(
+        args, "eval.csv", analysis.write_eval_csv, report.rows, config, args.samples,
+        errors={f"{m}/{s}": msg for (m, s), msg in sorted(report.errors.items())},
+        empty_intervals=report.empty_intervals,
+        degenerate_intervals=report.degenerate_intervals,
+        excluded=excluded,
+    )
     for method, agg in sorted(report.aggregates.items()):
         print(f"{method}: width {agg['mean_width']:.4f} +/- {agg['std_width']:.4f}, "
               f"coverage {agg['mean_coverage']:.4%} +/- {agg['std_coverage']:.4%}")
@@ -280,32 +298,21 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_midpoints(args) -> int:
-    seeds = _parse_seeds(args.seeds)
-    dataset = _load_dataset(args)
-    excluded = _excluded_count(args.samples)
+    dataset, excluded = _load_dataset(args)
     rows = analysis.midpoint_report(
-        dataset, seeds, alpha=args.alpha,
+        dataset, args.seeds, alpha=args.alpha,
         calib_fraction=args.calib_fraction, inner_train_fraction=args.inner_train_fraction,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "midpoints.csv"
-    analysis.write_midpoints_csv(csv_path, rows)
-    _append_manifest(out_dir, {
-        "command": "midpoints",
-        "config": {"seeds": seeds, "alpha": args.alpha, "scale": dataset.scale.to_dict()},
-        "inputs": {args.samples: _git_blob_sha1(Path(args.samples))},
-        "outputs": [str(csv_path)],
-        "excluded": excluded,
-    })
+    config = {"seeds": args.seeds, "alpha": args.alpha, "scale": dataset.scale.to_dict()}
+    _write_report(args, "midpoints.csv", analysis.write_midpoints_csv, rows, config, args.samples,
+                  excluded=excluded)
     for r in rows:
         print(f"{r.scorer}: mse {r.mse:.4f}, mae {r.mae:.4f}, rho {r.spearman:.4f}")
     return EXIT_OK
 
 
 def cmd_het(args) -> int:
-    dataset = _load_dataset(args)
-    excluded = _excluded_count(args.samples)
+    dataset, excluded = _load_dataset(args)
     groups: dict = {}
     for row, meta in enumerate(dataset.meta):
         groups.setdefault(meta.get("dimension", "all"), []).append(row)
@@ -314,17 +321,8 @@ def cmd_het(args) -> int:
         sub = dataset.subset(groups[dim])
         entries.append((dim, "bp", analysis.bp_test(sub.logits, sub.labels)))
         entries.append((dim, "white", analysis.white_test(sub.logits, sub.labels)))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "het.csv"
-    analysis.write_het_csv(csv_path, entries)
-    _append_manifest(out_dir, {
-        "command": "het",
-        "config": {"scale": dataset.scale.to_dict()},
-        "inputs": {args.samples: _git_blob_sha1(Path(args.samples))},
-        "outputs": [str(csv_path)],
-        "excluded": excluded,
-    })
+    _write_report(args, "het.csv", analysis.write_het_csv, entries, {"scale": dataset.scale.to_dict()},
+                  args.samples, excluded=excluded)
     for dim, name, res in entries:
         print(f"{dim}/{name}: LM {res.lm_stat:.3f} (p {res.lm_p:.3g}), F {res.f_stat:.3f} (p {res.f_p:.3g})")
     return EXIT_OK
@@ -333,26 +331,15 @@ def cmd_het(args) -> int:
 def cmd_sweep(args) -> int:
     if args.method not in conformal.METHODS:
         raise UsageError(f"unknown method {args.method!r}; valid: {', '.join(conformal.METHODS)}")
-    seeds = _parse_seeds(args.seeds)
-    fractions = _parse_fractions(args.fractions)
-    dataset = _load_dataset(args)
-    excluded = _excluded_count(args.samples)
+    dataset, excluded = _load_dataset(args)
     rows = analysis.calibration_sweep(
-        dataset, args.method, seeds, fractions, alpha=args.alpha,
+        dataset, args.method, args.seeds, args.fractions, alpha=args.alpha,
         calib_fraction=args.calib_fraction, inner_train_fraction=args.inner_train_fraction,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "sweep.csv"
-    analysis.write_sweep_csv(csv_path, rows)
-    _append_manifest(out_dir, {
-        "command": "sweep",
-        "config": {"method": args.method, "seeds": seeds, "fractions": fractions,
-                   "alpha": args.alpha, "scale": dataset.scale.to_dict()},
-        "inputs": {args.samples: _git_blob_sha1(Path(args.samples))},
-        "outputs": [str(csv_path)],
-        "excluded": excluded,
-    })
+    config = {"method": args.method, "seeds": args.seeds, "fractions": args.fractions,
+              "alpha": args.alpha, "scale": dataset.scale.to_dict()}
+    _write_report(args, "sweep.csv", analysis.write_sweep_csv, rows, config, args.samples,
+                  excluded=excluded)
     for r in rows:
         print(f"fraction {r.fraction:g}: coverage {r.mean_coverage:.4f} +/- {r.std_coverage:.4f}"
               + (" (skipped)" if r.skipped else ""))
@@ -386,7 +373,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_human_baseline(args) -> int:
-    seeds = _parse_seeds(args.seeds)
     annotations = []
     with open(args.annotations, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -398,18 +384,10 @@ def cmd_human_baseline(args) -> int:
                 annotations.append([float(v) for v in rec["annotations"]])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"line {lineno}: malformed annotation record: {exc}") from exc
-    rows = analysis.human_baseline(annotations, alpha=args.alpha, seeds=seeds,
+    rows = analysis.human_baseline(annotations, alpha=args.alpha, seeds=args.seeds,
                                    calib_fraction=args.calib_fraction)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "human.csv"
-    analysis.write_eval_csv(csv_path, rows)
-    _append_manifest(out_dir, {
-        "command": "human-baseline",
-        "config": {"seeds": seeds, "alpha": args.alpha, "calib_fraction": args.calib_fraction},
-        "inputs": {args.annotations: _git_blob_sha1(Path(args.annotations))},
-        "outputs": [str(csv_path)],
-    })
+    config = {"seeds": args.seeds, "alpha": args.alpha, "calib_fraction": args.calib_fraction}
+    _write_report(args, "human.csv", analysis.write_eval_csv, rows, config, args.annotations)
     widths = [r.mean_width for r in rows]
     covs = [r.coverage for r in rows]
     print(f"human baseline: width {sum(widths)/len(widths):.4f}, coverage {sum(covs)/len(covs):.4%}")

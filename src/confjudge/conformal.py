@@ -45,6 +45,7 @@ from .core import (
     lower_conformal_quantile,
 )
 from .estimators import (
+    FOREST_HYPER,
     BinClassifier,
     KernelSimilarity,
     QuantileForest,
@@ -204,7 +205,6 @@ def _check_forests(state: dict, k: int, scale: LabelScale) -> None:
         if used >= k:
             raise ValidationError(f"model state {key!r} splits on feature {used}, but k is {k}")
         _check_finite(key, [forest.base] + [a for t in forest.trees for a in (t.thresh, t.value)])
-        _FOREST_HYPER["lr"][1](forest.lr, f"model state {key!r} lr")
 
 
 def _forest_bounds(state: dict, Z: np.ndarray):
@@ -347,7 +347,7 @@ def _check_lvd(state: dict, k: int, scale: LabelScale) -> None:
     if kernel.means.shape != (k,) or kernel.stds.shape != (k,):
         raise ValidationError(f"model state 'kernel' must hold {k} means and {k} stds")
     _check_finite("kernel", (kernel.means,), kernel.stds)
-    # from_dict checks any bandwidth given
+    # the constructor checks any bandwidth given
     if kernel.bandwidth is None:
         raise ValidationError("model state 'kernel' has no bandwidth")
 
@@ -530,8 +530,6 @@ _FORESTS = ("forest_lo", "forest_hi")
 
 # hyperparameter name -> (default, check)
 _RIDGE_HYPER = {"l2": (1.0, real(0))}
-_FOREST_HYPER = {"n_trees": (200, integer(0)), "depth": (3, integer(0)), "lr": (0.05, real(0, strict=True)),
-                 "min_leaf": (10, integer(1))}
 _CLASSIFIER_HYPER = {"epochs": (500, integer(0)), "l2": (1e-3, real(0))}
 
 _METHOD_TABLE = {
@@ -541,10 +539,10 @@ _METHOD_TABLE = {
                           **_RIDGE_HYPER},
                          _check_split_abs),
     "cqr": _Method(lambda train, calib, alpha, h: _fit_forests(train, alpha / 2, h),
-                   _score_cqr, conformal_quantile, _interval_cqr, _FORESTS, _number, _FOREST_HYPER, _check_forests),
+                   _score_cqr, conformal_quantile, _interval_cqr, _FORESTS, _number, FOREST_HYPER, _check_forests),
     # one correction per side
     "asym_cqr": _Method(lambda train, calib, alpha, h: _fit_forests(train, alpha, h),
-                        _score_asym_cqr, _quantile_asym_cqr, _interval_cqr, _FORESTS, _pair, _FOREST_HYPER,
+                        _score_asym_cqr, _quantile_asym_cqr, _interval_cqr, _FORESTS, _pair, FOREST_HYPER,
                         _check_forests),
     "chr": _Method(lambda train, calib, alpha, h: {"classifier": _fit_classifier(train, h), "T": h["T"]},
                    _score_chr, conformal_quantile, _interval_chr, ("classifier", "T"), _number,

@@ -185,6 +185,11 @@ def _segment_quantiles(values: np.ndarray, seg: np.ndarray, tau: float):
     return ids, np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
+# each forest hyperparameter's (default, check), as the method table declares them
+FOREST_HYPER = {"n_trees": (200, integer(0)), "depth": (3, integer(0)), "lr": (0.05, real(0, strict=True)),
+                "min_leaf": (10, integer(1))}
+
+
 class QuantileForest:
     """Gradient-boosted trees minimizing the pinball loss at level ``tau``.
 
@@ -204,17 +209,17 @@ class QuantileForest:
         if not 0.0 < tau < 1.0:
             raise ValidationError("tau must lie in (0, 1)")
         self.tau = tau
-        self.n_trees = n_trees
-        self.depth = depth
-        self.lr = lr
-        self.min_leaf = min_leaf
+        self.n_trees = FOREST_HYPER["n_trees"][1](n_trees, "forest n_trees")
+        self.depth = FOREST_HYPER["depth"][1](depth, "forest depth")
+        self.lr = FOREST_HYPER["lr"][1](lr, "forest lr")
+        self.min_leaf = FOREST_HYPER["min_leaf"][1](min_leaf, "forest min_leaf")
         self.base = 0.0
         self.trees: list[_Tree] = []
 
     def _grow(self, X, order, xs, g, resid):
         """Fit one tree to the gradients g; returns it and each row's leaf."""
         n_feat = X.shape[1]
-        lo = max(math.ceil(self.min_leaf), 1)  # fewest rows a side may keep
+        lo = self.min_leaf  # fewest rows a side may keep
         node = np.zeros(len(g), dtype=np.intp)  # each row's node, numbered breadth-first
         feature, thresh, kids = [-1], [0.0], [(-1, -1)]
         level = [0]
@@ -533,7 +538,7 @@ class KernelSimilarity:
     distances plus one block."""
 
     def __init__(self, bandwidth: float | None):
-        self.bandwidth = bandwidth
+        self.bandwidth = or_none(real(0, strict=True))(bandwidth, "kernel bandwidth")
         self.means = None
         self.stds = None
 
@@ -602,7 +607,7 @@ class KernelSimilarity:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSimilarity":
-        ks = cls(or_none(real(0, strict=True))(d["bandwidth"], "bandwidth"))
+        ks = cls(d["bandwidth"])
         ks.means = np.asarray(d["means"], dtype=float)
         ks.stds = np.asarray(d["stds"], dtype=float)
         return ks

@@ -1,3 +1,4 @@
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -427,10 +428,13 @@ def sweep_dataset():
 class TestCalibrationSweep:
 
     def test_full_fraction_matches_plain_evaluate(self, sweep_dataset):
+        # both run the same cell, so at fraction 1 every seed's coverage is evaluate's, bit for bit
         seeds = [1, 2, 3]
-        rows = calibration_sweep(sweep_dataset, "split_abs", seeds, [1.0])
         report = evaluate(sweep_dataset, ["split_abs"], seeds)
-        assert rows[0].mean_coverage == pytest.approx(report.aggregates["split_abs"]["mean_coverage"])
+        for row in report.rows:
+            assert calibration_sweep(sweep_dataset, "split_abs", [row.seed], [1.0])[0].mean_coverage == row.coverage
+        rows = calibration_sweep(sweep_dataset, "split_abs", seeds, [1.0])
+        assert rows[0].mean_coverage == report.aggregates["split_abs"]["mean_coverage"]
 
     def test_point_predictor_from_hyper(self, sweep_dataset):
         # the keyword's default used to override hyper, giving raw-score rows
@@ -445,6 +449,21 @@ class TestCalibrationSweep:
         with pytest.raises(ValidationError, match="ordinal_aps has no hyperparameter 'point_predictor'"):
             calibration_sweep(sweep_dataset, "ordinal_aps", seeds, fractions, point_predictor="ridge")
 
+    def test_cells_equal_the_documented_draw(self, sweep_dataset):
+        # each (seed, fraction) cell subsamples train, then calib, with one
+        # generator seeded by [seed, round(fraction * 1e6)]
+        seeds, fraction, covs = [1, 2], 0.5, []
+        for seed in seeds:
+            train, calib, test = cj.split(sweep_dataset, cj.SplitSpec(seed))
+            rng = np.random.default_rng([seed, 500_000])
+            train, calib = [d.subset(np.sort(rng.choice(len(d), size=round(fraction * len(d)), replace=False)))
+                            for d in (train, calib)]
+            model = cj.calibrate("split_abs", train, calib, 0.1, point_predictor="ridge")
+            intervals = cj.predict_intervals(model, test.logits, test.raw_scores)
+            covs.append(int(intervals.covers(test.labels).sum()) / len(test))
+        (row,) = calibration_sweep(sweep_dataset, "split_abs", seeds, [fraction], point_predictor="ridge")
+        assert (row.mean_coverage, row.std_coverage) == (statistics.fmean(covs), statistics.pstdev(covs))
+
     def test_tiny_fraction_skipped(self, sweep_dataset):
         rows = calibration_sweep(sweep_dataset, "split_abs", [1], [0.01])
         assert rows[0].skipped
@@ -452,6 +471,40 @@ class TestCalibrationSweep:
     def test_bad_fraction(self, sweep_dataset):
         with pytest.raises(ValidationError):
             calibration_sweep(sweep_dataset, "split_abs", [1], [1.5])
+
+
+def _seeded_run(name, dataset, seeds=(1, 2), hyper=None, fractions=(0.5, 1.0), **kw):
+    """One of the three seeded runs on split_abs (midpoint_report always runs r2ccp)."""
+    if name == "evaluate":
+        return evaluate(dataset, ["split_abs"], seeds, hyper=hyper and {"split_abs": hyper}, **kw)
+    if name == "midpoint_report":
+        return midpoint_report(dataset, seeds, hyper=hyper, **kw)
+    return calibration_sweep(dataset, "split_abs", seeds, fractions, hyper=hyper, **kw)
+
+
+_BAD_RUNS = [
+    ({"seeds": []}, "need at least one seed"),
+    ({"alpha": 0.0}, r"alpha must lie in \(0, 1\)"),
+    ({"alpha": 1.5}, r"alpha must lie in \(0, 1\)"),
+    ({"calib_fraction": 1.0}, "calib_fraction"),
+    ({"hyper": {"bogus": 1}}, "has no hyperparameter 'bogus'"),
+]
+
+
+class TestSeededRunChecks:
+    @pytest.mark.parametrize("run, kw, match", [
+        (run, kw, match) for run in ("evaluate", "midpoint_report", "calibration_sweep") for kw, match in _BAD_RUNS
+    ] + [("calibration_sweep", {"fractions": [0.5, 1.5]}, r"fractions must lie in \(0, 1\]")])
+    def test_bad_configuration_rejected_before_any_split(self, dataset, monkeypatch, run, kw, match):
+        # the sweep used to return skipped rows for no seeds, fit every 0.5 cell
+        # before rejecting 1.5, and report alpha 0 as a forest's "tau must lie
+        # in (0, 1)"; the midpoint report checked only its seeds
+        def no_split(*args):
+            raise AssertionError("split before the configuration was checked")
+
+        monkeypatch.setattr(analysis, "split", no_split)
+        with pytest.raises(ValidationError, match=match):
+            _seeded_run(run, dataset, **kw)
 
 
 class TestHumanBaseline:

@@ -126,11 +126,17 @@ class TestEvaluateCommand:
 
     def test_rerun_byte_identical(self, synth_file, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        args = ("evaluate", str(synth_file), "--methods", "split_abs,ordinal_aps",
-                "--seeds", "1..3", "--jobs", "1")
-        assert run(*args, "--out-dir", str(out1)) == 0
-        assert run(*args, "--out-dir", str(out2)) == 0
-        assert (out1 / "eval.csv").read_bytes() == (out2 / "eval.csv").read_bytes()
+        runs = {
+            "eval.csv": ("evaluate", str(synth_file), "--methods", "split_abs,ordinal_aps",
+                         "--seeds", "1..3", "--jobs", "1"),
+            "midpoints.csv": ("midpoints", str(synth_file), "--seeds", "1,2"),
+            "sweep.csv": ("sweep", str(synth_file), "--method", "split_abs", "--seeds", "1..3",
+                          "--fractions", "0.01,0.5,1.0"),
+        }
+        for csv, args in runs.items():
+            assert run(*args, "--out-dir", str(out1)) == 0
+            assert run(*args, "--out-dir", str(out2)) == 0
+            assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes(), csv
 
     def test_adjusted_rows_dominate_continuous(self, synth_file, tmp_path):
         args = ("evaluate", str(synth_file), "--methods", "split_abs,ordinal_rc",
@@ -176,12 +182,14 @@ class TestEvaluateCommand:
         errors = json.loads((out / "manifest.json").read_text())["runs"][0]["errors"]
         assert sorted(errors) == ["r2ccp/1", "r2ccp/2", "split_abs/1", "split_abs/2"]
 
-    @pytest.mark.parametrize("alpha", ["1.5", "0", "-0.1", "nan"])
-    def test_alpha_outside_unit_interval_is_usage_error(self, synth_file, tmp_path, capsys, alpha):
-        # rejected before the samples are read, so no cell is fitted
+    @pytest.mark.parametrize("command", ["evaluate", "midpoints", "sweep", "human-baseline"])
+    @pytest.mark.parametrize("alpha", ["1.5", "1", "0", "-0.1", "nan", "x"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, tmp_path, capsys, command, alpha):
+        # the input does not exist, so exit 1 shows the flag was rejected
+        # before any read; midpoints and sweep used to read, split and fit,
+        # then exit 2
         out = tmp_path / "run"
-        code = run("evaluate", str(synth_file), "--methods", "r2ccp", "--alpha", alpha,
-                   "--out-dir", str(out), "--jobs", "1")
+        code = run(command, str(tmp_path / "missing.jsonl"), "--alpha", alpha, "--out-dir", str(out))
         assert code == 1
         assert "--alpha must lie in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
@@ -263,25 +271,30 @@ class TestOtherCommands:
     def test_usage_error_on_bad_seeds(self, synth_file, tmp_path):
         assert run("evaluate", str(synth_file), "--seeds", "", "--out-dir", str(tmp_path)) == 1
 
-    @pytest.mark.parametrize("flags, env", [
-        (("--seeds", "1..x"), None),
-        (("--adjust", "nearest", "--lambda", "abc"), None),
+    @pytest.mark.parametrize("command, flags, env", [
+        ("evaluate", ("--seeds", "1..x"), None),
+        ("evaluate", ("--adjust", "nearest", "--lambda", "abc"), None),
         # a NaN lambda used to run and write nearest(nan) rows, and 0.9 > step/2
         # was filed as a data error in every cell after fitting
-        (("--adjust", "nearest", "--lambda", "nan"), None),
-        (("--adjust", "nearest", "--lambda", "-0.1"), None),
-        (("--adjust", "nearest", "--lambda", "0.9"), None),
-        (("--adjust", "nearest", "--lambda", "inf"), None),
-        (("--jobs", "-3"), None),
-        ((), "abc"),
+        ("evaluate", ("--adjust", "nearest", "--lambda", "nan"), None),
+        ("evaluate", ("--adjust", "nearest", "--lambda", "-0.1"), None),
+        ("evaluate", ("--adjust", "nearest", "--lambda", "0.9"), None),
+        ("evaluate", ("--adjust", "nearest", "--lambda", "inf"), None),
+        ("evaluate", ("--jobs", "-3"), None),
+        ("evaluate", (), "abc"),
+        # an empty list used to write a header-only sweep.csv and exit 0, and
+        # 0.5,2 to fit every 0.5 cell, then exit 2
+        ("sweep", ("--fractions", ""), None),
+        ("sweep", ("--fractions", "0.5,2"), None),
+        ("sweep", ("--fractions", "0,0.5"), None),
     ])
-    def test_bad_flags_are_usage_errors_before_any_read(self, tmp_path, monkeypatch, capsys, flags, env):
+    def test_bad_flags_are_usage_errors_before_any_read(self, tmp_path, monkeypatch, capsys, command, flags, env):
         # each used to end as an internal error (exit 3) or, for --jobs -3,
         # to run serially without a word; the samples file does not exist,
         # so exit 1 also shows that nothing was read
         if env is not None:
             monkeypatch.setenv("CONFJUDGE_JOBS", env)
-        assert run("evaluate", str(tmp_path / "missing.jsonl"), *flags, "--out-dir", str(tmp_path)) == 1
+        assert run(command, str(tmp_path / "missing.jsonl"), *flags, "--out-dir", str(tmp_path)) == 1
         assert "usage error" in capsys.readouterr().err
 
     def test_jobs_env_override(self, monkeypatch):

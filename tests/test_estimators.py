@@ -95,6 +95,17 @@ class TestQuantileForest:
         qf = QuantileForest(0.5, n_trees=5, depth=3, lr=0.05, min_leaf=10).fit(ds.logits, ds.labels)
         assert np.all(np.isfinite(qf.predict(Z)))
 
+    @pytest.mark.parametrize("kw", [{"lr": float("nan")}, {"lr": 0.0}, {"lr": "0.1"}, {"depth": -1},
+                                    {"depth": 2.5}, {"min_leaf": 0}, {"n_trees": -1}, {"n_trees": True}])
+    def test_bad_hyperparameters_rejected(self, kw):
+        # lr = nan used to fit and predict NaN, and depth -1 or min_leaf 0 to be accepted
+        with pytest.raises(ValidationError, match=f"forest {next(iter(kw))}"):
+            QuantileForest(0.5, **{"n_trees": 5, "depth": 3, "lr": 0.05, "min_leaf": 10, **kw})
+
+    def test_hyperparameters_stored_as_plain_numbers(self):
+        qf = QuantileForest(0.5, n_trees=np.int64(5), depth=np.int64(2), lr=np.float32(0.5), min_leaf=np.int64(3))
+        assert [type(v) for v in (qf.n_trees, qf.depth, qf.lr, qf.min_leaf)] == [int, int, float, int]
+
 
 # The recursive, one-feature-at-a-time builder that QuantileForest.fit
 # replaced, kept as the oracle: the presorted level-wise builder must give
@@ -532,6 +543,12 @@ class TestKernelSimilarity:
         sim.stds = np.ones(2)
         with pytest.raises(ValidationError, match="degenerate features"):
             sim.weights_batch(Xc, np.zeros(2))
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf"), "1.5"])
+    def test_bad_bandwidth_rejected(self, bandwidth):
+        # a zero bandwidth used to serve NaN weights
+        with pytest.raises(ValidationError, match="kernel bandwidth"):
+            KernelSimilarity(bandwidth)
 
     def test_kernel_weights_on_dataset(self):
         rng = np.random.default_rng(3)
