@@ -144,21 +144,22 @@ def _policy_name(policy: AdjustmentPolicy | None) -> str:
     return policy.kind
 
 
-def _check_run(dataset: Dataset, hyper: dict, seeds: list, alpha: float, calib_fraction: float,
-               inner_train_fraction: float, policy: AdjustmentPolicy | None = None, fractions=()) -> None:
-    """Raise ValidationError, before any split, for a seeded run's bad
-    configuration: no seeds, an unknown method or bad hyperparameter in
+def _check_run(seeds: list, alpha: float, calib_fraction: float, inner_train_fraction: float = 0.5,
+               hyper: dict | None = None, policy: AdjustmentPolicy | None = None, scale=None,
+               fractions=()) -> None:
+    """Raise ValidationError, before any split or draw, for a seeded run's
+    bad configuration: no seeds, an unknown method or bad hyperparameter in
     ``hyper`` (method -> its hyperparameters), or a bad alpha, split
-    fraction, policy or sweep fraction."""
+    fraction, policy (for ``scale``) or sweep fraction."""
     if not seeds:
         raise ValidationError("need at least one seed")
-    for m, h in hyper.items():
+    for m, h in (hyper or {}).items():
         conformal.checked_hyper(m, h)
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
     SplitSpec(0, calib_fraction, inner_train_fraction)  # checks the fractions
     if policy is not None:
-        policy.validate_for(dataset.scale)
+        policy.validate_for(scale)
     if not all(0.0 < f <= 1.0 for f in fractions):
         raise ValidationError("fractions must lie in (0, 1]")
 
@@ -210,8 +211,8 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
     methods = list(methods)
     seeds = list(seeds)
     hyper = hyper or {}
-    _check_run(dataset, {m: hyper.get(m) for m in [*methods, *hyper]}, seeds, alpha,
-               calib_fraction, inner_train_fraction, policy)
+    _check_run(seeds, alpha, calib_fraction, inner_train_fraction, {m: hyper.get(m) for m in [*methods, *hyper]},
+               policy, dataset.scale)
     cells = [
         (dataset, m, s, alpha, policy, calib_fraction, inner_train_fraction, hyper.get(m))
         for m in methods for s in seeds
@@ -277,7 +278,7 @@ def midpoint_report(dataset: Dataset, seeds, alpha: float = 0.1,
     nearest adjustment (shrink-emptied intervals fall back to the nearest
     label)."""
     seeds = list(seeds)
-    _check_run(dataset, {"r2ccp": hyper}, seeds, alpha, calib_fraction, inner_train_fraction)
+    _check_run(seeds, alpha, calib_fraction, inner_train_fraction, {"r2ccp": hyper})
     full = AdjustmentPolicy.full(dataset.scale)
     sums = {s: np.zeros(5) for s in _SCORERS}
     flagged = {s: False for s in _SCORERS}
@@ -414,8 +415,7 @@ def calibration_sweep(dataset: Dataset, method: str, seeds, fractions,
     seeds, fractions = list(seeds), list(fractions)
     if point_predictor is not None:
         hyper = {**(hyper or {}), "point_predictor": point_predictor}
-    _check_run(dataset, {method: hyper}, seeds, alpha, calib_fraction, inner_train_fraction,
-               fractions=fractions)
+    _check_run(seeds, alpha, calib_fraction, inner_train_fraction, {method: hyper}, fractions=fractions)
     rows = []
     for fraction in fractions:
         covs = []
@@ -438,7 +438,11 @@ def calibration_sweep(dataset: Dataset, method: str, seeds, fractions,
 def human_baseline(annotations, alpha: float = 0.1, seeds=(1,), calib_fraction: float = 0.5):
     """Split-absolute conformal intervals around one randomly chosen
     annotation per item, scored against the annotation mean.  Intervals are
-    [pick - qhat, pick + qhat] without clamping, so the width is 2 * qhat."""
+    [pick - qhat, pick + qhat] without clamping, so the width is 2 * qhat.
+    No seeds, or a bad alpha or calib_fraction, raises ValidationError
+    before any draw, as for the other seeded runs."""
+    seeds = list(seeds)
+    _check_run(seeds, alpha, calib_fraction)
     ann = [np.asarray(a, dtype=float) for a in annotations]
     if any(len(a) < 2 for a in ann):
         raise ValidationError("need at least two annotations per sample")

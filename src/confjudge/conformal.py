@@ -45,7 +45,10 @@ from .core import (
     lower_conformal_quantile,
 )
 from .estimators import (
+    CLASSIFIER_HYPER,
     FOREST_HYPER,
+    KERNEL_HYPER,
+    RIDGE_HYPER,
     BinClassifier,
     KernelSimilarity,
     QuantileForest,
@@ -276,21 +279,44 @@ def _run_table(m: int):
 def _chr_level_runs(probs: np.ndarray, T: int):
     """(n, T+1) run indices of the nested interval family per sample.
 
-    The family starts at the modal bin and, level by level, grows to the
-    shortest containing run whose mass meets the level (the full-support
-    run backstops numerical shortfalls at the top level)."""
+    The family starts at the modal bin and, at each level t / T - 1e-9,
+    grows to the first run in (width, start) order that contains the
+    current run and whose mass meets the level (the full-support run
+    backstops numerical shortfalls at the top level).
+
+    A run stays while its own mass meets the level, since among its
+    supersets it comes first.  So each sample only changes run at the
+    first level past its current run's mass, at most m - 1 times, and the
+    loop runs over those growth steps, not over the T + 1 levels: it costs
+    O(n * runs * (m - 1)) for the m(m+1)/2 runs, plus O(n * T) to write
+    the levels.  Samples go a block at a time, so the (samples x runs)
+    arrays stay bounded."""
     n, m = probs.shape
     run_lo, run_hi, contains = _run_table(m)
-    csum = np.concatenate([np.zeros((n, 1)), np.cumsum(probs, axis=1)], axis=1)
-    mass = csum[:, run_hi + 1] - csum[:, run_lo]
-    cur = np.argmax(probs, axis=1)
-    levels = np.empty((n, T + 1), dtype=np.int64)
     full = len(run_lo) - 1
-    for t in range(T + 1):
-        ok = (mass >= t / T - 1e-9) & contains[cur]
-        ok[:, full] = True
-        cur = np.argmax(ok, axis=1)
-        levels[:, t] = cur
+    grid = np.arange(T + 1) / T - 1e-9
+    # each change is written as a run-index delta at its level, then summed
+    levels = np.zeros((n, T + 1), dtype=np.int64)
+    step = _block_rows(len(run_lo))
+    for r0 in range(0, n, step):
+        block, out = probs[r0:r0 + step], levels[r0:r0 + step]
+        csum = np.concatenate([np.zeros((len(block), 1)), np.cumsum(block, axis=1)], axis=1)
+        mass = csum[:, run_hi + 1] - csum[:, run_lo]
+        cur = np.argmax(block, axis=1)
+        out[:, 0] = cur
+        rows = np.arange(len(block))
+        while rows.size:
+            cur_mass = mass[rows, cur]
+            # a NaN mass fails every level, so its run changes at once
+            t = np.where(np.isnan(cur_mass), 0, np.searchsorted(grid, cur_mass, side="right"))
+            growing = (t <= T) & (cur != full)
+            rows, cur, t = rows[growing], cur[growing], t[growing]
+            ok = (mass[rows] >= grid[t][:, None]) & contains[cur]
+            ok[:, full] = True
+            new = np.argmax(ok, axis=1)
+            out[rows, t] += new - cur
+            cur = new
+    np.cumsum(levels, axis=1, out=levels)
     return levels, run_lo, run_hi
 
 
@@ -380,50 +406,75 @@ def _interval_lvd(model: CalibratedModel, Z: np.ndarray, y_hats):
 
 
 def _bin_densities(classifier: BinClassifier, scale: LabelScale, Z: np.ndarray) -> np.ndarray:
-    return classifier.predict_proba(Z) / scale.step
+    dens = classifier.predict_proba(Z)
+    dens /= scale.step
+    return dens
 
 
 def _score_r2ccp(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
+    """Each row's density interpolated at its label: ``np.interp`` per row,
+    batched.  numpy's formula, its exact-hit branch (a label within grid
+    tolerance of a bin is not on it) and its end clamps are kept, so the
+    bits are equal; densities are finite or NaN, so its NaN retry never
+    changes a result."""
     classifier = state["classifier"]
+    bins = classifier.bins
     dens = _bin_densities(classifier, scale, Z)
-    out = np.empty(len(y))
-    for i in range(len(y)):
-        out[i] = np.interp(y[i], classifier.bins, dens[i])
-    return out
+    m = len(bins)
+    rows = np.arange(len(y))
+    # the last bin at or below each label (-1 below the grid)
+    j = np.searchsorted(bins, y, side="right") - 1
+    # below the grid, on a bin or at or past its end the label takes a bin's density
+    at = np.clip(j, 0, m - 1)
+    snap = (j < 0) | (j == m - 1) | (bins[at] == y)
+    # elsewhere it lies between bins left and left + 1
+    left = np.minimum(at, m - 2)
+    slope = (dens[rows, left + 1] - dens[rows, left]) / (bins[left + 1] - bins[left])
+    return np.where(snap, dens[rows, at], slope * (y - bins[left]) + dens[rows, left])
+
+
+def _superlevel_spans(bins: np.ndarray, dens: np.ndarray, q: float):
+    """(lo, hi, reached) per row of ``dens``: the span of {a : density(a)
+    >= q}, with the density linear between bins, merged to a single
+    interval.  A row whose density never reaches q is not ``reached``; its
+    span is the full grid."""
+    n, m = dens.shape
+    above = dens >= q
+    # edges[:, j] is where the density crosses q between bins j - 1 and j;
+    # columns 0 and m are the grid's ends
+    edges = np.empty((n, m + 1))
+    edges[:, ::m] = bins[::max(m - 1, 1)]
+    cross = edges[:, 1:m]
+    np.subtract(q, dens[:, :-1], out=cross)
+    cross *= bins[1:] - bins[:-1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cross /= dens[:, 1:] - dens[:, :-1]
+    cross += bins[:-1]
+    rows = np.arange(n)
+    # the first bin above q starts the span and the last one ends it
+    first = above.argmax(axis=1)
+    lo = edges[rows, first]
+    hi = edges[:, ::-1][rows, above[:, ::-1].argmax(axis=1)]
+    return lo, hi, above[rows, first]
 
 
 def _superlevel_interval(bins: np.ndarray, dens: np.ndarray, q: float, scale: LabelScale):
-    """Span of {a : density(a) >= q} merged to a single interval; None when
-    the density never reaches q."""
-    above = dens >= q
-    if not above.any():
-        return None
-    i0 = int(np.argmax(above))
-    i1 = len(dens) - 1 - int(np.argmax(above[::-1]))
-    if i0 == 0 or dens[i0 - 1] >= q:
-        lo = bins[0] if i0 == 0 else bins[i0 - 1]
-    else:
-        lo = bins[i0 - 1] + (bins[i0] - bins[i0 - 1]) * (q - dens[i0 - 1]) / (dens[i0] - dens[i0 - 1])
-    if i1 == len(dens) - 1 or dens[i1 + 1] >= q:
-        hi = bins[-1] if i1 == len(dens) - 1 else bins[i1 + 1]
-    else:
-        hi = bins[i1] + (bins[i1 + 1] - bins[i1]) * (dens[i1] - q) / (dens[i1] - dens[i1 + 1])
-    return lo, hi
+    """The one-row :func:`_superlevel_spans`: (lo, hi), or None when the
+    density never reaches q.  ``scale`` is not used."""
+    lo, hi, reached = _superlevel_spans(bins, np.asarray(dens, dtype=float)[None, :], q)
+    return (lo[0], hi[0]) if reached[0] else None
 
 
 def _interval_r2ccp(model: CalibratedModel, Z: np.ndarray, y_hats):
     classifier = model.state["classifier"]
-    bins = classifier.bins
-    lo, hi, flags = [], [], []
-    for dens in _bin_densities(classifier, model.scale, Z):
-        span = _superlevel_interval(bins, dens, model.qhat, model.scale)
-        flags.append("degenerate" if span is None else None)
-        if span is None:
-            # the density never reaches qhat: fall back to its peak
-            span = (bins[int(np.argmax(dens))],) * 2
-        lo.append(span[0])
-        hi.append(span[1])
-    return lo, hi, flags
+    dens = _bin_densities(classifier, model.scale, Z)
+    lo, hi, reached = _superlevel_spans(classifier.bins, dens, model.qhat)
+    if reached.all():
+        return lo, hi, [None] * len(lo)
+    # the density never reaches qhat: fall back to its peak
+    lost = ~reached
+    lo[lost] = hi[lost] = classifier.bins[np.argmax(dens[lost], axis=1)]
+    return lo, hi, np.where(lost, "degenerate", None).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +579,11 @@ def _null(value) -> None:
 
 _FORESTS = ("forest_lo", "forest_hi")
 
-# hyperparameter name -> (default, check)
-_RIDGE_HYPER = {"l2": (1.0, real(0))}
-_CLASSIFIER_HYPER = {"epochs": (500, integer(0)), "l2": (1e-3, real(0))}
-
 _METHOD_TABLE = {
     "split_abs": _Method(_fit_split_abs, _score_split_abs, conformal_quantile, _interval_split_abs,
                          ("point_predictor", "ridge"), _number,
                          {"point_predictor": ("raw_score", one_of("point predictor", POINT_PREDICTORS)),
-                          **_RIDGE_HYPER},
+                          **RIDGE_HYPER},
                          _check_split_abs),
     "cqr": _Method(lambda train, calib, alpha, h: _fit_forests(train, alpha / 2, h),
                    _score_cqr, conformal_quantile, _interval_cqr, _FORESTS, _number, FOREST_HYPER, _check_forests),
@@ -546,15 +593,15 @@ _METHOD_TABLE = {
                         _check_forests),
     "chr": _Method(lambda train, calib, alpha, h: {"classifier": _fit_classifier(train, h), "T": h["T"]},
                    _score_chr, conformal_quantile, _interval_chr, ("classifier", "T"), _number,
-                   {"T": (100, integer(1)), **_CLASSIFIER_HYPER}, _check_classifier),
+                   {"T": (100, integer(1)), **CLASSIFIER_HYPER}, _check_classifier),
     # lvd takes its quantile per query, from the kernel-weighted scores
     "lvd": _Method(_fit_lvd, _score_lvd, lambda scores, alpha: None, _interval_lvd,
                    ("ridge", "kernel", "calib_logits", "sorted_scores", "sort_order"), _null,
-                   {**_RIDGE_HYPER, "bandwidth": (None, or_none(real(0, strict=True)))}, _check_lvd),
+                   {**RIDGE_HYPER, **KERNEL_HYPER}, _check_lvd),
     # low density is non-conforming, so r2ccp keeps the lower quantile
     "r2ccp": _Method(lambda train, calib, alpha, h: {"classifier": _fit_classifier(train, h)},
                      _score_r2ccp, lower_conformal_quantile, _interval_r2ccp, ("classifier",), _number,
-                     _CLASSIFIER_HYPER, _check_classifier),
+                     CLASSIFIER_HYPER, _check_classifier),
     "ordinal_aps": _Method(lambda train, calib, alpha, h: {},
                            _score_ordinal, conformal_quantile, _interval_ordinal, (), _number, {}),
     # the weights' length and sign are checked against k by _check_ordinal_rc

@@ -334,6 +334,10 @@ _NEWTON_RIDGE = 1e-12
 _MAX_HALVINGS = 30
 
 
+# each classifier hyperparameter's (default, check), as the method table declares them
+CLASSIFIER_HYPER = {"epochs": (500, integer(0)), "l2": (1e-3, real(0))}
+
+
 class BinClassifier:
     """Multinomial logistic model over the scale's label grid, fit by damped
     Newton on cross-entropy + 0.5 * l2 * ||weights||^2.
@@ -350,8 +354,8 @@ class BinClassifier:
 
     def __init__(self, bins, epochs: int, l2: float):
         self.bins = np.asarray(bins, dtype=float)
-        self.epochs = integer(0)(epochs, "classifier epochs")
-        self.l2 = real(0)(l2, "classifier l2")
+        self.epochs = CLASSIFIER_HYPER["epochs"][1](epochs, "classifier epochs")
+        self.l2 = CLASSIFIER_HYPER["l2"][1](l2, "classifier l2")
         self.weights = None
         self.bias = None
         self.means = None
@@ -526,6 +530,10 @@ def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+# the kernel's bandwidth (default, check), as the method table declares it
+KERNEL_HYPER = {"bandwidth": (None, or_none(real(0, strict=True)))}
+
+
 class KernelSimilarity:
     """Gaussian kernel on standardized features.  The bandwidth defaults to
     the median pairwise distance of the calibration features (median
@@ -538,7 +546,7 @@ class KernelSimilarity:
     distances plus one block."""
 
     def __init__(self, bandwidth: float | None):
-        self.bandwidth = or_none(real(0, strict=True))(bandwidth, "kernel bandwidth")
+        self.bandwidth = KERNEL_HYPER["bandwidth"][1](bandwidth, "kernel bandwidth")
         self.means = None
         self.stds = None
 
@@ -617,11 +625,15 @@ class KernelSimilarity:
 # Ridge point predictor
 
 
+# the ridge penalty's (default, check), as the method table declares it
+RIDGE_HYPER = {"l2": (1.0, real(0))}
+
+
 class RidgePredictor:
     """Closed-form ridge regression on standardized features."""
 
     def __init__(self, l2: float):
-        self.l2 = real(0)(l2, "ridge l2")
+        self.l2 = RIDGE_HYPER["l2"][1](l2, "ridge l2")
         self.coef = None
         self.intercept = 0.0
         self.means = None

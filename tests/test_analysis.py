@@ -544,6 +544,23 @@ class TestHumanBaseline:
         with pytest.raises(ValidationError, match="two annotations"):
             human_baseline([[1.0]] * 10)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"seeds": []}, "need at least one seed"),
+        ({"alpha": 0.0}, "alpha"),
+        ({"alpha": 1.5}, "alpha"),
+        ({"calib_fraction": 0.0}, "calib_fraction"),
+        ({"calib_fraction": 1.0}, "calib_fraction"),
+    ])
+    def test_bad_run_configuration_rejected_before_any_draw(self, monkeypatch, kw, message):
+        # an empty seed list used to return [] and a bad alpha to fail only
+        # after the first draw
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking the configuration")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValidationError, match=message):
+            human_baseline([[1, 2, 3]] * 20, **kw)
+
 
 class TestCsvWriters:
     def test_fixed_headers_and_decimals(self, tmp_path):

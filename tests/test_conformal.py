@@ -14,11 +14,16 @@ from confjudge.conformal import (
     _chr_level_runs,
     _lvd_local_quantiles,
     _ordinal_growth_predict,
+    _run_table,
+    _score_r2ccp,
     _superlevel_interval,
+    _superlevel_spans,
     checked_hyper,
     predict_intervals_flagged,
 )
 from confjudge.core import (
+    GPA_THIRDS,
+    GRID_TOL,
     Dataset,
     LabelScale,
     ValidationError,
@@ -256,6 +261,20 @@ class TestR2ccp:
         ivals, flags = predict_intervals_flagged(forced, Z)
         assert all(f == "degenerate" for f in flags)
         assert all(iv.width == 0.0 and LIKERT.on_grid(iv.lo) for iv in ivals)
+
+    def test_only_degenerate_rows_fall_back_to_their_peak(self):
+        rng = np.random.default_rng(11)
+        Z = rng.normal(size=(40, 5))
+        y = rng.choice(LIKERT.labels(), size=40)
+        model = cj.calibrate("r2ccp", build_dataset(Z, y, y), build_dataset(Z, y, y), 0.1, {"epochs": 30})
+        dens = model.state["classifier"].predict_proba(Z) / LIKERT.step
+        forced = dataclasses.replace(model, qhat=float(np.median(dens.max(axis=1))))
+        ivals, flags = predict_intervals_flagged(forced, Z)
+        assert 0 < flags.count("degenerate") < len(flags)
+        for row, iv, flag in zip(dens, ivals, flags):
+            span = _superlevel_interval(LIKERT.labels(), row, forced.qhat, LIKERT)
+            assert flag == (None if span else "degenerate")
+            assert (iv.lo, iv.hi) == (span or (LIKERT.labels()[np.argmax(row)],) * 2)
 
     def test_density_uses_bin_width(self):
         thirds = LabelScale(1, 5, 1 / 3)
@@ -563,6 +582,18 @@ class TestModelContract:
         h = checked_hyper("lvd", {"l2": np.int64(2), "bandwidth": 1.0}, bandwidth=np.float32(0.5))
         assert h == {"l2": 2.0, "bandwidth": 0.5} and type(h["l2"]) is float
 
+    def test_table_declares_the_estimators_hyperparameters(self):
+        # one declaration per estimator: the constructors check with the
+        # same (default, check) pairs the method table holds
+        uses = {"split_abs": [estimators.RIDGE_HYPER], "cqr": [estimators.FOREST_HYPER],
+                "asym_cqr": [estimators.FOREST_HYPER], "chr": [estimators.CLASSIFIER_HYPER],
+                "lvd": [estimators.RIDGE_HYPER, estimators.KERNEL_HYPER],
+                "r2ccp": [estimators.CLASSIFIER_HYPER]}
+        for method, declarations in uses.items():
+            for declared in declarations:
+                for name, entry in declared.items():
+                    assert _METHOD_TABLE[method].hyper[name] is entry, (method, name)
+
     def test_alpha_validated(self, fitted):
         _, _, _, models = fitted
         with pytest.raises(ValidationError):
@@ -659,6 +690,176 @@ class TestLvdDocumentCompatibility:
         train, calib, _ = cj.split(ds, cj.SplitSpec(expected["split_seed"]))
         model = cj.calibrate("lvd", train, calib, expected["alpha"], expected["hyper"])
         assert cj.model_to_json(model) == (DATA / "lvd_model_v1.json").read_text(encoding="utf-8")
+
+
+class TestChrR2ccpDocumentCompatibility:
+    """chr and r2ccp documents written by the per-level CHR loop and the
+    per-row r2ccp span and score that preceded the batched ones, on a
+    13-label heteroscedastic set (tests/data).  Their calib_scores pin the
+    scores."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return json.loads((DATA / "chr_r2ccp_v1_expected.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("method", ["chr", "r2ccp"])
+    def test_old_documents_give_the_same_intervals(self, expected, method):
+        model = cj.model_from_json((DATA / f"{method}_model_v1.json").read_text(encoding="utf-8"))
+        intervals, flags = predict_intervals_flagged(model, np.asarray(expected["rows"]))
+        assert [[iv.lo, iv.hi] for iv in intervals] == expected["intervals"][method]
+        assert list(flags) == expected["flags"][method]
+
+    @pytest.mark.parametrize("method", ["chr", "r2ccp"])
+    def test_refit_writes_the_same_document(self, expected, method):
+        assert expected["scale"] == "GPA_THIRDS"
+        noise = cj.Heteroscedastic(expected["noise"]["heteroscedastic"])
+        ds, _ = cj.generate(cj.GeneratorSpec(seed=expected["generator_seed"], n=expected["n"],
+                                             scale=GPA_THIRDS, noise=noise))
+        train, calib, _ = cj.split(ds, cj.SplitSpec(expected["split_seed"]))
+        model = cj.calibrate(method, train, calib, expected["alpha"], expected["hyper"][method])
+        assert cj.model_to_json(model) == (DATA / f"{method}_model_v1.json").read_text(encoding="utf-8")
+
+
+# The per-level CHR loop, the scalar r2ccp span and the per-row np.interp
+# score that preceded the batched code, kept as oracles.
+
+
+def _chr_level_runs_per_level(probs, T):
+    n, m = probs.shape
+    run_lo, run_hi, contains = _run_table(m)
+    csum = np.concatenate([np.zeros((n, 1)), np.cumsum(probs, axis=1)], axis=1)
+    mass = csum[:, run_hi + 1] - csum[:, run_lo]
+    cur = np.argmax(probs, axis=1)
+    levels = np.empty((n, T + 1), dtype=np.int64)
+    full = len(run_lo) - 1
+    for t in range(T + 1):
+        ok = (mass >= t / T - 1e-9) & contains[cur]
+        ok[:, full] = True
+        cur = np.argmax(ok, axis=1)
+        levels[:, t] = cur
+    return levels, run_lo, run_hi
+
+
+def _scalar_superlevel_interval(bins, dens, q):
+    above = dens >= q
+    if not above.any():
+        return None
+    i0 = int(np.argmax(above))
+    i1 = len(dens) - 1 - int(np.argmax(above[::-1]))
+    if i0 == 0 or dens[i0 - 1] >= q:
+        lo = bins[0] if i0 == 0 else bins[i0 - 1]
+    else:
+        lo = bins[i0 - 1] + (bins[i0] - bins[i0 - 1]) * (q - dens[i0 - 1]) / (dens[i0] - dens[i0 - 1])
+    if i1 == len(dens) - 1 or dens[i1 + 1] >= q:
+        hi = bins[-1] if i1 == len(dens) - 1 else bins[i1 + 1]
+    else:
+        hi = bins[i1] + (bins[i1 + 1] - bins[i1]) * (dens[i1] - q) / (dens[i1] - dens[i1 + 1])
+    return lo, hi
+
+
+def _per_row_r2ccp_scores(bins, dens, y):
+    out = np.empty(len(y))
+    for i in range(len(y)):
+        out[i] = np.interp(y[i], bins, dens[i])
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _chr_probs(m, T, rng):
+    """Rows that exercise every branch of the CHR level rule."""
+    rows = [rng.dirichlet(np.full(m, a)) for a in (0.2, 1.0, 5.0) for _ in range(20)]
+    rows += list(np.eye(m))  # point masses
+    rows.append(np.full(m, 1.0 / m))
+    # rows summing to slightly under 1: only the full-run backstop reaches the top level
+    rows += [r * (1.0 - 1e-7) for r in rows[:10]]
+    rows.append(np.full(m, (1.0 - 1e-6) / m))
+    # a one-bin and a two-bin run whose mass sits exactly on a level
+    # t / T - 1e-9, and a one-bin run one ulp below it
+    for t in range(1, T + 1):
+        level = t / T - 1e-9
+        for g in (level, np.nextafter(level, -1.0)):
+            single = np.full(m, (1.0 - g) / max(m - 1, 1))
+            single[0] = g
+            rows.append(single)
+        if m >= 2:
+            pair = np.full(m, (1.0 - level) / max(m - 2, 1)) if m > 2 else np.zeros(m)
+            pair[:2] = level / 2
+            rows.append(pair)
+    return np.asarray(rows)
+
+
+class TestChrGrowthStepsMatchLevelOracle:
+    @pytest.mark.parametrize("T", [1, 2, 7, 100])
+    @pytest.mark.parametrize("m", [1, 2, 5, 13])
+    def test_levels_bit_for_bit(self, m, T):
+        probs = _chr_probs(m, T, np.random.default_rng(100 * m + T))
+        levels, run_lo, run_hi = _chr_level_runs(probs, T)
+        want, want_lo, want_hi = _chr_level_runs_per_level(probs, T)
+        assert levels.dtype == want.dtype and np.array_equal(levels, want)
+        assert np.array_equal(run_lo, want_lo) and np.array_equal(run_hi, want_hi)
+
+    def test_non_finite_rows_match(self):
+        probs = np.array([[np.nan] * 5, [0.2, np.nan, 0.3, 0.1, 0.4], [0.1, 0.2, 0.4, 0.2, 0.1]])
+        with np.errstate(invalid="ignore"):
+            want = _chr_level_runs_per_level(probs, 10)[0]
+        assert np.array_equal(_chr_level_runs(probs, 10)[0], want)
+
+
+class TestR2ccpBatchMatchesScalarOracle:
+    @staticmethod
+    def rows(m, q, rng):
+        dens = rng.dirichlet(np.full(m, 0.5), size=200) * 2.0
+        mid = slice(m // 2 - 1, m // 2 + 1)
+        dens[0::6, 1] = q  # a bin density equal to q
+        dens[1::6, mid] = dens[1::6, [m // 2]]  # a plateau
+        dens[2::6, mid] = q  # a plateau at q
+        dens[3::6] = q / 2  # never reaches q: degenerate
+        dens[4::6, 0] = dens[4::6, -1] = 2 * q  # first above at 0, last at m - 1
+        dens[5::6] = np.linspace(0, 2 * q, m)  # rising through q
+        return dens
+
+    @pytest.mark.parametrize("m", [2, 5, 13])
+    def test_spans_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        bins = np.linspace(1.0, 5.0, m)
+        for q in (0.3, 0.125, 1 / 3, 0.0):
+            dens = self.rows(m, q, rng)
+            lo, hi, reached = _superlevel_spans(bins, dens, q)
+            for i, row in enumerate(dens):
+                want = _scalar_superlevel_interval(bins, row, q)
+                assert reached[i] == (want is not None)
+                if want is not None:
+                    assert _bits([lo[i], hi[i]]).tolist() == _bits(want).tolist()
+
+    def test_one_row_is_its_batch_row(self):
+        rng = np.random.default_rng(3)
+        bins = np.linspace(1.0, 5.0, 13)
+        dens = self.rows(13, 0.2, rng)
+        lo, hi, reached = _superlevel_spans(bins, dens, 0.2)
+        for i, row in enumerate(dens):
+            span = _superlevel_interval(bins, row, 0.2, GPA_THIRDS)
+            assert span == ((lo[i], hi[i]) if reached[i] else None)
+
+
+class TestR2ccpScoreMatchesInterp:
+    @pytest.mark.parametrize("scale", [LIKERT, GPA_THIRDS, LabelScale(0, 1, 0.5)])
+    def test_scores_bit_for_bit(self, scale):
+        rng = np.random.default_rng(5)
+        bins, k = scale.labels(), 4
+        clf = estimators.BinClassifier(bins, 0, 1e-3)
+        clf.weights, clf.bias = rng.normal(size=(len(bins), k)), rng.normal(size=len(bins))
+        clf.means, clf.stds = np.zeros(k), np.ones(k)
+        near = np.concatenate([bins + GRID_TOL / 2, bins - GRID_TOL / 2,
+                               np.nextafter(bins, np.inf), np.nextafter(bins, -np.inf)])
+        y = np.concatenate([bins, near, (bins[1:] + bins[:-1]) / 2, [scale.min - 1, scale.max + 1],
+                            rng.uniform(scale.min, scale.max, 50)])
+        Z = rng.normal(size=(len(y), k))
+        got = _score_r2ccp({"classifier": clf}, scale, Z, y, None)
+        want = _per_row_r2ccp_scores(bins, clf.predict_proba(Z) / scale.step, y)
+        assert _bits(got).tolist() == _bits(want).tolist()
 
 
 # The dense kernel code that preceded the blocked one, kept as the oracle:
