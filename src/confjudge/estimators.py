@@ -75,6 +75,17 @@ def or_none(check):
     return lambda value, label="value": None if value is None else check(value, label)
 
 
+def _training_arrays(X, y):
+    """X and y as float arrays; raises ValidationError unless X is 2-D with
+    one row per entry of the 1-D y."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != len(y):
+        raise ValidationError(f"training features of shape {X.shape} do not give one row "
+                              f"per label for labels of shape {y.shape}")
+    return X, y
+
+
 # ---------------------------------------------------------------------------
 # Boosted quantile trees
 
@@ -203,6 +214,13 @@ class QuantileForest:
     restricted to the node's rows, every leaf's quantile comes from one
     lexsort, and the training predictions are updated from the rows' leaves
     without routing them through the new tree.
+
+    The cuts depend on the features and the gradients alone, and every
+    gradient is tau or tau - 1.  So a round in which no residual changed
+    sign has the previous round's gradients, cuts and row-to-leaf map: it
+    reuses them (the trees share those arrays) and recomputes only the
+    leaf values.  ``n_grown`` counts the rounds of the last fit that ran
+    the cut search; a forest rebuilt from a document has None.
     """
 
     def __init__(self, tau: float, n_trees: int, depth: int, lr: float, min_leaf: int):
@@ -215,9 +233,11 @@ class QuantileForest:
         self.min_leaf = FOREST_HYPER["min_leaf"][1](min_leaf, "forest min_leaf")
         self.base = 0.0
         self.trees: list[_Tree] = []
+        self.n_grown = None
 
-    def _grow(self, X, order, xs, g, resid):
-        """Fit one tree to the gradients g; returns it and each row's leaf."""
+    def _grow(self, X, order, xs, g):
+        """Find one tree's cuts for the gradients g; returns its (feature,
+        thresh, left, right) arrays and each row's leaf."""
         n_feat = X.shape[1]
         lo = self.min_leaf  # fewest rows a side may keep
         node = np.zeros(len(g), dtype=np.intp)  # each row's node, numbered breadth-first
@@ -262,18 +282,13 @@ class QuantileForest:
         new = np.empty(len(pre), dtype=np.intp)
         new[pre] = np.arange(len(pre))
         kids = np.asarray(kids)[pre]
-        leaf = new[node]
-        ids, quantiles = _segment_quantiles(resid, leaf, self.tau)
-        value = np.zeros(len(pre))
-        value[ids] = quantiles
-        tree = _Tree(np.asarray(feature)[pre], np.asarray(thresh)[pre],
-                     np.where(kids[:, 0] >= 0, new[kids[:, 0]], -1),
-                     np.where(kids[:, 1] >= 0, new[kids[:, 1]], -1), value)
-        return tree, leaf
+        shape = (np.asarray(feature)[pre], np.asarray(thresh)[pre],
+                 np.where(kids[:, 0] >= 0, new[kids[:, 0]], -1),
+                 np.where(kids[:, 1] >= 0, new[kids[:, 1]], -1))
+        return shape, new[node]
 
     def fit(self, X, y) -> "QuantileForest":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
+        X, y = _training_arrays(X, y)
         if len(y) == 0:
             raise ValidationError("empty training set")
         # the leaf quantiles sort residuals, which NaN labels would poison
@@ -285,12 +300,21 @@ class QuantileForest:
         order = np.argsort(X.T, axis=1, kind="stable")
         xs = np.take_along_axis(X.T, order, axis=1)
         pred = np.full(len(y), self.base)
+        self.n_grown = 0
+        prev_g = None
         for _ in range(self.n_trees):
             resid = y - pred
             g = np.where(resid > 0, self.tau, self.tau - 1.0)
-            tree, leaf = self._grow(X, order, xs, g, resid)
-            self.trees.append(tree)
-            pred = pred + self.lr * tree.value[leaf]
+            # a repeated g repeats the cuts and leaves: only the values change
+            if prev_g is None or not np.array_equal(g, prev_g):
+                shape, leaf = self._grow(X, order, xs, g)
+                prev_g = g
+                self.n_grown += 1
+            ids, quantiles = _segment_quantiles(resid, leaf, self.tau)
+            value = np.zeros(len(shape[0]))
+            value[ids] = quantiles
+            self.trees.append(_Tree(*shape, value))
+            pred = pred + self.lr * value[leaf]
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -315,9 +339,12 @@ class QuantileForest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuantileForest":
-        """Rebuild a forest; a malformed tree raises ValueError."""
+        """Rebuild a forest; a malformed tree, or a tree count other than
+        ``n_trees``, raises ValueError."""
         qf = cls(d["tau"], d["n_trees"], d["depth"], d["lr"], d["min_leaf"])
         qf.base = float(d["base"])
+        if len(d["trees"]) != qf.n_trees:
+            raise ValueError(f"forest holds {len(d['trees'])} trees but n_trees is {qf.n_trees}")
         qf.trees = [_Tree.from_dict(t) for t in d["trees"]]
         return qf
 
@@ -410,8 +437,7 @@ class BinClassifier:
         return H
 
     def fit(self, X, y) -> "BinClassifier":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
+        X, y = _training_arrays(X, y)
         m, k = len(self.bins), X.shape[1]
         self.means = X.mean(axis=0)
         stds = X.std(axis=0)
@@ -640,8 +666,7 @@ class RidgePredictor:
         self.stds = None
 
     def fit(self, X, y) -> "RidgePredictor":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
+        X, y = _training_arrays(X, y)
         self.means = X.mean(axis=0)
         stds = X.std(axis=0)
         self.stds = np.where(stds > 1e-12, stds, 1.0)

@@ -468,6 +468,15 @@ class TestModelContract:
         with pytest.raises(ValidationError, match="but k is 3"):
             cj.model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("method", ["cqr", "asym_cqr"])
+    def test_forest_tree_count_other_than_n_trees_rejected(self, method):
+        # forest_lo cut to 3 of its 8 trees used to load and serve
+        doc = json.loads((DATA / f"{method}_model_v1.json").read_text(encoding="utf-8"))
+        assert doc["state"]["forest_lo"]["n_trees"] == 8
+        doc["state"]["forest_lo"]["trees"] = doc["state"]["forest_lo"]["trees"][:3]
+        with pytest.raises(ValidationError, match="forest_lo"):
+            cj.model_from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("entry, corrupt", [
         ("calib_logits", lambda s: [row[:-1] for row in s["calib_logits"]]),
         ("calib_logits", lambda s: s["calib_logits"][0]),
@@ -528,7 +537,7 @@ class TestModelContract:
         ("lvd", "kernel", lambda e: {**e, "means": [float("inf")] + e["means"][1:]}),
         ("cqr", "forest_lo", lambda e: {**e, "base": float("nan")}),
         ("asym_cqr", "forest_hi", lambda e: {**e, "trees": [{**e["trees"][0], "value": [float("nan")]
-                                                            * len(e["trees"][0]["value"])}]}),
+                                                            * len(e["trees"][0]["value"])}] + e["trees"][1:]}),
         ("cqr", "forest_hi", lambda e: {**e, "lr": "x"}),
         ("ordinal_rc", "h", lambda e: [float("inf")] + e[1:]),
     ])

@@ -108,8 +108,10 @@ class TestQuantileForest:
 
 
 # The recursive, one-feature-at-a-time builder that QuantileForest.fit
-# replaced, kept as the oracle: the presorted level-wise builder must give
-# the same splits, thresholds, leaf values and node numbering.
+# replaced, kept as the oracle: it grows every round's tree afresh, so the
+# presorted level-wise builder, with its reuse of the previous round's cuts
+# when the gradients repeat, must give the same splits, thresholds, leaf
+# values and node numbering.
 
 
 def _best_split(X: np.ndarray, g: np.ndarray, min_leaf: int):
@@ -246,6 +248,37 @@ class TestLevelWiseBuilderMatchesRecursiveOracle:
             QuantileForest(0.5, n_trees=2, depth=3, lr=0.05, min_leaf=10).fit(np.zeros((3, 1)), np.array([1.0, np.nan, 2.0]))
 
 
+class TestRepeatedGradientsReuseTheTree:
+    """Every gradient is tau or tau - 1, so a round in which no residual
+    changed sign has the previous round's gradients; fit then reuses that
+    round's cuts and leaves and counts only the rounds it grew in
+    ``n_grown``.  Either way the forest must equal the oracle's."""
+
+    @pytest.mark.parametrize("tau", [0.05, 0.95])
+    def test_rounded_labels_reuse_most_rounds(self, tau):
+        X, y = _oracle_data("discrete", 80, seed=1)
+        args = (tau, 40, 3, 0.05, 5)
+        qf = QuantileForest(*args).fit(X, y)
+        assert qf.to_dict() == _reference_fit(*args, X, y)
+        # g changed after the first round, yet most rounds reused a tree
+        assert 2 <= qf.n_grown <= 10
+
+    @pytest.mark.parametrize("tau", [0.3, 0.5, 0.7])
+    def test_continuous_labels_grow_every_round(self, tau):
+        X, y = _oracle_data("continuous", 80, seed=4)
+        args = (tau, 40, 3, 0.5, 5)
+        qf = QuantileForest(*args).fit(X, y)
+        assert qf.n_grown == 40
+        assert qf.to_dict() == _reference_fit(*args, X, y)
+
+    def test_counter_is_not_part_of_the_document(self):
+        X, y = _oracle_data("rounded", 40, seed=5)
+        qf = QuantileForest(0.5, 6, 2, 0.1, 3).fit(X, y)
+        assert QuantileForest(0.5, 0, 2, 0.1, 3).fit(X, y).n_grown == 0
+        assert "n_grown" not in qf.to_dict()
+        assert QuantileForest.from_dict(qf.to_dict()).n_grown is None
+
+
 _TAUS = st.one_of(
     st.sampled_from([1e-12, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-3, 1 - 1e-12, float(np.nextafter(1.0, 0.0))]),
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -323,6 +356,39 @@ class TestStrictForestDecoding:
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
             _Tree.from_dict({key: [] for key in ("feature", "thresh", "left", "right", "value")})
+
+    @pytest.mark.parametrize("trees", [lambda t: t[:1], lambda t: [], lambda t: t + t[:1]])
+    def test_tree_count_other_than_n_trees_rejected(self, trees):
+        d = _small_forest_dict()
+        d["trees"] = trees(d["trees"])
+        with pytest.raises(ValueError, match="n_trees"):
+            QuantileForest.from_dict(d)
+
+
+_FITS = {
+    "forest": lambda X, y: QuantileForest(0.5, n_trees=3, depth=2, lr=0.1, min_leaf=2).fit(X, y),
+    "classifier": lambda X, y: BinClassifier(LIKERT.labels(), epochs=5, l2=1e-3).fit(X, y),
+    "ridge": lambda X, y: RidgePredictor(1.0).fit(X, y),
+}
+
+
+class TestTrainingShapes:
+    Y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 3.0])
+
+    @pytest.mark.parametrize("fit", list(_FITS), ids=list(_FITS))
+    @pytest.mark.parametrize("X, y", [
+        (np.ones(6), Y),
+        (np.ones((5, 2)), Y),
+        (np.ones((7, 2)), Y),
+        (np.ones((6, 2, 1)), Y),
+        (np.ones((6, 2)), Y[:, None]),
+        (np.ones((1, 2)), np.float64(3.0)),
+    ], ids=["1-D X", "fewer rows", "more rows", "3-D X", "2-D y", "0-D y"])
+    def test_features_without_one_row_per_label_rejected(self, fit, X, y):
+        # these used to raise numpy's AxisError, IndexError or a broadcast,
+        # matmul or reshape ValueError
+        with pytest.raises(ValidationError, match="one row per label"):
+            _FITS[fit](X, y)
 
 
 class TestBinClassifier:
