@@ -86,6 +86,16 @@ def _training_arrays(X, y):
     return X, y
 
 
+def _prediction_features(X, n_features: int, at_least: bool = False):
+    """X as a float array; raises ValidationError unless X is 2-D with
+    ``n_features`` columns, or at least that many when ``at_least``."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or (X.shape[1] < n_features if at_least else X.shape[1] != n_features):
+        raise ValidationError(f"prediction features of shape {X.shape} are not rows of "
+                              f"{'at least ' if at_least else ''}{n_features} features")
+    return X
+
+
 # ---------------------------------------------------------------------------
 # Boosted quantile trees
 
@@ -106,7 +116,8 @@ class _Tree:
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=float)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """The leaf each row of X reaches."""
         idx = np.zeros(X.shape[0], dtype=np.int64)
         while True:
             feat = self.feature[idx]
@@ -116,7 +127,16 @@ class _Tree:
             rows = np.nonzero(active)[0]
             go_left = X[rows, feat[rows]] <= self.thresh[idx[rows]]
             idx[rows] = np.where(go_left, self.left[idx[rows]], self.right[idx[rows]])
-        return self.value[idx]
+        return idx
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.value[self.leaves(X)]
+
+    def shares_cuts(self, other: "_Tree | None") -> bool:
+        """Whether ``other`` holds this tree's very cut arrays, so that every
+        row reaches the same leaf in both."""
+        return (other is not None and self.feature is other.feature and self.thresh is other.thresh
+                and self.left is other.left and self.right is other.right)
 
     def to_dict(self) -> dict:
         return {
@@ -171,29 +191,42 @@ def _best_cut(xs: np.ndarray, gs: np.ndarray, total, total_sq, lo: int):
     return None if best is None else (best, lo - 1 + int(cut[best]))
 
 
-def _segment_quantiles(values: np.ndarray, seg: np.ndarray, tau: float):
-    """``np.quantile(values[seg == s], tau)`` for every segment id s at once.
+class _SegmentQuantiles:
+    """``np.quantile(values[seg == s], tau)`` for every segment id s in
+    ``ids``, for any values over one fixed ``seg``.
 
-    One lexsort orders the values within each segment; the rest repeats
-    numpy's 'linear' method step by step, including its interpolation from
-    the upper neighbour when the fraction is at least 0.5, so each result
-    is bit-identical.  ``seg`` holds non-negative ids and ``values`` no NaN.
-    Returns (segment ids, quantiles)."""
-    v = values[np.lexsort((values, seg))]
-    count = np.bincount(seg)
-    ids = np.flatnonzero(count)
-    count = count[ids]
-    last = np.cumsum(count) - 1
-    index = (count - 1) * tau
-    prev = np.floor(index)
-    # at or past the end numpy takes the last value, with prev -1
-    top = index >= count - 1
-    prev[top] = -1.0
-    lo = np.where(top, last, last - (count - 1) + prev.astype(np.intp))
-    a, b = v[lo], v[np.where(top, last, lo + 1)]
-    gamma = index - prev
-    diff = b - a
-    return ids, np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    The constructor does the work that depends on ``seg`` and ``tau`` alone:
+    each segment's count, and where in the values sorted by (segment, value)
+    numpy's 'linear' method reads its two neighbours and with what fraction.
+    A call then runs one lexsort, two gathers and the interpolation,
+    including numpy's interpolation from the upper neighbour when the
+    fraction is at least 0.5, so each result is bit-identical.  ``seg``
+    holds non-negative ids and ``values`` no NaN."""
+
+    __slots__ = ("seg", "ids", "lo", "hi", "gamma", "upper")
+
+    def __init__(self, seg: np.ndarray, tau: float):
+        self.seg = seg
+        count = np.bincount(seg)
+        self.ids = np.flatnonzero(count)
+        count = count[self.ids]
+        last = np.cumsum(count) - 1
+        index = (count - 1) * tau
+        prev = np.floor(index)
+        # at or past the end numpy takes the last value, with prev -1
+        top = index >= count - 1
+        prev[top] = -1.0
+        self.lo = np.where(top, last, last - (count - 1) + prev.astype(np.intp))
+        self.hi = np.where(top, last, self.lo + 1)
+        self.gamma = index - prev
+        self.upper = self.gamma >= 0.5
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """The quantiles of ``values``, one per entry of ``ids``."""
+        v = values[np.lexsort((values, self.seg))]
+        a, b = v[self.lo], v[self.hi]
+        diff = b - a
+        return np.where(self.upper, b - diff * (1 - self.gamma), a + diff * self.gamma)
 
 
 # each forest hyperparameter's (default, check), as the method table declares them
@@ -218,9 +251,17 @@ class QuantileForest:
     The cuts depend on the features and the gradients alone, and every
     gradient is tau or tau - 1.  So a round in which no residual changed
     sign has the previous round's gradients, cuts and row-to-leaf map: it
-    reuses them (the trees share those arrays) and recomputes only the
-    leaf values.  ``n_grown`` counts the rounds of the last fit that ran
-    the cut search; a forest rebuilt from a document has None.
+    reuses them (the trees share those arrays) and its leaf layout, and
+    recomputes only the leaf values.  ``n_grown`` counts the rounds of the
+    last fit that ran the cut search; a forest rebuilt from a document has
+    None.
+
+    ``predict`` routes the rows through a tree only when its cut arrays are
+    not the previous tree's, and otherwise reuses their leaves; it still
+    adds the trees' values in order.  So a fitted forest routes its input
+    ``n_grown`` times per call, and a forest rebuilt from a document, whose
+    trees share no arrays, ``n_trees`` times.  Its input needs at least
+    ``min_features`` columns: one more than the largest split feature.
     """
 
     def __init__(self, tau: float, n_trees: int, depth: int, lr: float, min_leaf: int):
@@ -234,6 +275,7 @@ class QuantileForest:
         self.base = 0.0
         self.trees: list[_Tree] = []
         self.n_grown = None
+        self.min_features = 0
 
     def _grow(self, X, order, xs, g):
         """Find one tree's cuts for the gradients g; returns its (feature,
@@ -300,7 +342,7 @@ class QuantileForest:
         order = np.argsort(X.T, axis=1, kind="stable")
         xs = np.take_along_axis(X.T, order, axis=1)
         pred = np.full(len(y), self.base)
-        self.n_grown = 0
+        self.n_grown = self.min_features = 0
         prev_g = None
         for _ in range(self.n_trees):
             resid = y - pred
@@ -308,20 +350,25 @@ class QuantileForest:
             # a repeated g repeats the cuts and leaves: only the values change
             if prev_g is None or not np.array_equal(g, prev_g):
                 shape, leaf = self._grow(X, order, xs, g)
+                quantiles = _SegmentQuantiles(leaf, self.tau)
                 prev_g = g
                 self.n_grown += 1
-            ids, quantiles = _segment_quantiles(resid, leaf, self.tau)
+                self.min_features = max(self.min_features, int(shape[0].max()) + 1)
             value = np.zeros(len(shape[0]))
-            value[ids] = quantiles
+            value[quantiles.ids] = quantiles(resid)
             self.trees.append(_Tree(*shape, value))
             pred = pred + self.lr * value[leaf]
         return self
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = _prediction_features(X, self.min_features, at_least=True)
         out = np.full(X.shape[0], self.base)
+        prev = None
         for tree in self.trees:
-            out += self.lr * tree.predict(X)
+            if not tree.shares_cuts(prev):
+                leaf = tree.leaves(X)
+            out += self.lr * tree.value[leaf]
+            prev = tree
         return out
 
     def to_dict(self) -> dict:
@@ -346,6 +393,7 @@ class QuantileForest:
         if len(d["trees"]) != qf.n_trees:
             raise ValueError(f"forest holds {len(d['trees'])} trees but n_trees is {qf.n_trees}")
         qf.trees = [_Tree.from_dict(t) for t in d["trees"]]
+        qf.min_features = max((int(t.feature.max()) + 1 for t in qf.trees), default=0)
         return qf
 
 
@@ -477,10 +525,9 @@ class BinClassifier:
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         if self.weights is None:
             raise ValidationError("classifier not fitted")
-        return self._probs(self._standardize(X))
+        return self._probs(self._standardize(_prediction_features(X, len(self.means))))
 
     def to_dict(self) -> dict:
         return {
@@ -583,8 +630,8 @@ class KernelSimilarity:
         self.stds = np.where(stds > 1e-12, stds, 1.0)
         return self
 
-    def _standardize(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.means) / self.stds
+    def _standardize(self, X) -> np.ndarray:
+        return (_prediction_features(X, len(self.means)) - self.means) / self.stds
 
     def median_bandwidth(self, X) -> float:
         Xs = self._standardize(X)
@@ -678,7 +725,7 @@ class RidgePredictor:
         return self
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = _prediction_features(X, len(self.means))
         return ((X - self.means) / self.stds) @ self.coef + self.intercept
 
     def to_dict(self) -> dict:

@@ -14,7 +14,7 @@ from confjudge.estimators import (
     KernelSimilarity,
     QuantileForest,
     RidgePredictor,
-    _segment_quantiles,
+    _SegmentQuantiles,
     _Tree,
     ols,
     pinball_loss,
@@ -279,6 +279,59 @@ class TestRepeatedGradientsReuseTheTree:
         assert QuantileForest.from_dict(qf.to_dict()).n_grown is None
 
 
+def _tree_by_tree(qf, X):
+    out = np.full(len(X), qf.base)
+    for tree in qf.trees:
+        out += qf.lr * tree.predict(X)
+    return out
+
+
+class TestPredictRoutesEachShapeOnce:
+    """Trees that share their cut arrays send every row to the same leaf, so
+    predict routes the rows once per run of such trees and reuses their
+    leaves.  Its sum must still be the tree-by-tree one, bit for bit."""
+
+    @pytest.mark.parametrize("kind, tau, few_shapes", [("discrete", 0.05, True), ("rounded", 0.95, True),
+                                                        ("continuous", 0.5, False)])
+    def test_equals_the_tree_by_tree_sum(self, kind, tau, few_shapes):
+        X, y = _oracle_data(kind, 80, seed=2)
+        qf = QuantileForest(tau, 40, 3, 0.5, 5).fit(X, y)
+        assert (qf.n_grown < 20) if few_shapes else (qf.n_grown == 40)
+        Xt = _oracle_data(kind, 50, seed=3)[0]
+        got = qf.predict(Xt)
+        assert np.array_equal(got, _tree_by_tree(qf, Xt))
+        assert np.array_equal(QuantileForest.from_dict(qf.to_dict()).predict(Xt), got)
+
+    @pytest.mark.parametrize("cut", ["thresh", "left", "right"])
+    def test_trees_sharing_only_some_cut_arrays_are_routed_apart(self, cut):
+        shared = {"feature": np.array([0, -1, -1]), "thresh": np.array([0.0, 0.0, 0.0]),
+                  "left": np.array([1, -1, -1]), "right": np.array([2, -1, -1])}
+        other = {"thresh": np.array([2.0, 0.0, 0.0]), "left": np.array([2, -1, -1]),
+                 "right": np.array([1, -1, -1])}
+        value = np.array([0.0, -1.0, 1.0])
+        first = _Tree(**shared, value=value)
+        second = _Tree(**{**shared, cut: other[cut]}, value=value)
+        assert first.feature is second.feature and not first.shares_cuts(second)
+        qf = QuantileForest(0.5, 2, 1, 1.0, 1)
+        qf.trees, qf.min_features = [first, second], 1
+        X = np.array([[-1.0], [1.0], [3.0]])
+        got = qf.predict(X)
+        assert np.array_equal(got, _tree_by_tree(qf, X))
+        # the case tells the two apart: one routing for both trees reads otherwise
+        assert not np.array_equal(got, qf.base + value[first.leaves(X)] * 2)
+
+    def test_routes_once_per_grown_round_or_loaded_tree(self):
+        X, y = _oracle_data("discrete", 80, seed=1)
+        qf = QuantileForest(0.05, 40, 3, 0.05, 5).fit(X, y)
+        loaded = QuantileForest.from_dict(qf.to_dict())
+        with mock.patch.object(_Tree, "leaves", autospec=True, side_effect=_Tree.leaves) as leaves:
+            qf.predict(X)
+            assert leaves.call_count == qf.n_grown < 40
+            leaves.reset_mock()
+            loaded.predict(X)
+            assert leaves.call_count == 40
+
+
 _TAUS = st.one_of(
     st.sampled_from([1e-12, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-3, 1 - 1e-12, float(np.nextafter(1.0, 0.0))]),
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -298,17 +351,25 @@ class TestSegmentQuantiles:
     def test_matches_numpy_per_segment(self, pairs, tau):
         seg = np.array([s for s, _ in pairs], dtype=np.intp)
         values = np.array([v for _, v in pairs])
-        ids, got = _segment_quantiles(values, seg, tau)
-        np.testing.assert_array_equal(ids, np.unique(seg))
-        assert _bits(got) == _bits([np.quantile(values[seg == s], tau) for s in ids])
+        quantiles = _SegmentQuantiles(seg, tau)
+        np.testing.assert_array_equal(quantiles.ids, np.unique(seg))
+        assert _bits(quantiles(values)) == _bits([np.quantile(values[seg == s], tau) for s in quantiles.ids])
 
     def test_short_segments_and_duplicates(self):
         values = np.array([3.0, 1.0, 1.0, 2.0, 2.0, 2.0, 7.0, -1.0, -0.0])
         seg = np.array([0, 1, 1, 2, 2, 2, 3, 3, 5])
         for tau in (1e-9, 0.5, 0.7, 1 - 1e-9):
-            ids, got = _segment_quantiles(values, seg, tau)
-            assert ids.tolist() == [0, 1, 2, 3, 5]
-            assert _bits(got) == _bits([np.quantile(values[seg == s], tau) for s in ids])
+            quantiles = _SegmentQuantiles(seg, tau)
+            assert quantiles.ids.tolist() == [0, 1, 2, 3, 5]
+            assert _bits(quantiles(values)) == _bits([np.quantile(values[seg == s], tau) for s in quantiles.ids])
+
+    @given(st.lists(st.tuples(st.integers(0, 6), _VALUES, _VALUES), min_size=1, max_size=40), _TAUS)
+    def test_one_layout_serves_new_values(self, rows, tau):
+        # fit keeps one layout over the rounds that reuse a tree's leaves
+        seg = np.array([s for s, _, _ in rows], dtype=np.intp)
+        quantiles = _SegmentQuantiles(seg, tau)
+        for values in (np.array([v for _, v, _ in rows]), np.array([w for _, _, w in rows])):
+            assert _bits(quantiles(values)) == _bits([np.quantile(values[seg == s], tau) for s in quantiles.ids])
 
 
 def _small_forest_dict() -> dict:
@@ -389,6 +450,39 @@ class TestTrainingShapes:
         # matmul or reshape ValueError
         with pytest.raises(ValidationError, match="one row per label"):
             _FITS[fit](X, y)
+
+
+class TestPredictionShapes:
+    X = np.random.default_rng(9).normal(size=(30, 3))
+    Y = np.clip(np.round(3 + X[:, 0] + X[:, 2]), 1, 5)
+    PREDICTS = {
+        "classifier": lambda X, y: _FITS["classifier"](X, y).predict_proba,
+        "ridge": lambda X, y: _FITS["ridge"](X, y).predict,
+        "kernel": lambda X, y: KernelSimilarity(None).fit(X).median_bandwidth,
+    }
+
+    @pytest.mark.parametrize("fit", list(PREDICTS), ids=list(PREDICTS))
+    @pytest.mark.parametrize("bad", [lambda X: X[:, :1], lambda X: X[:, :, None], lambda X: X[0],
+                                     lambda X: np.hstack([X, X[:, :1]])],
+                             ids=["one column", "3-D", "1-D", "four columns"])
+    def test_rows_of_other_than_the_fitted_features_rejected(self, fit, bad):
+        # one column used to broadcast against the three fitted ones, and
+        # (n, 3, 1) features to give 3-D output
+        predict = self.PREDICTS[fit](self.X, self.Y)
+        predict(self.X)
+        with pytest.raises(ValidationError, match="prediction features"):
+            predict(bad(self.X))
+
+    def test_forest_needs_a_column_past_its_largest_split_feature(self):
+        qf = _FITS["forest"](self.X, self.Y)
+        need = 1 + max(int(t.feature.max()) for t in qf.trees)
+        for forest in (qf, QuantileForest.from_dict(qf.to_dict())):
+            assert forest.min_features == need
+            # a 1-D row used to raise IndexError
+            for X in (self.X[0], self.X[:, :, None], self.X[:, :need - 1]):
+                with pytest.raises(ValidationError, match="prediction features"):
+                    forest.predict(X)
+            assert np.array_equal(forest.predict(np.hstack([self.X, self.X])), forest.predict(self.X))
 
 
 class TestBinClassifier:
