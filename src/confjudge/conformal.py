@@ -27,6 +27,7 @@ ordinal_rc   same growth on per-label weighted mass
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -135,9 +136,11 @@ class _Method:
 
 
 def _check_dim(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
+    """Z as rows of k features (one row for a 1-D Z); raises ValidationError
+    for any other shape."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if Z.shape[1] != model.k:
-        raise ValidationError(f"expected {model.k}-dimensional features, got {Z.shape[1]}")
+    if Z.ndim != 2 or Z.shape[1] != model.k:
+        raise ValidationError(f"expected rows of {model.k}-dimensional features, got shape {Z.shape}")
     return Z
 
 
@@ -261,9 +264,11 @@ def _check_classifier(state: dict, k: int, scale: LabelScale) -> None:
     _check_finite("classifier", (clf.weights, clf.bias, clf.means), clf.stds)
 
 
+@functools.lru_cache(maxsize=None)
 def _run_table(m: int):
     """All contiguous bin runs ordered by (width, start), plus a containment
-    matrix: contains[i, j] is True when run j is a superset of run i."""
+    matrix: contains[i, j] is True when run j is a superset of run i.
+    Cached per m, so the arrays are read-only."""
     lo = []
     hi = []
     for width in range(m):
@@ -273,69 +278,102 @@ def _run_table(m: int):
     lo = np.asarray(lo)
     hi = np.asarray(hi)
     contains = (lo[None, :] <= lo[:, None]) & (hi[None, :] >= hi[:, None])
+    for table in (lo, hi, contains):
+        table.flags.writeable = False
     return lo, hi, contains
 
 
-def _chr_level_runs(probs: np.ndarray, T: int):
-    """(n, T+1) run indices of the nested interval family per sample.
+def _chr_growth_steps(probs: np.ndarray, T: int):
+    """The nested interval family of each sample as its growth steps.
 
     The family starts at the modal bin and, at each level t / T - 1e-9,
     grows to the first run in (width, start) order that contains the
     current run and whose mass meets the level (the full-support run
-    backstops numerical shortfalls at the top level).
+    backstops numerical shortfalls at the top level).  A run stays while
+    its own mass meets the level, since among its supersets it comes
+    first.  So each sample only changes run at the first level past its
+    current run's mass, at most m - 1 times.
 
-    A run stays while its own mass meets the level, since among its
-    supersets it comes first.  So each sample only changes run at the
-    first level past its current run's mass, at most m - 1 times, and the
-    loop runs over those growth steps, not over the T + 1 levels: it costs
-    O(n * runs * (m - 1)) for the m(m+1)/2 runs, plus O(n * T) to write
-    the levels.  Samples go a block at a time, so the (samples x runs)
-    arrays stay bounded."""
+    Yields ``(rows, t, run)``: the samples ``rows`` move to ``run`` (an
+    index into :func:`_run_table`) at level ``t``.  The first step puts
+    every sample on its modal bin at level 0; each sample's steps come in
+    increasing t (a NaN mass fails every level, so its run changes at
+    level 0 too), and each run strictly contains the one before, so it is
+    wider and has a larger index.  The run at level q is the one of the
+    last step with t <= q.  Samples go a block at a time, so the
+    (samples x runs) arrays stay bounded; the steps cost
+    O(n * runs * (m - 1)) for the m(m+1)/2 runs, whatever T is."""
     n, m = probs.shape
     run_lo, run_hi, contains = _run_table(m)
     full = len(run_lo) - 1
     grid = np.arange(T + 1) / T - 1e-9
-    # each change is written as a run-index delta at its level, then summed
-    levels = np.zeros((n, T + 1), dtype=np.int64)
     step = _block_rows(len(run_lo))
     for r0 in range(0, n, step):
-        block, out = probs[r0:r0 + step], levels[r0:r0 + step]
+        block = probs[r0:r0 + step]
         csum = np.concatenate([np.zeros((len(block), 1)), np.cumsum(block, axis=1)], axis=1)
         mass = csum[:, run_hi + 1] - csum[:, run_lo]
         cur = np.argmax(block, axis=1)
-        out[:, 0] = cur
         rows = np.arange(len(block))
+        yield rows + r0, np.zeros_like(cur), cur
         while rows.size:
             cur_mass = mass[rows, cur]
-            # a NaN mass fails every level, so its run changes at once
             t = np.where(np.isnan(cur_mass), 0, np.searchsorted(grid, cur_mass, side="right"))
             growing = (t <= T) & (cur != full)
             rows, cur, t = rows[growing], cur[growing], t[growing]
             ok = (mass[rows] >= grid[t][:, None]) & contains[cur]
             ok[:, full] = True
             new = np.argmax(ok, axis=1)
-            out[rows, t] += new - cur
+            yield rows + r0, t, new
             cur = new
-    np.cumsum(levels, axis=1, out=levels)
+
+
+def _chr_level_runs(probs: np.ndarray, T: int):
+    """(n, T+1) run indices of the nested interval family per sample, with
+    the run table's bounds: each growth step of :func:`_chr_growth_steps`
+    written at its level, then carried to the later levels (run indices
+    only grow along a sample's steps).  Prediction and scoring read the
+    steps instead of this O(n * T) matrix."""
+    n, m = probs.shape
+    levels = np.zeros((n, T + 1), dtype=np.int64)
+    for rows, t, run in _chr_growth_steps(probs, T):
+        levels[rows, t] = run
+    np.maximum.accumulate(levels, axis=1, out=levels)
+    run_lo, run_hi, _ = _run_table(m)
     return levels, run_lo, run_hi
 
 
 def _score_chr(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
+    """The first level whose run holds the label's bin: the t of the first
+    growth step whose run holds it (runs only grow, so later ones do
+    too)."""
     classifier, T = state["classifier"], state["T"]
-    levels, run_lo, run_hi = _chr_level_runs(classifier.predict_proba(Z), T)
+    probs = classifier.predict_proba(Z)
+    run_lo, run_hi, _ = _run_table(probs.shape[1])
     ybin = np.argmin(np.abs(y[:, None] - classifier.bins[None, :]), axis=1)
-    inside = (run_lo[levels] <= ybin[:, None]) & (ybin[:, None] <= run_hi[levels])
     # a label the family never reaches (all its mass truncated) scores
     # beyond the top level and simply stays uncovered
-    s = np.where(inside.any(axis=1), np.argmax(inside, axis=1), T + 1)
+    s = np.full(len(ybin), T + 1)
+    for rows, t, run in _chr_growth_steps(probs, T):
+        b = ybin[rows]
+        first = (run_lo[run] <= b) & (b <= run_hi[run]) & (t < s[rows])
+        s[rows[first]] = t[first]
     return s.astype(float)
 
 
 def _interval_chr(model: CalibratedModel, Z: np.ndarray, y_hats):
+    """The run at level qhat: the run of each sample's last growth step
+    with t <= qhat."""
     classifier, T = model.state["classifier"], model.state["T"]
-    levels, run_lo, run_hi = _chr_level_runs(classifier.predict_proba(Z), T)
-    # a quantile past the top level (too many unreachable labels) stops there
-    runs = levels[:, min(int(model.qhat), T)]
+    probs = classifier.predict_proba(Z)
+    run_lo, run_hi, _ = _run_table(probs.shape[1])
+    # a quantile past the top level (too many unreachable labels) stops
+    # there, and one below level 0 (only a hand-made document has one)
+    # reads level 0
+    q = min(max(int(model.qhat), 0), T)
+    runs = np.empty(len(probs), dtype=np.int64)
+    for rows, t, run in _chr_growth_steps(probs, T):
+        reached = t <= q
+        runs[rows[reached]] = run[reached]
     return classifier.bins[run_lo[runs]], classifier.bins[run_hi[runs]], None
 
 

@@ -603,6 +603,126 @@ def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+# the pair distances a median pass keeps, and the pairs its sample draws,
+# at most: 2 MB each
+_SELECT_CAP = 1 << 18
+
+
+def _pair_sample(Xs: np.ndarray, size: int) -> np.ndarray:
+    """Sorted distances of ``size`` pairs i != j drawn with a fixed seed,
+    a block of pairs at a time."""
+    m = len(Xs)
+    rng = np.random.default_rng(0)
+    out = np.empty(size)
+    step = _block_rows(Xs.shape[1])
+    for c0 in range(0, size, step):
+        c = min(step, size - c0)
+        i = rng.integers(0, m, c)
+        j = rng.integers(0, m - 1, c)
+        j += j >= i
+        out[c0:c0 + c] = np.sum((Xs[i] - Xs[j]) ** 2, axis=-1)
+    out.sort()
+    return out
+
+
+def _pair_pass(Xs: np.ndarray, lo: float, hi: float):
+    """One blocked pass over the squared distances of the pairs i < j:
+    ``(below, inside, kept)``, the numbers of them under ``lo`` and in
+    [lo, hi], and those in [lo, hi] unless more than ``_SELECT_CAP`` are
+    (then None).  Each block of rows splits into the triangle of pairs
+    among its own rows and the rectangle against the rows after it, so no
+    mask covers the rectangle."""
+    m = len(Xs)
+    everything = lo <= 0.0 and hi == np.inf
+    below = inside = 0
+    kept = []
+    step = _block_rows(m)
+    upper = np.triu(np.ones((min(step, m),) * 2, dtype=bool), 1)
+    for r0 in range(0, m - 1, step):
+        r1 = min(r0 + step, m)
+        rows = Xs[r0:r1]
+        for d in (_sq_distances(rows, rows)[upper[:r1 - r0, :r1 - r0]], _sq_distances(rows, Xs[r1:])):
+            if everything:
+                n_in = d.size
+            else:
+                lt = d < lo
+                le = d <= hi
+                n_lt = np.count_nonzero(lt)
+                n_in = np.count_nonzero(le) - n_lt
+                below += n_lt
+            inside += n_in
+            if kept is not None and n_in:
+                if inside > _SELECT_CAP:
+                    kept = None
+                else:
+                    kept.append(d.ravel() if everything else d[le ^ lt])
+    if kept is not None:
+        kept = np.concatenate(kept) if kept else np.empty(0)
+    return below, inside, kept
+
+
+def _bracket(sample: np.ndarray, lo: float, hi: float, p_lo: float, p_hi: float):
+    """Pivots inside [lo, hi] around the fractions p_lo..p_hi of its values:
+    the sampled values there with a margin of four standard deviations,
+    when that halves them and narrows [lo, hi]; else the midpoint of
+    [lo, hi] in bit order (two non-negative floats order as their bits)."""
+    a, b = np.searchsorted(sample, lo, side="left"), np.searchsorted(sample, hi, side="right")
+    n = b - a
+    margin = 2.0 * math.sqrt(n) + 1.0
+    i, j = math.floor(p_lo * n - margin), math.ceil(p_hi * n + margin)
+    if j - i <= n / 2:
+        l, h = (sample[a + i] if i >= 0 else lo), (sample[a + j] if j < n else hi)
+        if (l, h) != (lo, hi):
+            return l, h
+    bits = np.array([lo, hi]).view(np.int64)
+    mid = float((bits[:1] + (bits[1] - bits[0]) // 2).view(np.float64)[0])
+    return mid, mid
+
+
+def _pair_distance_ranks(Xs: np.ndarray, ranks: list, state=None, sample=None) -> list:
+    """The squared pair distances of the given ascending ranks (0-based,
+    among the m(m-1)/2 pairs i < j), exactly, by bracketed selection
+    (Floyd & Rivest, CACM 1975), holding at most ``_SELECT_CAP`` of them.
+
+    ``state`` is a bracket [lo, hi] known to hold the ranks, with the
+    numbers of distances below it and in it; at first every distance is in
+    [0, inf].  While the bracket holds more than the cap, a fixed-seed
+    sample of pairs picks a narrower one around the ranks and a pass counts
+    and keeps what lies in it.  A pass whose bracket misses the ranks
+    narrows [lo, hi] past it.  The counts are exact, so the sample only
+    sets how many passes run, never the result."""
+    m = len(Xs)
+    n_pairs = m * (m - 1) // 2
+    lo, hi, n_below, n_in = state or (0.0, np.inf, 0, n_pairs)
+    while True:
+        if n_in <= _SELECT_CAP:
+            l, h = lo, hi
+        elif lo == hi:
+            return [lo] * len(ranks)
+        else:
+            if sample is None:
+                # about cap / 2 distances fall in the first bracket
+                sample = _pair_sample(Xs, min(_SELECT_CAP, (8 * n_pairs // _SELECT_CAP) ** 2 + 1024))
+            l, h = _bracket(sample, lo, hi, (ranks[0] - n_below) / n_in, (ranks[-1] + 1 - n_below) / n_in)
+        below, inside, kept = _pair_pass(Xs, l, h)
+        first, last = ranks[0] - below, ranks[-1] - below
+        if 0 <= first and last < inside:
+            if kept is not None:
+                at = [k - below for k in ranks]
+                kept.partition(at)
+                return list(kept[at])
+            if l == h:
+                return [l] * len(ranks)
+            lo, hi, n_below, n_in = l, h, below, inside
+        elif last < 0:
+            hi, n_in = np.nextafter(l, -np.inf), below - n_below
+        elif first >= inside:
+            lo, n_in, n_below = np.nextafter(h, np.inf), n_below + n_in - below - inside, below + inside
+        else:
+            # a pivot falls between the two middle ranks: select each alone
+            return [v for k in ranks for v in _pair_distance_ranks(Xs, [k], (lo, hi, n_below, n_in), sample)]
+
+
 # the kernel's bandwidth (default, check), as the method table declares it
 KERNEL_HYPER = {"bandwidth": (None, or_none(real(0, strict=True)))}
 
@@ -615,8 +735,10 @@ class KernelSimilarity:
     Memory: ``weights_batch`` holds a few (queries x m) arrays, and no
     (queries x m x features) tensor larger than one block, so callers that
     pass a block of queries at a time use O(block * m) memory;
-    ``median_bandwidth`` holds one buffer of the m(m-1)/2 distinct pair
-    distances plus one block."""
+    ``median_bandwidth`` holds one block, a sample of at most
+    ``_SELECT_CAP`` pairs and at most that many kept distances, whatever m
+    is: 2 MB each, against 16 MB for all pairs at m = 2000 and 2.5 GB at
+    m = 25000."""
 
     def __init__(self, bandwidth: float | None):
         self.bandwidth = KERNEL_HYPER["bandwidth"][1](bandwidth, "kernel bandwidth")
@@ -634,20 +756,25 @@ class KernelSimilarity:
         return (_prediction_features(X, len(self.means)) - self.means) / self.stds
 
     def median_bandwidth(self, X) -> float:
+        """The square root of ``np.median`` over the squared distances of
+        the m(m-1)/2 pairs of ``X``'s points, bit for bit (1.0 when it is 0
+        or there are no pairs), found by selection without keeping them.
+        Raises ValidationError when a distance is NaN or the median
+        overflows."""
         Xs = self._standardize(X)
-        m = len(Xs)
-        # distances of the pairs j > i, row by row, filled block by block
-        pairs = np.empty(m * (m - 1) // 2)
-        step = _block_rows(m)
-        pos = 0
-        for r0 in range(0, m - 1, step):
-            r1 = min(r0 + step, m - 1)
-            d2 = _sq_distances(Xs[r0:r1], Xs[r0 + 1:])
-            above = np.arange(m - 1 - r0)[None, :] >= np.arange(r1 - r0)[:, None]
-            block = d2[above]
-            pairs[pos:pos + block.size] = block
-            pos += block.size
-        bw = float(np.sqrt(np.median(pairs, overwrite_input=True))) if pairs.size else 1.0
+        # a distance is NaN exactly when a feature is, or when two points
+        # share an infinite one
+        shared_inf = any((np.count_nonzero(Xs == v, axis=0) > 1).any() for v in (np.inf, -np.inf))
+        if shared_inf or np.isnan(Xs).any():
+            raise ValidationError("degenerate features")
+        n_pairs = len(Xs) * (len(Xs) - 1) // 2
+        if n_pairs == 0:
+            return 1.0
+        # np.median's mean of the one or two middle values
+        d2 = np.mean(_pair_distance_ranks(Xs, sorted({(n_pairs - 1) // 2, n_pairs // 2})))
+        if not np.isfinite(d2):
+            raise ValidationError("degenerate features")
+        bw = float(np.sqrt(d2))
         return bw if bw > 1e-12 else 1.0
 
     def weights_batch(self, X_calib, Z) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ import confjudge.estimators as estimators
 from confjudge.conformal import (
     _METHOD_TABLE,
     _chr_level_runs,
+    _interval_chr,
     _lvd_local_quantiles,
     _ordinal_growth_predict,
     _run_table,
+    _score_chr,
     _score_r2ccp,
     _superlevel_interval,
     _superlevel_spans,
@@ -410,6 +413,19 @@ class TestModelContract:
         _, _, _, models = fitted
         with pytest.raises(ValidationError, match="dimensional"):
             cj.predict_interval(models["cqr"], np.zeros(4))
+
+    @pytest.mark.parametrize("method", cj.METHODS)
+    def test_three_dimensional_features_rejected(self, fitted, method):
+        # (n, k, 1) features used to pass the dimension check: ordinal_aps
+        # and ordinal_rc then raised "too many values to unpack"
+        _, calib, test, models = fitted
+        with pytest.raises(ValidationError, match="dimensional"):
+            cj.predict_intervals(models[method], test.logits[:, :, None], test.raw_scores)
+        # a Dataset holds only 2-D logits, so the scores get a stand-in
+        rows = SimpleNamespace(logits=calib.logits[:, :, None], labels=calib.labels,
+                               raw_scores=calib.raw_scores)
+        with pytest.raises(ValidationError, match="dimensional"):
+            cj.score_samples(models[method], rows)
 
     def test_serialization_roundtrip(self, fitted):
         _, _, test, models = fitted
@@ -817,6 +833,80 @@ class TestChrGrowthStepsMatchLevelOracle:
         assert np.array_equal(_chr_level_runs(probs, 10)[0], want)
 
 
+# The dense CHR score and interval that preceded the growth-step walk:
+# both read the whole (n, T+1) level matrix.
+
+
+def _dense_chr_scores(probs, bins, y, T):
+    levels, run_lo, run_hi = _chr_level_runs_per_level(probs, T)
+    ybin = np.argmin(np.abs(y[:, None] - bins[None, :]), axis=1)
+    inside = (run_lo[levels] <= ybin[:, None]) & (ybin[:, None] <= run_hi[levels])
+    s = np.where(inside.any(axis=1), np.argmax(inside, axis=1), T + 1)
+    return s.astype(float)
+
+
+def _dense_chr_bounds(probs, bins, qhat, T):
+    levels, run_lo, run_hi = _chr_level_runs_per_level(probs, T)
+    runs = levels[:, min(int(qhat), T)]
+    return bins[run_lo[runs]], bins[run_hi[runs]]
+
+
+class TestChrStepsMatchDenseScoreAndInterval:
+    """Scores and intervals read from the growth steps equal the dense
+    level matrix's, bit for bit."""
+
+    @staticmethod
+    def rows(m, T):
+        probs = _chr_probs(m, T, np.random.default_rng(7 * m + T))
+        nan_rows = np.array([[np.nan] * m, [0.3] + [np.nan] * (m - 1), [np.nan] + [1.0 / m] * (m - 1)])
+        return np.vstack([probs, nan_rows])
+
+    @staticmethod
+    def classifier(probs, bins):
+        return SimpleNamespace(predict_proba=lambda Z: probs.copy(), bins=bins)
+
+    @pytest.mark.parametrize("T", [1, 2, 7, 100])
+    @pytest.mark.parametrize("m", [1, 2, 5, 13])
+    def test_scores_bit_for_bit(self, m, T):
+        probs = self.rows(m, T)
+        bins = np.linspace(1.0, 5.0, m) if m > 1 else np.array([3.0])
+        # every row against every bin, and against labels between bins
+        y = np.concatenate([bins, (bins[1:] + bins[:-1]) / 2])
+        P, Y = np.repeat(probs, len(y), axis=0), np.tile(y, len(probs))
+        state = {"classifier": self.classifier(P, bins), "T": T}
+        with np.errstate(invalid="ignore"):
+            want = _dense_chr_scores(P, bins, Y, T)
+        got = _score_chr(state, None, np.zeros((len(P), 1)), Y, None)
+        assert _bits(got).tolist() == _bits(want).tolist()
+        if m > 1:
+            # point masses leave the other labels unreachable
+            assert (want == T + 1).any()
+
+    @pytest.mark.parametrize("T", [1, 2, 7, 100])
+    @pytest.mark.parametrize("m", [1, 2, 5, 13])
+    def test_intervals_bit_for_bit(self, m, T):
+        probs = self.rows(m, T)
+        bins = np.linspace(1.0, 5.0, m) if m > 1 else np.array([3.0])
+        state = {"classifier": self.classifier(probs, bins), "T": T}
+        # levels 0 and T, between levels, and past the top level
+        for qhat in (0.0, 0.5, 1.0, T / 2, T - 0.25, T, T + 1, T + 7.5):
+            model = SimpleNamespace(state=state, qhat=qhat)
+            lo, hi, _ = _interval_chr(model, np.zeros((len(probs), 1)), None)
+            with np.errstate(invalid="ignore"):
+                want_lo, want_hi = _dense_chr_bounds(probs, bins, qhat, T)
+            assert _bits(lo).tolist() == _bits(want_lo).tolist()
+            assert _bits(hi).tolist() == _bits(want_hi).tolist()
+
+    def test_quantile_below_level_0_reads_level_0(self):
+        probs = self.rows(5, 10)
+        bins = np.linspace(1.0, 5.0, 5)
+        state = {"classifier": self.classifier(probs, bins), "T": 10}
+        lo, hi, _ = _interval_chr(SimpleNamespace(state=state, qhat=-3.0), np.zeros((len(probs), 1)), None)
+        with np.errstate(invalid="ignore"):
+            want_lo, want_hi = _dense_chr_bounds(probs, bins, 0.0, 10)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
 class TestR2ccpBatchMatchesScalarOracle:
     @staticmethod
     def rows(m, q, rng):
@@ -994,6 +1084,123 @@ class TestBlockedKernelMatchesDenseOracle:
             assert kernel.median_bandwidth(X) == _dense_median_bandwidth(kernel, X)
 
 
+class TestMedianBandwidthBySelection:
+    """The bandwidth selected pass by pass is the dense median's, bit for
+    bit, whichever path the selection takes."""
+
+    @pytest.fixture(autouse=True)
+    def passes(self, monkeypatch):
+        """Each selection pass's (lo, hi, below, inside, kept or None).
+        Bisection alone needs at most 64 passes per middle rank, so more
+        than 200 means the selection does not converge."""
+        seen = []
+        counted = estimators._pair_pass
+
+        def recorded(Xs, lo, hi):
+            assert len(seen) < 200, "the selection does not converge"
+            below, inside, kept = counted(Xs, lo, hi)
+            seen.append((lo, hi, below, inside, kept))
+            return below, inside, kept
+
+        monkeypatch.setattr(estimators, "_pair_pass", recorded)
+        return seen
+
+    @staticmethod
+    def check(X):
+        kernel = cj.KernelSimilarity(None).fit(X)
+        bw = kernel.median_bandwidth(X)
+        assert bw == _dense_median_bandwidth(kernel, X)
+        return bw
+
+    @pytest.mark.parametrize("cap", [None, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 9, 10, 64, 65])
+    def test_odd_and_even_pair_counts(self, monkeypatch, m, cap):
+        # 1, 3, 6, 10, 15, 36, 45, 2016 and 2080 pairs
+        if cap is not None:
+            monkeypatch.setattr(estimators, "_SELECT_CAP", cap)
+        self.check(np.random.default_rng(m).normal(size=(m, 3)))
+
+    @pytest.mark.parametrize("cap", [None, 50, 300])
+    def test_ties_across_the_median(self, monkeypatch, cap):
+        # with a cap of 300 the sampled pivots fall on the bracket's own
+        # bounds, so the selection must bisect to narrow it
+        if cap is not None:
+            monkeypatch.setattr(estimators, "_SELECT_CAP", cap)
+        X = np.random.default_rng(0).integers(0, 3, size=(70, 2)).astype(float)
+        self.check(X)
+        Xs = cj.KernelSimilarity(None).fit(X)._standardize(X)
+        d2 = np.sum((Xs[:, None] - Xs[None]) ** 2, axis=-1)[np.triu_indices(70, k=1)]
+        n, median = len(d2), np.median(d2)
+        # the median value repeats on both sides of the middle ranks
+        assert (d2 < median).sum() <= (n - 1) // 2 - 10 and n - 1 - (d2 > median).sum() >= n // 2 + 10
+
+    @pytest.mark.parametrize("cap", [None, 10])
+    def test_all_points_equal(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(estimators, "_SELECT_CAP", cap)
+        assert self.check(np.full((40, 3), 2.5)) == 1.0
+
+    @pytest.mark.parametrize("k", [8, 13])
+    def test_eight_or_more_features(self, monkeypatch, k):
+        monkeypatch.setattr(estimators, "_SELECT_CAP", 100)
+        self.check(np.random.default_rng(k).normal(size=(57, k)) * np.arange(1, k + 1))
+
+    @pytest.mark.parametrize("entries", [1, 7, 64])
+    def test_tiny_blocks(self, monkeypatch, entries):
+        _small_blocks(monkeypatch, entries)
+        monkeypatch.setattr(estimators, "_SELECT_CAP", 30)
+        self.check(np.random.default_rng(entries).normal(size=(43, 4)))
+
+    @pytest.mark.parametrize("fake", [0.0, 1e-300, 1e300], ids=["zero", "below", "above"])
+    def test_forced_bracket_miss(self, monkeypatch, passes, fake):
+        # a sample that says nothing about the distances
+        monkeypatch.setattr(estimators, "_pair_sample", lambda Xs, size: np.full(size, fake))
+        monkeypatch.setattr(estimators, "_SELECT_CAP", 40)
+        m = 50
+        self.check(np.random.default_rng(4).normal(size=(m, 3)))
+        n_pairs = m * (m - 1) // 2
+        lo, hi, below, inside, _ = passes[0]
+        assert not below <= (n_pairs - 1) // 2 < n_pairs // 2 < below + inside
+        assert passes[-1][4] is not None
+
+    def test_forced_cap_overflow(self, monkeypatch, passes):
+        # a 1000-pair sample brackets about 2500 of the 19900 distances
+        monkeypatch.setattr(estimators, "_SELECT_CAP", 1000)
+        self.check(np.random.default_rng(5).normal(size=(200, 3)))
+        assert passes[0][3] > 1000 and passes[0][4] is None
+        assert passes[-1][4] is not None
+
+    def test_real_cap_one_pass(self, passes):
+        # eval-wide's calibration size: one pass keeps the bracket.  The
+        # oracle's tensor would take 160 MB here, so the pairs go row by row.
+        X = np.random.default_rng(6).normal(size=(2000, 5))
+        kernel = cj.KernelSimilarity(None).fit(X)
+        Xs = kernel._standardize(X)
+        pairs = np.concatenate([np.sum((Xs[i] - Xs[i + 1:]) ** 2, axis=-1) for i in range(len(Xs) - 1)])
+        assert kernel.median_bandwidth(X) == float(np.sqrt(np.median(pairs)))
+        assert len(passes) == 1 and len(passes[0][4]) <= estimators._SELECT_CAP
+
+    def test_nan_distances_rejected(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(30, 3))
+        kernel = cj.KernelSimilarity(None).fit(X)
+        for bad in (np.nan, np.inf):
+            Y = X.copy()
+            Y[[4, 9], 1] = bad  # NaN, or inf - inf between two points
+            with pytest.raises(ValidationError, match="degenerate features"):
+                kernel.median_bandwidth(Y)
+
+    def test_overflowing_median_rejected(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(30, 3))
+        kernel = cj.KernelSimilarity(None).fit(X)
+        # the dense median is inf here
+        with np.errstate(over="ignore"):
+            assert _dense_median_bandwidth(kernel, X * 1e200) == np.inf
+        with pytest.raises(ValidationError, match="degenerate features"), np.errstate(over="ignore"):
+            kernel.median_bandwidth(X * 1e200)
+
+
 def test_lvd_memory_stays_bounded():
     # the dense kernel peaked at 412 MB calibrating and 826 MB predicting here
     rng = np.random.default_rng(9)
@@ -1020,3 +1227,49 @@ def test_lvd_memory_stays_bounded():
     assert len(intervals) == 6000
     assert calibrate_peak < 64 * mb, calibrate_peak / mb
     assert predict_peak < 32 * mb, predict_peak / mb
+
+
+def _traced_peak(run) -> int:
+    """Peak traced bytes of ``run()`` above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_lvd_and_chr_peaks_grow_only_with_their_rows():
+    # From n to 4n rows the peak may grow by per-row arrays of a few values
+    # per feature or bin (here 4 per column plus 8) and one block, not with
+    # the m(m-1)/2 pair distances of lvd's median (15 MB more from 500 to
+    # 2000 calibration points) or chr's (n, T+1) level matrices (3.6 MB
+    # more to predict 4000 rows than 1000, 5.3 MB to score them).
+    rng = np.random.default_rng(12)
+    k = 5
+    block = estimators._BLOCK_ENTRIES * 8
+
+    def dataset(n, prefix):
+        # eval-wide's 13-label grid: chr's blocks hold 720 rows, so both
+        # sizes fill whole blocks
+        Z = rng.normal(size=(n, k))
+        labels = GPA_THIRDS.nearest_label(3.0 + Z[:, 0])
+        return build_dataset(Z, labels, labels, scale=GPA_THIRDS, prefix=prefix)
+
+    def growth(peak, n, width):
+        small, large = peak(n), peak(4 * n)
+        return large - small, 3 * n * 8 * (4 * width + 8) + block
+
+    train = dataset(300, "t")
+    calib = {m: dataset(m, "c") for m in (500, 2000)}
+    grew, bound = growth(lambda m: _traced_peak(lambda: cj.calibrate("lvd", train, calib[m], 0.1)), 500, k)
+    assert grew <= bound, ("lvd calibrate", grew, bound)
+
+    model = cj.calibrate("chr", train, dataset(300, "c"), 0.1)
+    bins = len(GPA_THIRDS.labels())
+    test = {n: dataset(n, "s") for n in (1000, 4000)}
+    grew, bound = growth(lambda n: _traced_peak(lambda: cj.score_samples(model, test[n])), 1000, bins)
+    assert grew <= bound, ("chr score", grew, bound)
+    grew, bound = growth(lambda n: _traced_peak(lambda: cj.predict_intervals(model, test[n].logits)), 1000, bins)
+    assert grew <= bound, ("chr predict", grew, bound)
