@@ -164,22 +164,19 @@ def _fit_split_abs(train: Dataset, calib: Dataset, alpha: float, h: dict) -> dic
     return {"point_predictor": h["point_predictor"], "ridge": ridge}
 
 
-def _check_finite(key: str, arrays, stds=()) -> None:
-    # a NaN weight or a zero std would serve NaN or full-range intervals
-    if not all(np.isfinite(v).all() for v in (*arrays, stds)) or not np.all(np.greater(stds, 0)):
-        raise ValidationError(f"model state {key!r} must hold finite numbers, and any stds positive")
-
-
-def _check_ridge(state: dict, k: int) -> None:
-    ridge = state["ridge"]
-    if ridge is None or any(v.shape != (k,) for v in (ridge.coef, ridge.means, ridge.stds)):
-        raise ValidationError(f"model state 'ridge' must hold {k} coefficients, means and stds")
-    _check_finite("ridge", (ridge.coef, ridge.intercept, ridge.means), ridge.stds)
+def _check_reads(state: dict, k: int, keys) -> None:
+    """Reject a missing estimator under ``keys`` (it reads 0 features) or one that scales other than k."""
+    for key in keys:
+        n = 0 if state[key] is None else len(state[key].means)
+        if n != k:
+            raise ValidationError(f"model state {key!r} reads {n} features, but k is {k}")
 
 
 def _check_split_abs(state: dict, k: int, scale: LabelScale) -> None:
-    if state["point_predictor"] == "ridge":
-        _check_ridge(state, k)
+    if (state["ridge"] is None) == (state["point_predictor"] == "ridge"):
+        raise ValidationError("model state 'ridge' must be set exactly when the point predictor is ridge")
+    if state["ridge"] is not None:
+        _check_reads(state, k, ("ridge",))
 
 
 def _score_split_abs(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
@@ -205,12 +202,10 @@ def _fit_forests(train: Dataset, tail: float, h: dict) -> dict:
 
 
 def _check_forests(state: dict, k: int, scale: LabelScale) -> None:
+    # a forest may split on fewer than k features, never on more
     for key in _FORESTS:
-        forest = state[key]
-        used = max((int(tree.feature.max()) for tree in forest.trees), default=-1)
-        if used >= k:
-            raise ValidationError(f"model state {key!r} splits on feature {used}, but k is {k}")
-        _check_finite(key, [forest.base] + [a for t in forest.trees for a in (t.thresh, t.value)])
+        if state[key].min_features > k:
+            raise ValidationError(f"model state {key!r} reads {state[key].min_features} features, but k is {k}")
 
 
 def _forest_bounds(state: dict, Z: np.ndarray):
@@ -253,15 +248,10 @@ def _fit_classifier(train: Dataset, h: dict) -> BinClassifier:
 
 
 def _check_classifier(state: dict, k: int, scale: LabelScale) -> None:
-    clf, labels = state["classifier"], scale.labels()
-    m = len(labels)
-    if clf.bins.shape != (m,) or not np.allclose(clf.bins, labels, rtol=0.0, atol=GRID_TOL):
-        raise ValidationError(f"model state 'classifier' bins must be the scale's {m} labels")
-    if (clf.weights.shape != (m, k) or clf.bias.shape != (m,)
-            or clf.means.shape != (k,) or clf.stds.shape != (k,)):
-        raise ValidationError(
-            f"model state 'classifier' must hold ({m}, {k}) weights, {m} biases, {k} means and {k} stds")
-    _check_finite("classifier", (clf.weights, clf.bias, clf.means), clf.stds)
+    bins, labels = state["classifier"].bins, scale.labels()
+    if bins.shape != labels.shape or not np.allclose(bins, labels, rtol=0.0, atol=GRID_TOL):
+        raise ValidationError(f"model state 'classifier' bins must be the scale's {len(labels)} labels")
+    _check_reads(state, k, ("classifier",))
 
 
 @functools.lru_cache(maxsize=None)
@@ -399,8 +389,8 @@ def _fit_lvd(train: Dataset, calib: Dataset, alpha: float, h: dict) -> dict:
 
 
 def _check_lvd(state: dict, k: int, scale: LabelScale) -> None:
-    _check_ridge(state, k)
-    calib, order, kernel = state["calib_logits"], state["sort_order"], state["kernel"]
+    _check_reads(state, k, ("ridge", "kernel"))
+    calib, order = state["calib_logits"], state["sort_order"]
     if calib.ndim != 2 or calib.shape[1] != k or len(calib) == 0:
         raise ValidationError(f"model state 'calib_logits' must be an (m, {k}) array with m >= 1")
     m = len(calib)
@@ -408,11 +398,8 @@ def _check_lvd(state: dict, k: int, scale: LabelScale) -> None:
         raise ValidationError(f"model state 'sorted_scores' must hold {m} scores")
     if order.shape != (m,) or not np.array_equal(np.sort(order), np.arange(m)):
         raise ValidationError(f"model state 'sort_order' must be a permutation of 0..{m - 1}")
-    if kernel.means.shape != (k,) or kernel.stds.shape != (k,):
-        raise ValidationError(f"model state 'kernel' must hold {k} means and {k} stds")
-    _check_finite("kernel", (kernel.means,), kernel.stds)
-    # the constructor checks any bandwidth given
-    if kernel.bandwidth is None:
+    # the kernel's reader checks any bandwidth given
+    if state["kernel"].bandwidth is None:
         raise ValidationError("model state 'kernel' has no bandwidth")
 
 
@@ -602,6 +589,7 @@ def _interval_ordinal(model: CalibratedModel, Z: np.ndarray, y_hats):
 
 
 _number = real()
+_nonnegative = real(0)  # the qhat of a method whose scores are never negative
 
 
 def _pair(value) -> tuple:
@@ -619,7 +607,7 @@ _FORESTS = ("forest_lo", "forest_hi")
 
 _METHOD_TABLE = {
     "split_abs": _Method(_fit_split_abs, _score_split_abs, conformal_quantile, _interval_split_abs,
-                         ("point_predictor", "ridge"), _number,
+                         ("point_predictor", "ridge"), _nonnegative,
                          {"point_predictor": ("raw_score", one_of("point predictor", POINT_PREDICTORS)),
                           **RIDGE_HYPER},
                          _check_split_abs),
@@ -630,7 +618,7 @@ _METHOD_TABLE = {
                         _score_asym_cqr, _quantile_asym_cqr, _interval_cqr, _FORESTS, _pair, FOREST_HYPER,
                         _check_forests),
     "chr": _Method(lambda train, calib, alpha, h: {"classifier": _fit_classifier(train, h), "T": h["T"]},
-                   _score_chr, conformal_quantile, _interval_chr, ("classifier", "T"), _number,
+                   _score_chr, conformal_quantile, _interval_chr, ("classifier", "T"), _nonnegative,
                    {"T": (100, integer(1)), **CLASSIFIER_HYPER}, _check_classifier),
     # lvd takes its quantile per query, from the kernel-weighted scores
     "lvd": _Method(_fit_lvd, _score_lvd, lambda scores, alpha: None, _interval_lvd,
@@ -638,13 +626,13 @@ _METHOD_TABLE = {
                    {**RIDGE_HYPER, **KERNEL_HYPER}, _check_lvd),
     # low density is non-conforming, so r2ccp keeps the lower quantile
     "r2ccp": _Method(lambda train, calib, alpha, h: {"classifier": _fit_classifier(train, h)},
-                     _score_r2ccp, lower_conformal_quantile, _interval_r2ccp, ("classifier",), _number,
+                     _score_r2ccp, lower_conformal_quantile, _interval_r2ccp, ("classifier",), _nonnegative,
                      CLASSIFIER_HYPER, _check_classifier),
     "ordinal_aps": _Method(lambda train, calib, alpha, h: {},
-                           _score_ordinal, conformal_quantile, _interval_ordinal, (), _number, {}),
+                           _score_ordinal, conformal_quantile, _interval_ordinal, (), _nonnegative, {}),
     # the weights' length and sign are checked against k by _check_ordinal_rc
-    "ordinal_rc": _Method(_fit_ordinal_rc, _score_ordinal, conformal_quantile, _interval_ordinal, ("h",), _number,
-                          {"weights": (None, or_none(_label_weights))}, _check_ordinal_rc),
+    "ordinal_rc": _Method(_fit_ordinal_rc, _score_ordinal, conformal_quantile, _interval_ordinal, ("h",),
+                          _nonnegative, {"weights": (None, or_none(_label_weights))}, _check_ordinal_rc),
 }
 
 
@@ -766,7 +754,7 @@ def _decoded(entries: dict, decoders: dict, keys, what: str) -> dict:
         try:
             out[key] = decoders[key](entries[key])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"model {what} {key!r} is missing or malformed") from exc
+            raise ValidationError(f"model {what} {key!r} is missing or malformed: {exc}") from exc
     return out
 
 
@@ -775,7 +763,10 @@ def model_from_json(text: str) -> CalibratedModel:
     a missing or malformed field or state entry, a qhat of another shape
     than the method's, or a state that contradicts ``k``, the scale or
     itself raises ValidationError."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"model document is not JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "confjudge-model" or doc.get("v") != 1:
         raise ValidationError("unrecognized model document")
     method = doc.get("method")

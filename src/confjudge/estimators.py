@@ -3,6 +3,16 @@
 Everything here is deterministic given data order and hyperparameters, uses
 plain numpy, and serializes to a versioned dict so calibrated models can be
 saved and reloaded.
+
+A v1 document is ``kind`` and ``v: 1``, the hyperparameters, then the
+fitted numbers, arrays as lists.  ``from_dict`` raises ValidationError
+unless the header is its kind at v1, the constructor accepts the
+hyperparameters, every fitted number is finite, ``means`` and ``stds`` are
+vectors of one length with stds > 0, and its class's shapes hold: ridge
+``coef`` like ``means`` and one ``intercept``; classifier ``weights`` of
+shape (bins, means) and a ``bias`` per bin; one forest ``base`` and
+``n_trees`` well-formed trees with finite thresholds and values.  Other
+keys (an older classifier's ``lr`` and ``seed``) are ignored.
 """
 
 from __future__ import annotations
@@ -96,6 +106,50 @@ def _prediction_features(X, n_features: int, at_least: bool = False):
     return X
 
 
+def _scaling(X: np.ndarray):
+    """The column means and stds that standardize X (std 1 for a constant column)."""
+    stds = X.std(axis=0)
+    return X.mean(axis=0), np.where(stds > 1e-12, stds, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# v1 estimator documents.  confbench/tracing.py wraps ``from_dict``, ``fit``,
+# ``predict``, ``predict_proba``, ``median_bandwidth`` and ``weights_batch``
+# as found in each ``cls.__dict__``, so they stay in the class bodies.
+
+
+def _document(est, kind: str, names) -> dict:
+    """The v1 document of ``est``: the header, then its attributes ``names``, arrays as lists."""
+    d = {"kind": kind, "v": 1}
+    for name in names:
+        value = getattr(est, name)
+        d[name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return d
+
+
+def _from_document(cls, d: dict, kind: str, hyper, arrays: dict):
+    """``cls`` built from the ``hyper`` entries of its v1 ``kind`` document
+    ``d``, with each ``arrays`` entry set as a finite float array of the
+    ndim it maps to (a float for 0).  Raises ValidationError for another
+    header, a missing entry, a hyperparameter the constructor rejects,
+    another array, or ``stds`` unlike ``means`` or not all > 0."""
+    names = (*hyper, *arrays)
+    if not isinstance(d, dict) or d.get("kind") != kind or d.get("v") != 1 or not d.keys() >= set(names):
+        raise ValidationError(f"not a v1 {kind!r} document with entries {', '.join(names)}")
+    est = cls(**{name: d[name] for name in hyper})
+    for name, ndim in arrays.items():
+        try:
+            a = np.asarray(d[name], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{kind} {name!r} must be numbers") from exc
+        if a.ndim != ndim or not np.isfinite(a).all():
+            raise ValidationError(f"{kind} {name!r} must be a {ndim}-D array of finite numbers")
+        setattr(est, name, float(a) if ndim == 0 else a)
+    if "means" in arrays and (est.stds.shape != est.means.shape or not np.all(est.stds > 0)):
+        raise ValidationError(f"{kind} 'means' and 'stds' must be of one length, with stds > 0")
+    return est
+
+
 # ---------------------------------------------------------------------------
 # Boosted quantile trees
 
@@ -149,20 +203,21 @@ class _Tree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "_Tree":
-        """Rebuild a tree; raises ValueError unless the five lists have one
-        entry per node and every node is a leaf or has a feature and two
-        children numbered after it (which also rules out routing cycles)."""
+        """Rebuild a tree; raises ValidationError unless the five lists
+        have one entry per node, every threshold and value is finite, and
+        every node is a leaf or has a feature and two children numbered
+        after it (which also rules out routing cycles)."""
         t = cls(d["feature"], d["thresh"], d["left"], d["right"], d["value"])
         arrays = (t.feature, t.thresh, t.left, t.right, t.value)
         if t.value.ndim != 1 or t.value.size == 0 or any(a.shape != t.value.shape for a in arrays):
-            raise ValueError("tree lists must be non-empty, flat and of equal length")
+            raise ValidationError("tree lists must be non-empty, flat and of equal length")
         n = t.value.size
         node = np.arange(n)
         leaf = (t.feature == -1) & (t.left == -1) & (t.right == -1)
         internal = ((t.feature >= 0) & (t.left > node) & (t.left < n)
                     & (t.right > node) & (t.right < n))
-        if not np.all(leaf | internal):
-            raise ValueError("tree node has a negative feature or a missing or out-of-range child")
+        if not np.all((leaf | internal) & np.isfinite(t.thresh) & np.isfinite(t.value)):
+            raise ValidationError("tree node is malformed or has a non-finite threshold or value")
         return t
 
 
@@ -372,26 +427,14 @@ class QuantileForest:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "quantile_forest",
-            "v": 1,
-            "tau": self.tau,
-            "n_trees": self.n_trees,
-            "depth": self.depth,
-            "lr": self.lr,
-            "min_leaf": self.min_leaf,
-            "base": self.base,
-            "trees": [t.to_dict() for t in self.trees],
-        }
+        return {**_document(self, "quantile_forest", ("tau", "n_trees", "depth", "lr", "min_leaf", "base")),
+                "trees": [t.to_dict() for t in self.trees]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuantileForest":
-        """Rebuild a forest; a malformed tree, or a tree count other than
-        ``n_trees``, raises ValueError."""
-        qf = cls(d["tau"], d["n_trees"], d["depth"], d["lr"], d["min_leaf"])
-        qf.base = float(d["base"])
-        if len(d["trees"]) != qf.n_trees:
-            raise ValueError(f"forest holds {len(d['trees'])} trees but n_trees is {qf.n_trees}")
+        qf = _from_document(cls, d, "quantile_forest", ("tau", "n_trees", "depth", "lr", "min_leaf"), {"base": 0})
+        if not isinstance(d.get("trees"), list) or len(d["trees"]) != qf.n_trees:
+            raise ValidationError(f"forest needs a list of n_trees = {qf.n_trees} trees")
         qf.trees = [_Tree.from_dict(t) for t in d["trees"]]
         qf.min_features = max((int(t.feature.max()) + 1 for t in qf.trees), default=0)
         return qf
@@ -487,9 +530,7 @@ class BinClassifier:
     def fit(self, X, y) -> "BinClassifier":
         X, y = _training_arrays(X, y)
         m, k = len(self.bins), X.shape[1]
-        self.means = X.mean(axis=0)
-        stds = X.std(axis=0)
-        self.stds = np.where(stds > 1e-12, stds, 1.0)
+        self.means, self.stds = _scaling(X)
         Xs = self._standardize(X)
         idx = self._bin_index(y)
         onehot = np.zeros((len(y), m))
@@ -530,26 +571,17 @@ class BinClassifier:
         return self._probs(self._standardize(_prediction_features(X, len(self.means))))
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "bin_classifier",
-            "v": 1,
-            "bins": self.bins.tolist(),
-            "epochs": self.epochs,
-            "l2": self.l2,
-            "weights": self.weights.tolist(),
-            "bias": self.bias.tolist(),
-            "means": self.means.tolist(),
-            "stds": self.stds.tolist(),
-        }
+        return _document(self, "bin_classifier", ("bins", "epochs", "l2", "weights", "bias", "means", "stds"))
 
     @classmethod
     def from_dict(cls, d: dict) -> "BinClassifier":
-        # v1 documents may also carry the "lr" and "seed" of older fits
-        bc = cls(d["bins"], d["epochs"], d["l2"])
-        bc.weights = np.asarray(d["weights"], dtype=float)
-        bc.bias = np.asarray(d["bias"], dtype=float)
-        bc.means = np.asarray(d["means"], dtype=float)
-        bc.stds = np.asarray(d["stds"], dtype=float)
+        bc = _from_document(cls, d, "bin_classifier", ("bins", "epochs", "l2"),
+                            {"weights": 2, "bias": 1, "means": 1, "stds": 1})
+        bins = bc.bins
+        if (bins.ndim != 1 or not np.isfinite(bins).all()
+                or bc.weights.shape != (len(bins), len(bc.means)) or bc.bias.shape != bins.shape):
+            raise ValidationError("bin_classifier needs finite 'bins', and per bin a 'bias' "
+                                  "and a row of 'weights' with one entry per mean")
         return bc
 
 
@@ -746,10 +778,7 @@ class KernelSimilarity:
         self.stds = None
 
     def fit(self, X) -> "KernelSimilarity":
-        X = np.asarray(X, dtype=float)
-        self.means = X.mean(axis=0)
-        stds = X.std(axis=0)
-        self.stds = np.where(stds > 1e-12, stds, 1.0)
+        self.means, self.stds = _scaling(np.asarray(X, dtype=float))
         return self
 
     def _standardize(self, X) -> np.ndarray:
@@ -805,20 +834,11 @@ class KernelSimilarity:
         return w
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "kernel_similarity",
-            "v": 1,
-            "bandwidth": self.bandwidth,
-            "means": self.means.tolist(),
-            "stds": self.stds.tolist(),
-        }
+        return _document(self, "kernel_similarity", ("bandwidth", "means", "stds"))
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSimilarity":
-        ks = cls(d["bandwidth"])
-        ks.means = np.asarray(d["means"], dtype=float)
-        ks.stds = np.asarray(d["stds"], dtype=float)
-        return ks
+        return _from_document(cls, d, "kernel_similarity", ("bandwidth",), {"means": 1, "stds": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -841,9 +861,7 @@ class RidgePredictor:
 
     def fit(self, X, y) -> "RidgePredictor":
         X, y = _training_arrays(X, y)
-        self.means = X.mean(axis=0)
-        stds = X.std(axis=0)
-        self.stds = np.where(stds > 1e-12, stds, 1.0)
+        self.means, self.stds = _scaling(X)
         Xs = (X - self.means) / self.stds
         y_mean = y.mean()
         A = Xs.T @ Xs + self.l2 * np.eye(X.shape[1])
@@ -856,23 +874,13 @@ class RidgePredictor:
         return ((X - self.means) / self.stds) @ self.coef + self.intercept
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "ridge",
-            "v": 1,
-            "l2": self.l2,
-            "coef": self.coef.tolist(),
-            "intercept": self.intercept,
-            "means": self.means.tolist(),
-            "stds": self.stds.tolist(),
-        }
+        return _document(self, "ridge", ("l2", "coef", "intercept", "means", "stds"))
 
     @classmethod
     def from_dict(cls, d: dict) -> "RidgePredictor":
-        rp = cls(d["l2"])
-        rp.coef = np.asarray(d["coef"], dtype=float)
-        rp.intercept = float(d["intercept"])
-        rp.means = np.asarray(d["means"], dtype=float)
-        rp.stds = np.asarray(d["stds"], dtype=float)
+        rp = _from_document(cls, d, "ridge", ("l2",), {"coef": 1, "intercept": 0, "means": 1, "stds": 1})
+        if rp.coef.shape != rp.means.shape:
+            raise ValidationError("ridge needs one 'coef' entry per mean")
         return rp
 
 

@@ -435,6 +435,12 @@ class TestModelContract:
             iv_b = cj.predict_intervals(back, test.logits, test.raw_scores)
             assert [(x.lo, x.hi) for x in iv_a] == [(x.lo, x.hi) for x in iv_b], name
 
+    @pytest.mark.parametrize("text", ["", "{", "not json", '{"format": "confjudge-model", "v": 2}', "[1, 2]"])
+    def test_text_that_is_no_model_document_rejected(self, text):
+        # text that is not JSON used to raise json.JSONDecodeError
+        with pytest.raises(ValidationError, match="model document"):
+            cj.model_from_json(text)
+
     def test_unknown_method_document_rejected(self, fitted):
         doc = json.loads(cj.model_to_json(fitted[3]["ordinal_aps"]))
         doc["method"] = "bogus"
@@ -464,6 +470,9 @@ class TestModelContract:
     @pytest.mark.parametrize("method, qhat", [
         ("cqr", "pair"), ("asym_cqr", 0.5), ("asym_cqr", [0.5, 0.5, 0.5]), ("asym_cqr", None),
         ("lvd", 0.5), ("lvd", [0.5, 0.5]), ("chr", [3.0, 3.0]), ("split_abs", None),
+        # these methods' scores are never negative; a chr qhat of -3 used to
+        # load and serve level 0
+        ("split_abs", -3.0), ("chr", -3.0), ("r2ccp", -3.0), ("ordinal_aps", -3.0), ("ordinal_rc", -3.0),
     ])
     def test_qhat_of_another_shape_rejected(self, fitted, method, qhat):
         doc = json.loads(cj.model_to_json(fitted[3][method]))
@@ -471,6 +480,14 @@ class TestModelContract:
         doc["qhat"] = [doc["qhat"], -5.0] if qhat == "pair" else qhat
         with pytest.raises(ValidationError, match="qhat"):
             cj.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("method, qhat", [("cqr", -3.0), ("asym_cqr", [-3.0, 0.5])])
+    def test_negative_cqr_qhat_loads(self, fitted, method, qhat):
+        # a CQR score is negative for a label inside both bounds
+        doc = json.loads(cj.model_to_json(fitted[3][method]))
+        doc["qhat"] = qhat
+        model = cj.model_from_json(json.dumps(doc))
+        assert model.qhat == (tuple(qhat) if isinstance(qhat, list) else qhat)
 
     @pytest.mark.parametrize("method", ["cqr", "asym_cqr"])
     def test_forest_features_beyond_k_rejected(self, method):
@@ -482,6 +499,28 @@ class TestModelContract:
         doc = json.loads(text)
         doc["k"] = 3
         with pytest.raises(ValidationError, match="but k is 3"):
+            cj.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("method, entry", [("split_abs", "ridge"), ("lvd", "ridge"), ("lvd", "kernel"),
+                                               ("chr", "classifier"), ("r2ccp", "classifier")])
+    def test_estimator_of_other_than_k_features_rejected(self, fitted, method, entry):
+        # a well-formed estimator document fitted on 3 of the model's 5 features
+        doc = json.loads(cj.model_to_json(fitted[3][method]))
+        e = doc["state"][entry]
+        for key in ("coef", "means", "stds"):
+            if key in e:
+                e[key] = e[key][:3]
+        if "weights" in e:
+            e["weights"] = [row[:3] for row in e["weights"]]
+        with pytest.raises(ValidationError, match=f"'{entry}' reads 3 features, but k is 5"):
+            cj.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("point_predictor", ["raw_score", "weighted_average"])
+    def test_split_abs_ridge_without_the_ridge_predictor_rejected(self, fitted, point_predictor):
+        # the ridge is unused unless the point predictor is ridge
+        doc = json.loads(cj.model_to_json(fitted[3]["split_abs"]))
+        doc["state"]["point_predictor"] = point_predictor
+        with pytest.raises(ValidationError, match="ridge"):
             cj.model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("method", ["cqr", "asym_cqr"])
@@ -550,6 +589,7 @@ class TestModelContract:
         # lr to raise numpy's UFuncTypeError in predict_intervals
         ("split_abs", "ridge", lambda e: {**e, "coef": [float("nan")] + e["coef"][1:]}),
         ("lvd", "ridge", lambda e: {**e, "stds": [0.0] + e["stds"][1:]}),
+        ("lvd", "ridge", lambda e: None),
         ("lvd", "kernel", lambda e: {**e, "means": [float("inf")] + e["means"][1:]}),
         ("cqr", "forest_lo", lambda e: {**e, "base": float("nan")}),
         ("asym_cqr", "forest_hi", lambda e: {**e, "trees": [{**e["trees"][0], "value": [float("nan")]

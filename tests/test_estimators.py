@@ -405,9 +405,18 @@ def _leaf_with_children(t):
     t["feature"][0] = -1
 
 
+def _nan_threshold(t):
+    t["thresh"][0] = math.nan
+
+
+def _infinite_value(t):
+    t["value"][-1] = -math.inf
+
+
 class TestStrictForestDecoding:
     @pytest.mark.parametrize("corrupt", [_unequal_lengths, _child_out_of_range, _missing_child,
-                                         _negative_feature, _routing_cycle, _leaf_with_children])
+                                         _negative_feature, _routing_cycle, _leaf_with_children,
+                                         _nan_threshold, _infinite_value])
     def test_malformed_tree_rejected(self, corrupt):
         d = _small_forest_dict()
         corrupt(d["trees"][0])
@@ -424,6 +433,79 @@ class TestStrictForestDecoding:
         d["trees"] = trees(d["trees"])
         with pytest.raises(ValueError, match="n_trees"):
             QuantileForest.from_dict(d)
+
+
+_READERS = {"ridge": RidgePredictor, "classifier": BinClassifier, "kernel": KernelSimilarity,
+            "forest": QuantileForest}
+
+
+def _fitted_document(kind: str) -> dict:
+    X = np.random.default_rng(8).normal(size=(40, 3))
+    y = np.clip(np.round(3 + X[:, 0]), 1, 5)
+    fit = {"ridge": lambda: RidgePredictor(1.0).fit(X, y),
+           "classifier": lambda: BinClassifier(LIKERT.labels(), epochs=3, l2=1e-3).fit(X, y),
+           "kernel": lambda: KernelSimilarity(None).fit(X),
+           "forest": lambda: QuantileForest(0.5, n_trees=2, depth=2, lr=0.05, min_leaf=3).fit(X, y)}
+    return fit[kind]().to_dict()
+
+
+def _with(key, change):
+    """A corruption that replaces the document's ``key`` by ``change(value)``."""
+    return lambda d: {**d, key: change(d[key])}
+
+
+_HEADER = {"wrong kind": _with("kind", lambda v: "ridge" if v != "ridge" else "kernel_similarity"),
+           "v 2": _with("v", lambda v: 2),
+           "no header": lambda d: {k: v for k, v in d.items() if k not in ("kind", "v")}}
+_SCALING = {"NaN mean": _with("means", lambda v: [math.nan] + v[1:]),
+            "inf std": _with("stds", lambda v: v[:-1] + [math.inf]),
+            "std 0": _with("stds", lambda v: [0.0] + v[1:]),
+            "std -1": _with("stds", lambda v: [-1.0] + v[1:]),
+            "short means": _with("means", lambda v: v[:-1]),
+            "long stds": _with("stds", lambda v: v + [1.0])}
+_OWN_SHAPES = {
+    "ridge": {"NaN coef": _with("coef", lambda v: [math.nan] + v[1:]),
+              "short coef": _with("coef", lambda v: v[:-1]),
+              "inf intercept": _with("intercept", lambda v: math.inf),
+              "list intercept": _with("intercept", lambda v: [v])},
+    "classifier": {"inf weight": _with("weights", lambda v: [[math.inf] + v[0][1:]] + v[1:]),
+                   "NaN bias": _with("bias", lambda v: [math.nan] + v[1:]),
+                   "weights of one bin less": _with("weights", lambda v: v[:-1]),
+                   "weights of one feature less": _with("weights", lambda v: [row[:-1] for row in v]),
+                   "bias of one bin less": _with("bias", lambda v: v[:-1]),
+                   "one bin less": _with("bins", lambda v: v[:-1]),
+                   "NaN bin": _with("bins", lambda v: [math.nan] + v[1:])},
+    "kernel": {"zero bandwidth": _with("bandwidth", lambda v: 0.0)},
+    "forest": {"NaN base": _with("base", lambda v: math.nan),
+               "inf base": _with("base", lambda v: math.inf),
+               "list base": _with("base", lambda v: [v]),
+               "trees not a list": _with("trees", lambda v: None),
+               "no trees": lambda d: {k: v for k, v in d.items() if k != "trees"}},
+}
+_CORRUPT_DOCUMENTS = [(kind, name, corrupt) for kind in _READERS
+                      for name, corrupt in {**_HEADER, **({} if kind == "forest" else _SCALING),
+                                            **_OWN_SHAPES[kind]}.items()]
+
+
+class TestStrictDocuments:
+    @pytest.mark.parametrize("kind", list(_READERS))
+    def test_document_round_trips(self, kind):
+        d = _fitted_document(kind)
+        assert d["kind"] and d["v"] == 1
+        loaded = _READERS[kind].from_dict(d)
+        assert loaded.to_dict() == d
+        # a single number loads as a float, as a fit leaves it
+        for name in ("intercept", "base"):
+            assert name not in d or type(getattr(loaded, name)) is float
+
+    @pytest.mark.parametrize("kind, corrupt", [(kind, corrupt) for kind, _, corrupt in _CORRUPT_DOCUMENTS],
+                             ids=[f"{kind}-{name}" for kind, name, _ in _CORRUPT_DOCUMENTS])
+    def test_corrupt_document_rejected(self, kind, corrupt):
+        # the ridge, classifier and kernel readers, and every header check,
+        # used to load these: a zero std predicted inf, a short weight matrix
+        # raised numpy's broadcast ValueError
+        with pytest.raises(ValidationError):
+            _READERS[kind].from_dict(corrupt(_fitted_document(kind)))
 
 
 _FITS = {
