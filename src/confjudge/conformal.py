@@ -54,7 +54,10 @@ from .estimators import (
     KernelSimilarity,
     QuantileForest,
     RidgePredictor,
+    _U,
     _block_rows,
+    _gram_factor,
+    _gram_sq_distances,
     integer,
     one_of,
     or_none,
@@ -403,7 +406,11 @@ def _check_lvd(state: dict, k: int, scale: LabelScale) -> None:
         raise ValidationError("model state 'kernel' has no bandwidth")
 
 
-def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
+def _lvd_exact_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
+    """Each query's local quantile from ``weights_batch``'s weights put in
+    score order and added up by ``cumsum``, a block of queries at a time:
+    the first sorted score whose cumulative weight reaches ``1 - alpha -
+    1e-12``, or the largest score when none does."""
     state = model.state
     kernel, calib = state["kernel"], state["calib_logits"]
     sorted_scores, order = state["sorted_scores"], state["sort_order"]
@@ -417,6 +424,114 @@ def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
         idx = np.argmax(cum >= level, axis=1)
         reached = cum[np.arange(len(idx)), idx] >= level
         qs[r0:r0 + step] = sorted_scores[np.where(reached, idx, len(sorted_scores) - 1)]
+    return qs
+
+
+# Up to about this many (query, point) pairs the exact path is faster than
+# locating and certifying, whose set-up costs more than one served point's
+# whole exact predict.  Per call with 5 features: one query against 250
+# points 88 us exact against 213 located; about even from 8000 to 16000
+# pairs (8 x 1000: 269 against 304 us, 32 x 250: 198 against 188); 32 x
+# 1000 817 against 368 us.
+_LOCATE_PAIRS = 10000
+
+# located weights are summed this many columns at a time, so that each row
+# needs one cumsum only inside the columns where it crosses the level
+_MASS_COLUMNS = 64
+
+# a bound on one exp result's absolute error when it is subnormal
+_SUBNORMAL_ERR = 2.0 ** -1071
+
+
+def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
+    """:func:`_lvd_exact_quantiles` bit for bit, with each crossing located
+    from approximate distances and certified against the exact sum.
+
+    A block of queries at a time gets its squared distances from one matrix
+    product (``estimators._gram_sq_distances``, with a per-query error
+    bound), and from them the weights, their totals and each row's
+    cumulative mass in score order: sums of ``_MASS_COLUMNS`` columns, then
+    one cumsum inside the columns where the mass crosses ``level``.  The
+    crossing index j stands when the located mass before it is below
+    ``level - E`` and the mass at it is at least ``level + E``, where E
+    (derived below) bounds the gap between the located and the exact
+    cumulative mass.  The exact mass never decreases, so the exact path's
+    index is j as well.
+
+    Rows that fail, whose total weight is below e^-700 or whose E exceeds
+    1e-6 (a row that never reaches the level fails too) go through the
+    exact path in one batch.  So does a whole call of at most
+    ``_LOCATE_PAIRS`` pairs, or with a standardized feature that is not
+    finite or above 1e100 in magnitude (which keeps the exact path's
+    errors), or with a bandwidth whose 2 bw^2 underflows.  Memory: a few
+    (block x m) arrays, O(block * m), as on the exact path."""
+    state = model.state
+    kernel, calib = state["kernel"], state["calib_logits"]
+    m = len(calib)
+    if len(Z) * m <= _LOCATE_PAIRS:
+        return _lvd_exact_quantiles(model, Z)
+    bw = kernel._fitted_bandwidth()
+    c = -2.0 * bw * bw  # as weights_batch divides
+    Xs = kernel._standardize(calib)[state["sort_order"]]
+    Zs = kernel._standardize(Z)
+    if c == 0.0 or not (np.all(np.abs(Xs) <= 1e100) and np.all(np.abs(Zs) <= 1e100)):
+        return _lvd_exact_quantiles(model, Z)
+    level = (1.0 - model.alpha) - _TOL
+    factor = _gram_factor(Xs)
+    width = -(-m // _MASS_COLUMNS) * _MASS_COLUMNS
+    step = _block_rows(width)
+    # the weights of a block, padded with zero columns to whole column groups
+    w = np.zeros((min(step, len(Z)), width))
+    idx = np.empty(len(Z), dtype=np.intp)
+    certified = np.empty(len(Z), dtype=bool)
+    for r0 in range(0, len(Z), step):
+        d2, err = _gram_sq_distances(Zs[r0:r0 + step], factor)
+        n = len(d2)
+        rows = np.arange(n)
+        weights = w[:n, :m]
+        np.divide(d2, c, out=weights)
+        np.exp(weights, out=weights)
+        groups = w[:n].reshape(n, -1, _MASS_COLUMNS)
+        group_cum = np.cumsum(groups.sum(axis=2), axis=1)
+        # a row whose weights (nearly) all underflow is left to the exact path
+        live = group_cum[:, -1] >= math.exp(-700.0)
+        total = np.where(live, group_cum[:, -1], 1.0)
+        # the first column group and then the first column where the mass reaches the level
+        g = np.argmax(group_cum >= level * total[:, None], axis=1)
+        before = np.where(g > 0, group_cum[rows, g - 1], 0.0)
+        cum = np.cumsum(groups[rows, g], axis=1)
+        cum += before[:, None]
+        j = np.argmax(cum >= level * total[:, None], axis=1)
+        at = cum[rows, j] / total
+        prev = np.where(j > 0, cum[rows, j - 1], before) / total
+        # E, per query.  The located distances lie within err of the exact
+        # ones, and both paths divide them by c, rounding once.  Where the
+        # quotient is above -751 on either path, the two roundings move it
+        # by at most 2 * 752u < 2^-42 together, so the exponents differ by at
+        # most eta = err / |c| + 2^-42 and the true exp values by a factor
+        # of at most e^eta.  Taking numpy's exp as within 4 ulps, the
+        # weights then differ by at most rho w + tau, with rho = expm1(eta)
+        # + 18u and tau = _SUBNORMAL_ERR (8 subnormal ulps); below -751 on
+        # both paths both weights lie within tau / 2 of 0.  So the real
+        # totals W and prefix sums of the two paths differ by at most rho
+        # times the located ones plus m tau, and the normalized masses by
+        # 2 (rho + m tau / W) / (1 - rho - m tau / W).  Rounding: the exact
+        # path's pairwise total, division and cumsum leave its mass within
+        # about 2m u of the real one (Higham, *Accuracy and Stability of
+        # Numerical Algorithms*, 2002, ch. 3-4), as do this path's sums and
+        # division: 4m u together.  E doubles the sum of both.  It is used
+        # only with W >= e^-700, so m tau / W is negligible and the exact
+        # path's nearest-point fallback cannot apply, and with E <= 1e-6, so
+        # the denominator above is about 1.
+        with np.errstate(over="ignore"):
+            rho = np.expm1(err / -c + 2.0 ** -42) + 18 * _U
+        E = 4.0 * (rho + m * _SUBNORMAL_ERR / total) + 8 * (m + 1) * _U
+        certified[r0:r0 + n] = live & (E <= 1e-6) & (prev < level - E) & (at >= level + E)
+        idx[r0:r0 + n] = g * _MASS_COLUMNS + j
+    qs = state["sorted_scores"][np.minimum(idx, m - 1)]
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        qs[rest] = _lvd_exact_quantiles(model, Z[rest])
     return qs
 
 
@@ -701,15 +816,17 @@ def score_samples(model: CalibratedModel, dataset: Dataset) -> np.ndarray:
 # Serialization
 
 
-# how each state entry is rebuilt from its JSON value (a hyperparameter by its declared check)
+# how each state entry is rebuilt from its JSON value (a hyperparameter by
+# its declared check); an estimator's reader is looked up on its class at
+# each call, so a reader replaced there later is the one called
 _STATE_DECODERS = {
     "point_predictor": _METHOD_TABLE["split_abs"].hyper["point_predictor"][1],
     "ridge": lambda d: None if d is None else RidgePredictor.from_dict(d),
-    "forest_lo": QuantileForest.from_dict,
-    "forest_hi": QuantileForest.from_dict,
-    "classifier": BinClassifier.from_dict,
+    "forest_lo": lambda d: QuantileForest.from_dict(d),
+    "forest_hi": lambda d: QuantileForest.from_dict(d),
+    "classifier": lambda d: BinClassifier.from_dict(d),
     "T": _METHOD_TABLE["chr"].hyper["T"][1],
-    "kernel": KernelSimilarity.from_dict,
+    "kernel": lambda d: KernelSimilarity.from_dict(d),
     "calib_logits": lambda v: np.asarray(v, dtype=float),
     "sorted_scores": lambda v: np.asarray(v, dtype=float),
     "sort_order": lambda v: np.asarray(v, dtype=int),

@@ -203,11 +203,15 @@ class _Tree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "_Tree":
-        """Rebuild a tree; raises ValidationError unless the five lists
-        have one entry per node, every threshold and value is finite, and
-        every node is a leaf or has a feature and two children numbered
-        after it (which also rules out routing cycles)."""
-        t = cls(d["feature"], d["thresh"], d["left"], d["right"], d["value"])
+        """Rebuild a tree; raises ValidationError unless it is a dict of five
+        lists of numbers with one entry per node, every threshold and value
+        is finite, and every node is a leaf or has a feature and two
+        children numbered after it (which also rules out routing cycles)."""
+        names = ("feature", "thresh", "left", "right", "value")
+        try:
+            t = cls(*(d[name] for name in names))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"a tree must be a dict of the number lists {', '.join(names)}") from exc
         arrays = (t.feature, t.thresh, t.left, t.right, t.value)
         if t.value.ndim != 1 or t.value.size == 0 or any(a.shape != t.value.shape for a in arrays):
             raise ValidationError("tree lists must be non-empty, flat and of equal length")
@@ -320,9 +324,9 @@ class QuantileForest:
     """
 
     def __init__(self, tau: float, n_trees: int, depth: int, lr: float, min_leaf: int):
-        if not 0.0 < tau < 1.0:
-            raise ValidationError("tau must lie in (0, 1)")
-        self.tau = tau
+        self.tau = real(0, strict=True)(tau, "forest tau")
+        if not self.tau < 1.0:
+            raise ValidationError(f"forest tau must lie in (0, 1), got {tau!r}")
         self.n_trees = FOREST_HYPER["n_trees"][1](n_trees, "forest n_trees")
         self.depth = FOREST_HYPER["depth"][1](depth, "forest depth")
         self.lr = FOREST_HYPER["lr"][1](lr, "forest lr")
@@ -471,7 +475,12 @@ class BinClassifier:
     """
 
     def __init__(self, bins, epochs: int, l2: float):
-        self.bins = np.asarray(bins, dtype=float)
+        try:
+            self.bins = np.asarray(bins, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"classifier bins must be numbers, got {bins!r}") from exc
+        if self.bins.ndim != 1 or not np.isfinite(self.bins).all():
+            raise ValidationError("classifier bins must be a 1-D array of finite numbers")
         self.epochs = CLASSIFIER_HYPER["epochs"][1](epochs, "classifier epochs")
         self.l2 = CLASSIFIER_HYPER["l2"][1](l2, "classifier l2")
         self.weights = None
@@ -577,11 +586,9 @@ class BinClassifier:
     def from_dict(cls, d: dict) -> "BinClassifier":
         bc = _from_document(cls, d, "bin_classifier", ("bins", "epochs", "l2"),
                             {"weights": 2, "bias": 1, "means": 1, "stds": 1})
-        bins = bc.bins
-        if (bins.ndim != 1 or not np.isfinite(bins).all()
-                or bc.weights.shape != (len(bins), len(bc.means)) or bc.bias.shape != bins.shape):
-            raise ValidationError("bin_classifier needs finite 'bins', and per bin a 'bias' "
-                                  "and a row of 'weights' with one entry per mean")
+        if bc.weights.shape != (len(bc.bins), len(bc.means)) or bc.bias.shape != bc.bins.shape:
+            raise ValidationError("bin_classifier needs per bin a 'bias' and a row of 'weights' "
+                                  "with one entry per mean")
         return bc
 
 
@@ -633,6 +640,47 @@ def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for r0 in range(0, n, step):
         out[r0:r0 + step] = np.sum((A[r0:r0 + step, None] - B[None]) ** 2, axis=-1)
     return out
+
+
+# float64 unit roundoff
+_U = 2.0 ** -53
+
+
+def _gram_factor(B: np.ndarray) -> np.ndarray:
+    """The right factor of :func:`_gram_sq_distances` for the points B: a
+    (features + 2, points) array whose columns are [b, |b|^2, 1]."""
+    return np.vstack([B.T, np.einsum("ij,ij->i", B, B), np.ones(len(B))])
+
+
+def _gram_sq_distances(A: np.ndarray, factor: np.ndarray):
+    """The squared distances of A's rows to the points of ``factor`` (see
+    :func:`_gram_factor`) as |a|^2 + |b|^2 - 2 a.b clamped at 0, from one
+    matrix product, and per row of A a bound on how far they may lie from
+    :func:`_sq_distances`'s bits.  Returns ((rows, points), (rows,)).
+
+    In any order, a sum of n products is within gamma_n = nu / (1 - nu)
+    times the sum of their magnitudes of its true value (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, ch. 3; u = 2^-53).  With
+    k features, s = |a|^2 and t = |b|^2:
+
+    - :func:`_sq_distances` adds k terms fl(fl(a_i - b_i)^2), each within 3u
+      of (a_i - b_i)^2, so it lies within gamma_{k+2} d of the true
+      distance d <= 2 (s + t);
+    - here s and t are each within gamma_k of their true values, and the
+      product adds the k + 2 terms -2 a_i b_i (the factor 2 is exact), t
+      and s within gamma_{k+2} (2 sum |a_i b_i| + s + t) <= 2 gamma_{k+2}
+      (s + t).  The clamp only moves a value towards d >= 0.
+
+    So the two lie within (5k + 8) u (s + t) of each other to first order.
+    The bound doubles that, for the higher-order terms and for the computed
+    norms standing in for the true ones, and takes the largest t so that one
+    bound holds along a row.  It holds for finite inputs whose squares do
+    not overflow."""
+    k = A.shape[1]
+    left = np.hstack([-2.0 * A, np.ones((len(A), 1)), np.einsum("ij,ij->i", A, A)[:, None]])
+    d2 = left @ factor
+    np.maximum(d2, 0.0, out=d2)
+    return d2, (10 * k + 16) * _U * (left[:, -1] + factor[k].max())
 
 
 # the pair distances a median pass keeps, and the pairs its sample draws,
@@ -764,10 +812,18 @@ class KernelSimilarity:
     the median pairwise distance of the calibration features (median
     heuristic) unless set explicitly.
 
-    Memory: ``weights_batch`` holds a few (queries x m) arrays, and no
-    (queries x m x features) tensor larger than one block, so callers that
-    pass a block of queries at a time use O(block * m) memory;
-    ``median_bandwidth`` holds one block, a sample of at most
+    ``weights_batch`` gives the weights bit for bit from the exact squared
+    distances of :func:`_sq_distances`.  A caller that only needs where a
+    query's cumulative weight crosses a level can locate the crossing from
+    :func:`_gram_sq_distances` instead, one matrix product per block, and
+    certify it with that function's per-query error bound; rows the bound
+    cannot certify go through ``weights_batch`` (lvd's
+    ``conformal._lvd_local_quantiles`` does this).
+
+    Memory: ``weights_batch`` and the located path hold a few (queries x m)
+    arrays, and no (queries x m x features) tensor larger than one block,
+    so callers that pass a block of queries at a time use O(block * m)
+    memory; ``median_bandwidth`` holds one block, a sample of at most
     ``_SELECT_CAP`` pairs and at most that many kept distances, whatever m
     is: 2 MB each, against 16 MB for all pairs at m = 2000 and 2.5 GB at
     m = 25000."""
@@ -806,14 +862,17 @@ class KernelSimilarity:
         bw = float(np.sqrt(d2))
         return bw if bw > 1e-12 else 1.0
 
+    def _fitted_bandwidth(self) -> float:
+        if self.means is None:
+            raise ValidationError("kernel not fitted")
+        if self.bandwidth is None:
+            raise ValidationError("bandwidth not set")
+        return self.bandwidth
+
     def weights_batch(self, X_calib, Z) -> np.ndarray:
         """(queries, m) row-normalized kernel weights of each query against
         the m calibration points."""
-        if self.means is None:
-            raise ValidationError("kernel not fitted")
-        bw = self.bandwidth
-        if bw is None:
-            raise ValidationError("bandwidth not set")
+        bw = self._fitted_bandwidth()
         Xc = self._standardize(X_calib)
         Zq = self._standardize(np.atleast_2d(Z))
         d2 = _sq_distances(Zq, Xc)

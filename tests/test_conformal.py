@@ -3,17 +3,23 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from contextlib import contextmanager
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confjudge as cj
+import confjudge.conformal as conformal
 import confjudge.estimators as estimators
 from confjudge.conformal import (
     _METHOD_TABLE,
     _chr_level_runs,
     _interval_chr,
+    _lvd_exact_quantiles,
     _lvd_local_quantiles,
     _ordinal_growth_predict,
     _run_table,
@@ -383,6 +389,24 @@ class TestModelContract:
             cj.predict_intervals(model, test.logits, test.raw_scores)
             cj.predict_interval(model, test.logits[0], test.raw_scores[0])
             cj.score_samples(model, calib)
+
+    @pytest.mark.parametrize("method, cls, calls", [
+        ("cqr", cj.QuantileForest, 2), ("chr", cj.BinClassifier, 1), ("r2ccp", cj.BinClassifier, 1),
+        ("lvd", cj.KernelSimilarity, 1), ("lvd", cj.RidgePredictor, 1), ("split_abs", cj.RidgePredictor, 1),
+    ])
+    def test_model_from_json_calls_the_reader_on_the_class(self, fitted, monkeypatch, method, cls, calls):
+        # the readers used to be bound when conformal was imported, so a
+        # reader replaced on its class later (as a tracer wraps it) was never called
+        read = cls.__dict__["from_dict"].__func__
+        seen = []
+
+        def counted(klass, d):
+            seen.append(d["kind"])
+            return read(klass, d)
+
+        monkeypatch.setattr(cls, "from_dict", classmethod(counted))
+        cj.model_from_json(cj.model_to_json(fitted[3][method]))
+        assert len(seen) == calls
 
     def test_single_point_is_the_batch_row(self, fitted):
         _, _, test, models = fitted
@@ -1045,7 +1069,12 @@ def _lvd_model(rng, m, k, bandwidth=None):
     """An lvd model on m random calibration points with k features of
     unequal spread; the median heuristic sets the bandwidth unless given."""
     X = rng.normal(size=(m, k)) * rng.uniform(0.5, 3.0, size=k)
-    y = rng.choice(LIKERT.labels(), size=m)
+    return _lvd_model_on(X, rng.choice(LIKERT.labels(), size=m), bandwidth)
+
+
+def _lvd_model_on(X, y, bandwidth=None, alpha=0.1):
+    """An lvd model calibrated on the points X with labels y."""
+    k = X.shape[1]
     ridge = cj.RidgePredictor(1.0).fit(X, y)
     kernel = cj.KernelSimilarity(bandwidth).fit(X)
     if bandwidth is None:
@@ -1054,7 +1083,7 @@ def _lvd_model(rng, m, k, bandwidth=None):
     order = np.argsort(scores, kind="stable")
     state = {"ridge": ridge, "kernel": kernel, "calib_logits": X,
              "sorted_scores": scores[order], "sort_order": order}
-    return cj.CalibratedModel("lvd", 0.1, LIKERT, k, None, state, scores)
+    return cj.CalibratedModel("lvd", alpha, LIKERT, k, None, state, scores)
 
 
 def _small_blocks(monkeypatch, entries):
@@ -1122,6 +1151,133 @@ class TestBlockedKernelMatchesDenseOracle:
         kernel = model.state["kernel"]
         with np.errstate(invalid="ignore"):
             assert kernel.median_bandwidth(X) == _dense_median_bandwidth(kernel, X)
+
+
+@contextmanager
+def _exact_rows(pairs=0):
+    """Yields the row counts of the batches the exact lvd path gets, while
+    every call of more than ``pairs`` (query, point) pairs is located."""
+    batches = []
+    exact = conformal._lvd_exact_quantiles
+
+    def counted(model, Z):
+        batches.append(len(Z))
+        return exact(model, Z)
+
+    with mock.patch.object(conformal, "_lvd_exact_quantiles", counted), \
+            mock.patch.object(conformal, "_LOCATE_PAIRS", pairs):
+        yield batches
+
+
+def _level_alpha(c: float) -> float:
+    """An alpha whose level ``(1 - alpha) - 1e-12`` is exactly c."""
+    alpha = 1.0 - (c + 1e-12)
+    for _ in range(64):
+        level = (1.0 - alpha) - 1e-12
+        if level == c:
+            return alpha
+        alpha = np.nextafter(alpha, 1.0 if level > c else 0.0)
+    raise AssertionError(f"no alpha gives the level {c!r}")
+
+
+class TestLocatedQuantilesMatchExactPath:
+    """The located and certified lvd quantiles are the exact path's and the
+    dense oracle's, bit for bit, and the rows the certificate cannot vouch
+    for do go through the exact path."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 300), n=st.integers(1, 100), k=st.integers(1, 9),
+           alpha=st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.5, 0.9]),
+           bandwidth=st.sampled_from([None, 1e-6, 1e9]),
+           distinct=st.integers(1, 300), repeated=st.integers(0, 10), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_for_bit(self, m, n, k, alpha, bandwidth, distinct, repeated, seed):
+        # calibration points drawn from ``distinct`` of them, so some repeat,
+        # and ``repeated`` queries equal to calibration points
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(size=(min(distinct, m), k)) * rng.uniform(0.5, 3.0, size=k)
+        X = pool[rng.integers(0, len(pool), m)]
+        model = _lvd_model_on(X, rng.choice(LIKERT.labels(), size=m), bandwidth, alpha)
+        Z = np.vstack([rng.normal(size=(n, k)) * 2.0, X[rng.integers(0, m, repeated)]])
+        with _exact_rows() as exact:
+            got = _lvd_local_quantiles(model, Z)
+        assert got.tobytes() == _dense_lvd_quantiles(model, Z).tobytes()
+        assert sum(exact) <= len(Z) and len(exact) <= 1
+
+    def test_rows_past_the_error_bound_are_exact(self):
+        # with bw = 1e-6 the distance error over 2 bw^2 is far above 1e-6,
+        # and most kernels underflow as well
+        rng = np.random.default_rng(7)
+        model = _lvd_model(rng, 60, 4, bandwidth=1e-6)
+        Z = rng.normal(size=(15, 4))
+        with _exact_rows() as exact:
+            got = _lvd_local_quantiles(model, Z)
+        assert exact == [15]
+        assert got.tobytes() == _dense_lvd_quantiles(model, Z).tobytes()
+
+    def test_random_rows_are_all_certified(self):
+        rng = np.random.default_rng(3)
+        model = _lvd_model(rng, 300, 5)
+        Z = rng.normal(size=(200, 5)) * 2.0
+        with _exact_rows() as exact:
+            got = _lvd_local_quantiles(model, Z)
+        assert exact == []
+        assert got.tobytes() == _lvd_exact_quantiles(model, Z).tobytes()
+
+    def test_mass_landing_on_the_level_is_left_to_the_exact_path(self):
+        # ten equal points weigh 0.1 each, and the exact cumsum reaches
+        # 0.8999999999999999 at the ninth; alpha puts the level right there
+        rng = np.random.default_rng(4)
+        X = np.tile(rng.normal(size=(1, 3)), (10, 1))
+        model = _lvd_model_on(X, np.array([1.0] * 8 + [2.0, 5.0]))
+        Z = rng.normal(size=(1, 3))
+        w = model.state["kernel"].weights_batch(X, Z)[:, model.state["sort_order"]]
+        cum = np.cumsum(w, axis=1)[0]
+        model = dataclasses.replace(model, alpha=_level_alpha(cum[8]))
+        with _exact_rows() as exact:
+            got = _lvd_local_quantiles(model, Z)
+        assert exact == [1]
+        assert got.tobytes() == _dense_lvd_quantiles(model, Z).tobytes()
+        # the ninth score: the mass there equals the level, so it counts as reached
+        assert got[0] == model.state["sorted_scores"][8] != model.state["sorted_scores"][9]
+
+    def test_small_calls_take_the_exact_path(self):
+        rng = np.random.default_rng(5)
+        model = _lvd_model(rng, 250, 5)
+        with _exact_rows(conformal._LOCATE_PAIRS) as exact:
+            _lvd_local_quantiles(model, rng.normal(size=(1, 5)))
+            _lvd_local_quantiles(model, rng.normal(size=(conformal._LOCATE_PAIRS // 250 + 1, 5)))
+        # one served point against 250 calibration points stays exact
+        assert exact == [1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e101])
+    def test_degenerate_features_send_the_call_to_the_exact_path(self, bad):
+        rng = np.random.default_rng(6)
+        model = _lvd_model(rng, 40, 3)
+        Z = rng.normal(size=(12, 3))
+        Z[5, 1] = bad
+        with _exact_rows() as exact:
+            if np.isfinite(bad):
+                assert _lvd_local_quantiles(model, Z).tobytes() == _dense_lvd_quantiles(model, Z).tobytes()
+            else:
+                with pytest.raises(ValidationError, match="degenerate features"):
+                    _lvd_local_quantiles(model, Z)
+        assert exact == [12]
+
+
+def test_located_quantiles_at_eval_wide_size():
+    # eval-wide's shape: 2000 calibration points against 4000 queries, 5
+    # features.  The dense oracle's tensor for all 4000 would take 320 MB,
+    # so it checks every 20th query.
+    ds, _ = cj.generate(cj.GeneratorSpec(seed=7, n=8000, k=5, noise=cj.Heteroscedastic(0.5), scale=GPA_THIRDS))
+    train, calib, test = cj.split(ds, cj.SplitSpec(7001))
+    model = cj.calibrate("lvd", train, calib, 0.1)
+    Z = test.logits
+    assert (len(calib), len(Z)) == (2000, 4000)
+    with _exact_rows(conformal._LOCATE_PAIRS) as exact:
+        got = _lvd_local_quantiles(model, Z)
+    assert exact == []
+    assert got.tobytes() == _lvd_exact_quantiles(model, Z).tobytes()
+    assert got[::20].tobytes() == _dense_lvd_quantiles(model, Z[::20]).tobytes()
 
 
 class TestMedianBandwidthBySelection:

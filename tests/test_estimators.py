@@ -102,6 +102,12 @@ class TestQuantileForest:
         with pytest.raises(ValidationError, match=f"forest {next(iter(kw))}"):
             QuantileForest(0.5, **{"n_trees": 5, "depth": 3, "lr": 0.05, "min_leaf": 10, **kw})
 
+    @pytest.mark.parametrize("tau", ["x", None, True, 0.0, 1.0, 1.5, float("nan")])
+    def test_bad_tau_rejected(self, tau):
+        # a string used to raise TypeError from the comparison with 0 and 1
+        with pytest.raises(ValidationError, match="forest tau"):
+            QuantileForest(tau, n_trees=5, depth=3, lr=0.05, min_leaf=10)
+
     def test_hyperparameters_stored_as_plain_numbers(self):
         qf = QuantileForest(0.5, n_trees=np.int64(5), depth=np.int64(2), lr=np.float32(0.5), min_leaf=np.int64(3))
         assert [type(v) for v in (qf.n_trees, qf.depth, qf.lr, qf.min_leaf)] == [int, int, float, int]
@@ -474,12 +480,18 @@ _OWN_SHAPES = {
                    "weights of one feature less": _with("weights", lambda v: [row[:-1] for row in v]),
                    "bias of one bin less": _with("bias", lambda v: v[:-1]),
                    "one bin less": _with("bins", lambda v: v[:-1]),
-                   "NaN bin": _with("bins", lambda v: [math.nan] + v[1:])},
+                   "NaN bin": _with("bins", lambda v: [math.nan] + v[1:]),
+                   "bins a string": _with("bins", lambda v: "x")},
     "kernel": {"zero bandwidth": _with("bandwidth", lambda v: 0.0)},
     "forest": {"NaN base": _with("base", lambda v: math.nan),
                "inf base": _with("base", lambda v: math.inf),
                "list base": _with("base", lambda v: [v]),
                "trees not a list": _with("trees", lambda v: None),
+               "tau a string": _with("tau", lambda v: "x"),
+               "tree without feature": _with("trees", lambda v: [{k: x for k, x in v[0].items() if k != "feature"}]
+                                             + v[1:]),
+               "tree not a dict": _with("trees", lambda v: [v[0]["value"]] + v[1:]),
+               "tree of strings": _with("trees", lambda v: [{**v[0], "thresh": "x"}] + v[1:]),
                "no trees": lambda d: {k: v for k, v in d.items() if k != "trees"}},
 }
 _CORRUPT_DOCUMENTS = [(kind, name, corrupt) for kind in _READERS
@@ -661,6 +673,12 @@ class TestBinClassifier:
     def test_bad_hyperparameters_rejected(self, kw):
         with pytest.raises(ValidationError, match=next(iter(kw))):
             BinClassifier(LIKERT.labels(), **{"epochs": 500, "l2": 1e-3, **kw})
+
+    @pytest.mark.parametrize("bins", ["x", None, [[1.0, 2.0]], [1.0, float("nan")], [1.0, float("inf")]])
+    def test_bad_bins_rejected(self, bins):
+        # a string used to raise numpy's ValueError
+        with pytest.raises(ValidationError, match="classifier bins"):
+            BinClassifier(bins, epochs=5, l2=1e-3)
 
     def test_hyperparameters_stored_as_plain_numbers(self):
         clf = BinClassifier(LIKERT.labels(), epochs=np.int64(7), l2=np.float32(0.5))
