@@ -182,11 +182,11 @@ def _cell(dataset: Dataset, method: str, seed: int, alpha: float, calib_fraction
     return (test, *conformal.predict_intervals_flagged(model, test.logits, test.raw_scores))
 
 
-def _eval_cell(args):
-    """One (method, seed) cell: ((row, empties, degenerate), None) on
-    success, (None, message) when the cell's data is invalid.  Any other
-    exception propagates."""
-    dataset, method, seed, alpha, policy, calib_fraction, inner_train_fraction, hyper = args
+def _eval_cell(dataset: Dataset, args):
+    """One (method, seed) cell of ``dataset``: ((row, empties, degenerate),
+    None) on success, (None, message) when the cell's data is invalid.  Any
+    other exception propagates."""
+    method, seed, alpha, policy, calib_fraction, inner_train_fraction, hyper = args
     try:
         test, intervals, flags = _cell(dataset, method, seed, alpha, calib_fraction, inner_train_fraction, hyper)
         if policy is not None:
@@ -198,6 +198,19 @@ def _eval_cell(args):
     return (row, int(intervals.empty.sum()), sum(1 for f in flags if f)), None
 
 
+# the dataset of an evaluate worker process, sent once by the pool's initializer
+_worker_dataset = None
+
+
+def _init_worker(dataset: Dataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _worker_eval_cell(args):
+    return _eval_cell(_worker_dataset, args)
+
+
 def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
              policy: AdjustmentPolicy | None = None, calib_fraction: float = 0.5,
              inner_train_fraction: float = 0.5, hyper: dict | None = None, jobs: int = 1) -> EvalReport:
@@ -206,7 +219,8 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
     skipped rather than aborting the run; any other exception aborts it.
     ``hyper`` maps method name to a hyperparameter dict.  An unknown method,
     a bad hyperparameter, alpha, split fraction or policy raises
-    ValidationError before any split.
+    ValidationError before any split.  With ``jobs`` > 1 the cells run in
+    a pool of that many processes, each sent the dataset once.
     """
     methods = list(methods)
     seeds = list(seeds)
@@ -214,20 +228,21 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
     _check_run(seeds, alpha, calib_fraction, inner_train_fraction, {m: hyper.get(m) for m in [*methods, *hyper]},
                policy, dataset.scale)
     cells = [
-        (dataset, m, s, alpha, policy, calib_fraction, inner_train_fraction, hyper.get(m))
+        (m, s, alpha, policy, calib_fraction, inner_train_fraction, hyper.get(m))
         for m in methods for s in seeds
     ]
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_eval_cell, cells))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                                    initargs=(dataset,)) as pool:
+            outcomes = list(pool.map(_worker_eval_cell, cells))
     else:
-        outcomes = list(map(_eval_cell, cells))
+        outcomes = [_eval_cell(dataset, c) for c in cells]
     results = {}
     errors = {}
     empties = 0
     degenerates = 0
     for c, (done, error) in zip(cells, outcomes):
-        key = (c[1], c[2])
+        key = c[:2]
         if error is not None:
             errors[key] = error
             continue

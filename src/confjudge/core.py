@@ -3,8 +3,11 @@ splits, and the split-conformal quantile shared by every interval method.
 
 A :class:`Dataset` holds one judge run as columns.  Every sample invariant
 is defined once, in :func:`row_problems`, which the dataset constructor,
-``read_samples`` and transcript extraction all apply.  An :class:`Intervals`
-batch holds predicted intervals as columns too.
+``read_samples`` and transcript extraction all apply.  Only the constructor
+(which unpickling goes through) and ``read_samples`` validate; a subset
+gathers rows that were already checked and rejects only a repeated index,
+and meta rows are read-only mappings that subsets share.  An
+:class:`Intervals` batch holds predicted intervals as columns too.
 
 All types are immutable after construction (the dataset's arrays are
 read-only) and all operations are pure functions, so everything here is
@@ -15,7 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -125,16 +130,33 @@ def row_problems(ids, logits: np.ndarray, raw_scores: np.ndarray, labels: np.nda
     return sorted(problems.items())
 
 
+_NO_META = MappingProxyType({})
+
+
+def _read_only_meta(meta) -> tuple:
+    """Each row's meta as a read-only copy; every empty one is the shared ``_NO_META``."""
+    return tuple(MappingProxyType(m) if m else _NO_META for m in map(dict, meta))
+
+
+def _take(column: tuple, rows: list) -> tuple:
+    """The entries of ``column`` at ``rows``, as a tuple (``itemgetter``
+    returns a bare entry for a single row)."""
+    return operator.itemgetter(*rows)(column) if len(rows) > 1 else tuple(column[i] for i in rows)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """One judge run in columns sharing one scale: row i is the sample
     ``ids[i]`` with rating-token logits ``logits[i]`` (k of them), the
-    judge's ``raw_scores[i]``, the human ``labels[i]`` and the dict
-    ``meta[i]`` (empty when ``meta`` is None).
+    judge's ``raw_scores[i]``, the human ``labels[i]`` and the read-only
+    mapping ``meta[i]`` (empty when ``meta`` is None).
 
-    The constructor copies the columns, makes the arrays read-only, and
-    raises ValidationError for the first row that :func:`row_problems`
-    names.  Subsets and unpickled copies go through it too."""
+    The constructor copies the columns, makes the arrays and meta rows
+    read-only, and raises ValidationError for the first row that
+    :func:`row_problems` names.  Unpickled copies go through it too.  A
+    subset gathers the already-checked rows without validating them again:
+    each invariant but distinct ids holds row by row, and distinct rows of
+    a dataset have distinct ids, so it rejects only a repeated index."""
 
     ids: tuple
     logits: np.ndarray
@@ -146,23 +168,39 @@ class Dataset:
     def __post_init__(self):
         ids = tuple(self.ids)
         n = len(ids)
-        meta = tuple({} for _ in range(n)) if self.meta is None else tuple(dict(m) for m in self.meta)
+        meta = (_NO_META,) * n if self.meta is None else _read_only_meta(self.meta)
         logits, raw_scores, labels = (np.array(c, dtype=float) for c in (self.logits, self.raw_scores, self.labels))
         if (logits.ndim != 2 or logits.shape[0] != n or logits.shape[1] == 0
                 or raw_scores.shape != (n,) or labels.shape != (n,) or len(meta) != n):
             raise ValidationError(f"a dataset of {n} ids needs an ({n}, k) logit matrix with k >= 1 "
                                   f"and {n} raw scores, labels and meta dicts")
+        self._set_columns(ids, logits, raw_scores, labels, meta)
+        problems = row_problems(ids, logits, raw_scores, labels, self.scale)
+        if problems:
+            raise ValidationError(problems[0][1])
+
+    def _set_columns(self, ids, logits, raw_scores, labels, meta) -> None:
         for column in (logits, raw_scores, labels):
             column.flags.writeable = False
         for name, column in zip(("ids", "logits", "raw_scores", "labels", "meta"),
                                 (ids, logits, raw_scores, labels, meta)):
             object.__setattr__(self, name, column)
-        problems = row_problems(ids, logits, raw_scores, labels, self.scale)
-        if problems:
-            raise ValidationError(problems[0][1])
+
+    @classmethod
+    def _checked(cls, ids: tuple, logits, raw_scores, labels, scale: LabelScale, meta: tuple) -> "Dataset":
+        """A dataset of columns that already hold every invariant: float
+        arrays of the constructor's shapes, which it makes read-only, and a
+        tuple of read-only meta rows.  Skips the constructor's copies and
+        checks."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "scale", scale)
+        ds._set_columns(ids, logits, raw_scores, labels, meta)
+        return ds
 
     def __reduce__(self):
-        return Dataset, (self.ids, self.logits, self.raw_scores, self.labels, self.scale, self.meta)
+        # a mappingproxy cannot be pickled, so the meta rows travel as dicts
+        return Dataset, (self.ids, self.logits, self.raw_scores, self.labels, self.scale,
+                         tuple(map(dict, self.meta)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -173,11 +211,23 @@ class Dataset:
         return self.logits.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        """The rows at ``indices``, in that order."""
+        """The rows at ``indices``, in that order.  A row picked twice, also
+        through a negative alias, raises the constructor's duplicate-id
+        ValidationError."""
         idx = np.asarray(indices, dtype=np.intp)
-        rows = idx.tolist()
-        return Dataset(tuple(self.ids[i] for i in rows), self.logits[idx], self.raw_scores[idx],
-                       self.labels[idx], self.scale, tuple(self.meta[i] for i in rows))
+        logits = self.logits[idx]  # raises IndexError for an index out of range
+        rows = np.where(idx < 0, idx + len(self), idx)
+        picked = np.zeros(len(self), dtype=bool)
+        picked[rows] = True
+        rows = rows.tolist()
+        if np.count_nonzero(picked) < len(rows):
+            seen = set()
+            for i in rows:
+                if i in seen:
+                    raise ValidationError(f"duplicate sample id {self.ids[i]!r}")
+                seen.add(i)
+        return Dataset._checked(_take(self.ids, rows), logits, self.raw_scores[idx], self.labels[idx],
+                                self.scale, _take(self.meta, rows))
 
 
 @dataclass(frozen=True)
@@ -376,15 +426,17 @@ def read_samples(path, scale: LabelScale, k: int | None = None) -> Dataset:
         raise ValidationError("no samples")
     ids, logits, raw_scores, labels, meta = zip(*rows)
     columns = (ids, np.array(logits), np.array(raw_scores), np.array(labels))
+    if k == 0:
+        raise ValidationError(f"line {linenos[0]}: sample {ids[0]!r}: no logits")
     problems = row_problems(*columns, scale)
     if problems:
         raise ValidationError(f"line {linenos[problems[0][0]]}: {problems[0][1]}")
-    return Dataset(*columns, scale, meta)
+    return Dataset._checked(*columns, scale, _read_only_meta(meta))
 
 
 def write_samples(path, dataset: Dataset) -> None:
     columns = (dataset.ids, dataset.logits.tolist(), dataset.raw_scores.tolist(),
-               dataset.labels.tolist(), dataset.meta)
+               dataset.labels.tolist(), map(dict, dataset.meta))
     with open(path, "w", encoding="utf-8") as fh:
         for sid, logits, raw_score, label, meta in zip(*columns):
             rec = {"id": sid, "logits": logits, "raw_score": raw_score, "label": label, "meta": meta}

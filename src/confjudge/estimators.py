@@ -206,23 +206,27 @@ class _Tree:
         """Rebuild a tree; raises ValidationError unless it is a dict of five
         lists of numbers with one entry per node, every threshold and value
         is finite, and every node is a leaf or has a feature and two
-        children numbered after it (which also rules out routing cycles)."""
+        children numbered after it (which also rules out routing cycles).
+        Features and children must be whole numbers: they are read as
+        floats, so a fraction is rejected instead of truncated."""
         names = ("feature", "thresh", "left", "right", "value")
         try:
-            t = cls(*(d[name] for name in names))
+            arrays = [np.asarray(d[name], dtype=float) for name in names]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"a tree must be a dict of the number lists {', '.join(names)}") from exc
-        arrays = (t.feature, t.thresh, t.left, t.right, t.value)
-        if t.value.ndim != 1 or t.value.size == 0 or any(a.shape != t.value.shape for a in arrays):
+        feature, thresh, left, right, value = arrays
+        if value.ndim != 1 or value.size == 0 or any(a.shape != value.shape for a in arrays):
             raise ValidationError("tree lists must be non-empty, flat and of equal length")
-        n = t.value.size
+        n = value.size
         node = np.arange(n)
-        leaf = (t.feature == -1) & (t.left == -1) & (t.right == -1)
-        internal = ((t.feature >= 0) & (t.left > node) & (t.left < n)
-                    & (t.right > node) & (t.right < n))
-        if not np.all((leaf | internal) & np.isfinite(t.thresh) & np.isfinite(t.value)):
+        leaf = (feature == -1) & (left == -1) & (right == -1)
+        # a child lies below n; a feature must convert to int64 exactly
+        internal = ((feature >= 0) & (feature < 2.0 ** 63) & (feature == np.floor(feature))
+                    & (left > node) & (left < n) & (left == np.floor(left))
+                    & (right > node) & (right < n) & (right == np.floor(right)))
+        if not np.all((leaf | internal) & np.isfinite(thresh) & np.isfinite(value)):
             raise ValidationError("tree node is malformed or has a non-finite threshold or value")
-        return t
+        return cls(feature, thresh, left, right, value)
 
 
 def _best_cut(xs: np.ndarray, gs: np.ndarray, total, total_sq, lo: int):
@@ -506,33 +510,35 @@ class BinClassifier:
         expv = np.exp(logits)
         return expv / expv.sum(axis=1, keepdims=True)
 
-    def _loss_grad(self, Xs, onehot):
+    def _loss_grad(self, Xs, target):
+        """Loss, weight and bias gradients, and the probabilities, at the
+        current parameters.  ``target`` is the (rows, bins) index pair of
+        the labels' entries in the probability matrix."""
         n = Xs.shape[0]
         probs = self._probs(Xs)
-        ll = -np.mean(np.log(np.maximum((probs * onehot).sum(axis=1), 1e-300)))
+        ll = -np.mean(np.log(np.maximum(probs[target], 1e-300)))
         loss = ll + 0.5 * self.l2 * float((self.weights ** 2).sum())
-        diff = probs - onehot
+        diff = probs.copy()
+        diff[target] -= 1.0
         grad_w = diff.T @ Xs / n + self.l2 * self.weights
         grad_b = diff.mean(axis=0)
-        return loss, grad_w, grad_b
+        return loss, grad_w, grad_b, probs
 
-    def _hessian(self, Xs: np.ndarray) -> np.ndarray:
+    def _hessian(self, Xt: np.ndarray, probs: np.ndarray, weight_entries: np.ndarray) -> np.ndarray:
         """Hessian of the loss over the parameters ``[weights | bias]``,
         flattened class by class: (1/n) sum_i (diag p_i - p_i p_i^T) kron
-        x_i x_i^T with x_i = [Xs_i, 1], plus l2 on the weight entries."""
-        n, k = Xs.shape
-        probs = self._probs(Xs)
+        x_i x_i^T with x_i = [Xs_i, 1] the rows of ``Xt`` and p_i those of
+        ``probs``, plus l2 on the ``weight_entries``."""
+        n, k1 = Xt.shape
         m = probs.shape[1]
-        Xt = np.hstack([Xs, np.ones((n, 1))])
         # row i of A is p_i kron x_i, so A^T A is the p p^T term and
         # A^T Xt stacks the per-class blocks Xt^T diag(p_a) Xt
-        A = (probs[:, :, None] * Xt[:, None, :]).reshape(n, m * (k + 1))
+        A = (probs[:, :, None] * Xt[:, None, :]).reshape(n, m * k1)
         H = -(A.T @ A)
-        blocks = H.reshape(m, k + 1, m, k + 1)
+        blocks = H.reshape(m, k1, m, k1)
         a = np.arange(m)
-        blocks[a, :, a, :] += (A.T @ Xt).reshape(m, k + 1, k + 1)
+        blocks[a, :, a, :] += (A.T @ Xt).reshape(m, k1, k1)
         H /= n
-        weight_entries = np.tile(np.arange(k + 1) < k, m)
         H[weight_entries, weight_entries] += self.l2
         return H
 
@@ -541,18 +547,18 @@ class BinClassifier:
         m, k = len(self.bins), X.shape[1]
         self.means, self.stds = _scaling(X)
         Xs = self._standardize(X)
-        idx = self._bin_index(y)
-        onehot = np.zeros((len(y), m))
-        onehot[np.arange(len(y)), idx] = 1.0
+        target = (np.arange(len(y)), self._bin_index(y))
+        Xt = np.hstack([Xs, np.ones((len(y), 1))])
+        weight_entries = np.tile(np.arange(k + 1) < k, m)
         self.weights = np.zeros((m, k))
         self.bias = np.zeros(m)
-        loss, grad_w, grad_b = self._loss_grad(Xs, onehot)
+        loss, grad_w, grad_b, probs = self._loss_grad(Xs, target)
         self.loss_history = [loss]
         for _ in range(self.epochs):
             grad = np.hstack([grad_w, grad_b[:, None]])
             if np.abs(grad).max() <= _GRAD_TOL:
                 break
-            H = self._hessian(Xs)
+            H = self._hessian(Xt, probs, weight_entries)
             # a common shift of the biases leaves the probabilities alone,
             # so H is singular along it; the ridge makes the system solvable
             H[np.diag_indices_from(H)] += _NEWTON_RIDGE
@@ -561,7 +567,7 @@ class BinClassifier:
             t = 1.0
             for _ in range(_MAX_HALVINGS):
                 self.weights, self.bias = w_old - t * step[:, :k], b_old - t * step[:, k]
-                new_loss, new_gw, new_gb = self._loss_grad(Xs, onehot)
+                new_loss, new_gw, new_gb, new_probs = self._loss_grad(Xs, target)
                 if new_loss <= loss:
                     break
                 t *= 0.5
@@ -569,7 +575,7 @@ class BinClassifier:
                 # no step lowers the loss: the optimum is within rounding
                 self.weights, self.bias = w_old, b_old
                 break
-            loss, grad_w, grad_b = new_loss, new_gw, new_gb
+            loss, grad_w, grad_b, probs = new_loss, new_gw, new_gb, new_probs
             self.loss_history.append(loss)
         self.grad_norm = float(max(np.abs(grad_w).max(), np.abs(grad_b).max()))
         return self

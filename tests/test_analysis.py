@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 import tracemalloc
 
@@ -300,9 +301,42 @@ class TestEvaluate:
         parallel = evaluate(dataset, **kw, jobs=2)
         assert serial.rows == parallel.rows
 
+    def test_pool_sends_the_dataset_once_per_worker(self, dataset, monkeypatch):
+        # every cell used to carry the dataset, pickled once per cell
+        pickled = []
+        reduce = cj.Dataset.__reduce__
+        monkeypatch.setattr(cj.Dataset, "__reduce__", lambda ds: pickled.append(ds) or reduce(ds))
+        report = evaluate(dataset, ["split_abs", "ordinal_rc", "ordinal_aps"], seeds=[1, 2, 3], jobs=2)
+        assert len(report.rows) == 9 and not report.errors
+        assert len(pickled) <= 2
+
     def test_row_validation(self):
         with pytest.raises(ValidationError):
             EvalRow("m", 1, "none", 1.0, 1.5)
+
+
+ALL_METHODS = ["split_abs", "cqr", "asym_cqr", "chr", "lvd", "r2ccp", "ordinal_aps", "ordinal_rc"]
+
+
+@pytest.mark.parametrize("shape, expected", [
+    ("readme", "cac004c179576157e16d7c4a9b7c300e6d328863e706f39d37b85ad03f1816c6"),
+    ("eval_wide", "6ed1a7d0f853cc688ff269cca8e98728e4e73da1058a95356b922546b90eaa42"),
+])
+def test_evaluate_keeps_its_bits(tmp_path, shape, expected):
+    """The sha256 of eval.csv for fixed seeds: the README workload's shape
+    (n = 1000, all 8 methods, seeds 1-2) and the eval-wide benchmark's
+    (n = 8000 on the thirds grid, heteroscedastic noise, full adjustment,
+    seed 1).  A change that moves any width or coverage digit fails here."""
+    if shape == "readme":
+        ds = cj.generate(cj.GeneratorSpec(seed=1, n=1000))[0]
+        report = evaluate(ds, ALL_METHODS, [1, 2])
+    else:
+        ds = cj.generate(cj.GeneratorSpec(seed=1, n=8000, scale=cj.GPA_THIRDS, noise=cj.Heteroscedastic(0.5)))[0]
+        methods = [m for m in ALL_METHODS if m not in ("cqr", "asym_cqr")]
+        report = evaluate(ds, methods, [1], policy=cj.AdjustmentPolicy.full(ds.scale))
+    path = tmp_path / "eval.csv"
+    write_eval_csv(path, report.rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
 class TestMidpointReport:

@@ -340,6 +340,65 @@ class TestDatasetColumns:
         assert not back.logits.flags.writeable and not back.labels.flags.writeable
 
 
+def with_meta(n: int) -> Dataset:
+    ds = make_dataset(n)
+    meta = [{"dimension": f"d{i % 3}"} if i % 2 else {} for i in range(n)]
+    return Dataset(ds.ids, ds.logits, ds.raw_scores, ds.labels, LIKERT, meta)
+
+
+class TestSubsetContract:
+    """A subset gathers the parent's checked rows: it validates nothing
+    again and rejects only a row picked twice."""
+
+    @pytest.mark.parametrize("indices", [[5, -1], [0, 3, 0], [-6, 0], [2, 4, 1, 4]])
+    def test_repeated_row_rejected_also_through_a_negative_alias(self, indices):
+        ds = make_dataset(6)
+        repeated = ds.ids[[i % 6 for i in indices][-1]]
+        with pytest.raises(ValidationError, match=f"duplicate sample id '{repeated}'"):
+            ds.subset(indices)
+
+    def test_subset_of_a_subset_equals_the_direct_subset(self):
+        ds = with_meta(10)
+        outer = [7, -2, 0, 3, 9, 5]
+        inner = [4, 0, -1, 2]
+        nested, direct = ds.subset(outer).subset(inner), ds.subset([outer[i] for i in inner])
+        assert nested.ids == direct.ids and nested.meta == direct.meta and nested.scale == direct.scale
+        for a, b in ((nested.logits, direct.logits), (nested.raw_scores, direct.raw_scores),
+                     (nested.labels, direct.labels)):
+            assert np.array_equal(a, b) and not a.flags.writeable
+        assert len(ds.subset([])) == 0 and ds.subset([4]).ids == ("id4",)
+
+    def test_meta_rows_are_shared_read_only_mappings(self):
+        ds = with_meta(6)
+        sub = ds.subset([3, 0, 5])
+        assert all(a is b for a, b in zip(sub.meta, (ds.meta[3], ds.meta[0], ds.meta[5])))
+        assert sub.meta[0] == {"dimension": "d0"} and sub.meta[1] == {}
+        with pytest.raises(TypeError):
+            ds.meta[0]["x"] = "y"
+        with pytest.raises(TypeError):
+            sub.meta[0]["dimension"] = "y"
+        assert make_dataset(3).meta[0] is make_dataset(3).meta[2]
+
+    def test_meta_pickles_and_the_copy_stays_read_only(self):
+        ds = with_meta(5)
+        back = pickle.loads(pickle.dumps(ds, protocol=4))
+        assert back.ids == ds.ids and back.meta == ds.meta and back.scale == ds.scale
+        for a, b in ((back.logits, ds.logits), (back.raw_scores, ds.raw_scores), (back.labels, ds.labels)):
+            assert np.array_equal(a, b) and not a.flags.writeable
+        with pytest.raises(TypeError):
+            back.meta[1]["x"] = "y"
+
+    def test_read_then_write_keeps_the_bytes_with_meta(self, tmp_path):
+        first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+        write_samples(first, with_meta(7))
+        back = read_samples(first, LIKERT)
+        assert back.meta[1] == {"dimension": "d1"} and back.meta[0] == {}
+        with pytest.raises(TypeError):
+            back.meta[1]["x"] = "y"
+        write_samples(again, back)
+        assert again.read_bytes() == first.read_bytes()
+
+
 class TestInterval:
     def test_closed_endpoints(self):
         iv = Interval(2.0, 4.0)

@@ -429,6 +429,27 @@ class TestStrictForestDecoding:
         with pytest.raises(ValueError):
             QuantileForest.from_dict(d)
 
+    @pytest.mark.parametrize("node", [{"feature": 0.9, "left": 1.5, "right": 2.5}, {"feature": 0.5},
+                                      {"left": 1.5}, {"right": 2.5}, {"feature": 1e20},
+                                      {"feature": math.inf}, {"feature": math.nan}])
+    def test_fractional_or_huge_feature_or_child_rejected(self, node):
+        # features 0.9 and children 1.5 and 2.5 used to load as 0, 1 and 2,
+        # and a feature of 1e20 or inf to raise OverflowError
+        d = _small_forest_dict()
+        for key, value in node.items():
+            d["trees"][0][key][0] = value
+        with pytest.raises(ValidationError, match="tree node is malformed"):
+            QuantileForest.from_dict(d)
+
+    def test_whole_numbers_as_floats_load(self):
+        d = _small_forest_dict()
+        for t in d["trees"]:
+            for key in ("feature", "left", "right"):
+                t[key] = [float(v) for v in t[key]]
+        loaded = QuantileForest.from_dict(d)
+        assert loaded.to_dict() == _small_forest_dict()
+        assert all(t.feature.dtype == np.int64 and t.left.dtype == np.int64 for t in loaded.trees)
+
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
             _Tree.from_dict({key: [] for key in ("feature", "thresh", "left", "right", "value")})
@@ -614,9 +635,8 @@ class TestBinClassifier:
         clf.weights = rng.normal(size=clf.weights.shape) * 0.3
         clf.bias = rng.normal(size=clf.bias.shape) * 0.3
         Xs = clf._standardize(X)
-        onehot = np.zeros((12, 3))
-        onehot[np.arange(12), clf._bin_index(y)] = 1.0
-        _, grad_w, grad_b = clf._loss_grad(Xs, onehot)
+        target = (np.arange(12), clf._bin_index(y))
+        _, grad_w, grad_b, _ = clf._loss_grad(Xs, target)
         h = 1e-6
         for arr, grad in ((clf.weights, grad_w), (clf.bias, grad_b)):
             it = np.nditer(arr, flags=["multi_index"])
@@ -624,9 +644,9 @@ class TestBinClassifier:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up, _, _ = clf._loss_grad(Xs, onehot)
+                up, _, _, _ = clf._loss_grad(Xs, target)
                 arr[idx] = orig - h
-                down, _, _ = clf._loss_grad(Xs, onehot)
+                down, _, _, _ = clf._loss_grad(Xs, target)
                 arr[idx] = orig
                 numeric = (up - down) / (2 * h)
                 denom = max(abs(numeric), abs(grad[idx]), 1e-8)
@@ -692,12 +712,12 @@ def _eval_wide_train():
     return cj.split(ds, cj.SplitSpec(7))[0]
 
 
-def _onehot(clf, y):
-    return np.eye(len(clf.bins))[clf._bin_index(y)]
+def _target(clf, y):
+    return np.arange(len(y)), clf._bin_index(y)
 
 
-def _flat_grad(clf, Xs, onehot):
-    _, grad_w, grad_b = clf._loss_grad(Xs, onehot)
+def _flat_grad(clf, Xs, target):
+    _, grad_w, grad_b, _ = clf._loss_grad(Xs, target)
     return np.hstack([grad_w, grad_b[:, None]]).ravel()
 
 
@@ -709,14 +729,15 @@ class TestNewtonSolver:
         clf = BinClassifier(LIKERT.labels(), epochs=0, l2=0.3).fit(X, y)
         m, k = clf.weights.shape
         theta = rng.normal(size=(m, k + 1)) * 0.5
-        Xs, onehot = clf._standardize(X), _onehot(clf, y)
+        Xs, target = clf._standardize(X), _target(clf, y)
 
         def grad_at(t):
             clf.weights, clf.bias = t[:, :k].copy(), t[:, k].copy()
-            return _flat_grad(clf, Xs, onehot)
+            return _flat_grad(clf, Xs, target)
 
         grad_at(theta)
-        H = clf._hessian(Xs)
+        Xt = np.hstack([Xs, np.ones((len(y), 1))])
+        H = clf._hessian(Xt, clf._probs(Xs), np.tile(np.arange(k + 1) < k, m))
         h = 1e-6
         numeric = np.empty_like(H)
         for j in range(theta.size):
@@ -731,7 +752,7 @@ class TestNewtonSolver:
         train = _eval_wide_train()
         clf = BinClassifier(train.scale.labels(), epochs=500, l2=1e-3).fit(train.logits, train.labels)
         assert len(clf.loss_history) - 1 <= 30
-        grad = _flat_grad(clf, clf._standardize(train.logits), _onehot(clf, train.labels))
+        grad = _flat_grad(clf, clf._standardize(train.logits), _target(clf, train.labels))
         assert np.abs(grad).max() <= 1e-8
         assert clf.grad_norm == pytest.approx(np.abs(grad).max(), abs=1e-15)
 
@@ -760,6 +781,107 @@ class TestNewtonSolver:
         assert np.isfinite(clf.weights).all() and np.isfinite(clf.bias).all()
         assert np.all(np.diff(clf.loss_history) <= 0)
         assert clf.grad_norm <= 1e-8
+
+
+# The Newton loop that BinClassifier.fit replaced, kept as the oracle: it
+# recomputes the probabilities for each Hessian, builds the ones-augmented
+# design per Hessian, and takes the log-likelihood as a one-hot row sum.
+# The fit that reuses each accepted step's probabilities must give the
+# same weights, bias, loss history and final gradient, bit for bit.
+
+
+def _reference_classifier_fit(clf: BinClassifier, X, y) -> BinClassifier:
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    n, k, m = X.shape[0], X.shape[1], len(clf.bins)
+    clf.means, clf.stds = estimators._scaling(X)
+    Xs = clf._standardize(X)
+    onehot = np.zeros((n, m))
+    onehot[np.arange(n), clf._bin_index(y)] = 1.0
+
+    def loss_grad():
+        probs = clf._probs(Xs)
+        ll = -np.mean(np.log(np.maximum((probs * onehot).sum(axis=1), 1e-300)))
+        loss = ll + 0.5 * clf.l2 * float((clf.weights ** 2).sum())
+        diff = probs - onehot
+        return loss, diff.T @ Xs / n + clf.l2 * clf.weights, diff.mean(axis=0)
+
+    def hessian():
+        probs = clf._probs(Xs)
+        Xt = np.hstack([Xs, np.ones((n, 1))])
+        A = (probs[:, :, None] * Xt[:, None, :]).reshape(n, m * (k + 1))
+        H = -(A.T @ A)
+        blocks = H.reshape(m, k + 1, m, k + 1)
+        a = np.arange(m)
+        blocks[a, :, a, :] += (A.T @ Xt).reshape(m, k + 1, k + 1)
+        H /= n
+        weight_entries = np.tile(np.arange(k + 1) < k, m)
+        H[weight_entries, weight_entries] += clf.l2
+        return H
+
+    clf.weights, clf.bias = np.zeros((m, k)), np.zeros(m)
+    loss, grad_w, grad_b = loss_grad()
+    clf.loss_history = [loss]
+    for _ in range(clf.epochs):
+        grad = np.hstack([grad_w, grad_b[:, None]])
+        if np.abs(grad).max() <= estimators._GRAD_TOL:
+            break
+        H = hessian()
+        H[np.diag_indices_from(H)] += estimators._NEWTON_RIDGE
+        step = np.linalg.solve(H, grad.ravel()).reshape(m, k + 1)
+        w_old, b_old = clf.weights, clf.bias
+        t = 1.0
+        for _ in range(estimators._MAX_HALVINGS):
+            clf.weights, clf.bias = w_old - t * step[:, :k], b_old - t * step[:, k]
+            new_loss, new_gw, new_gb = loss_grad()
+            if new_loss <= loss:
+                break
+            t *= 0.5
+        else:
+            clf.weights, clf.bias = w_old, b_old
+            break
+        loss, grad_w, grad_b = new_loss, new_gw, new_gb
+        clf.loss_history.append(loss)
+    clf.grad_norm = float(max(np.abs(grad_w).max(), np.abs(grad_b).max()))
+    return clf
+
+
+def _likert_train():
+    """A Likert-5 training split of 250 rows."""
+    ds, _ = cj.generate(cj.GeneratorSpec(seed=3, n=1000))
+    return cj.split(ds, cj.SplitSpec(3))[0]
+
+
+def _separable_train():
+    rng = np.random.default_rng(14)
+    X = np.vstack([rng.normal(-3, 0.5, size=(40, 2)), rng.normal(3, 0.5, size=(40, 2))])
+    return X, np.array([1.0] * 40 + [2.0] * 40), [1.0, 2.0]
+
+
+class TestNewtonLoopMatchesOracle:
+    @pytest.mark.parametrize("case", ["eval_wide", "likert_250", "zero_epochs", "gradient_tolerance"])
+    def test_fit_equals_the_oracle_bit_for_bit(self, case):
+        if case == "gradient_tolerance":
+            X, y, bins = _separable_train()
+            epochs, l2 = 100, 1.0
+        else:
+            train = _eval_wide_train() if case == "eval_wide" else _likert_train()
+            X, y, bins = train.logits, train.labels, train.scale.labels()
+            epochs, l2 = (0 if case == "zero_epochs" else 500), 1e-3
+        got = BinClassifier(bins, epochs, l2).fit(X, y)
+        want = _reference_classifier_fit(BinClassifier(bins, epochs, l2), X, y)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+        assert _bits(got.loss_history) == _bits(want.loss_history)
+        assert _bits(got.grad_norm) == _bits(want.grad_norm)
+        iterations = len(got.loss_history) - 1
+        if case == "eval_wide":
+            assert len(bins) == 13 and 5 <= iterations < epochs
+        if case == "likert_250":
+            assert len(y) == 250 and 5 <= iterations < epochs
+        if case == "zero_epochs":
+            assert iterations == 0 and not got.weights.any()
+        if case == "gradient_tolerance":
+            assert got.grad_norm <= estimators._GRAD_TOL and iterations < epochs
 
 
 class TestKernelSimilarity:
