@@ -82,13 +82,16 @@ def _parse_fractions(text: str) -> list:
     return fractions
 
 
-def _parse_alpha(text: str) -> float:
-    try:
-        if 0.0 < float(text) < 1.0:
-            return float(text)
-    except ValueError:
-        pass
-    raise UsageError(f"--alpha must lie in (0, 1), got {text}")
+def _open_unit(flag: str):
+    """The argparse type of ``flag``, a number in (0, 1): --alpha and the split fractions."""
+    def parse(text: str) -> float:
+        try:
+            if 0.0 < float(text) < 1.0:
+                return float(text)
+        except ValueError:
+            pass
+        raise UsageError(f"{flag} must lie in (0, 1), got {text}")
+    return parse
 
 
 def _scale_from(args) -> LabelScale:
@@ -120,16 +123,16 @@ def _add_scale_flags(p: argparse.ArgumentParser) -> None:
 def _add_seeded_flags(p: argparse.ArgumentParser) -> None:
     """The flags every seeded command reads, human-baseline included.  A
     UsageError raised by a type function passes through argparse, so a bad
-    --alpha or --seeds is rejected while parsing, before any input is read."""
-    p.add_argument("--alpha", type=_parse_alpha, default="0.1")
+    --alpha, --seeds or split fraction is rejected before any input is read."""
+    p.add_argument("--alpha", type=_open_unit("--alpha"), default="0.1")
     p.add_argument("--seeds", type=_parse_seeds, default="1..30", help="e.g. 1..30 or 1,2,5")
-    p.add_argument("--calib-fraction", type=float, default=0.5)
+    p.add_argument("--calib-fraction", type=_open_unit("--calib-fraction"), default="0.5")
     p.add_argument("--out-dir", default=".")
 
 
 def _add_common_eval_flags(p: argparse.ArgumentParser) -> None:
     _add_seeded_flags(p)
-    p.add_argument("--inner-train-fraction", type=float, default=0.5)
+    p.add_argument("--inner-train-fraction", type=_open_unit("--inner-train-fraction"), default="0.5")
     _add_scale_flags(p)
 
 

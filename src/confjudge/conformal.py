@@ -58,6 +58,7 @@ from .estimators import (
     _block_rows,
     _gram_factor,
     _gram_sq_distances,
+    array,
     integer,
     one_of,
     or_none,
@@ -79,8 +80,6 @@ __all__ = [
     "model_from_json",
     "checked_hyper",
 ]
-
-METHODS = ("split_abs", "cqr", "asym_cqr", "chr", "lvd", "r2ccp", "ordinal_aps", "ordinal_rc")
 
 POINT_PREDICTORS = ("raw_score", "weighted_average", "ridge")
 
@@ -107,6 +106,9 @@ class CalibratedModel:
         for v in values:
             if v is not None and not math.isfinite(v):
                 raise ValidationError("calibrated quantile must be finite")
+        scores = np.asarray(self.calib_scores, dtype=float)
+        if scores.ndim == 0 or scores.shape[1:] != np.shape(self.qhat) or not np.isfinite(scores).all():
+            raise ValidationError(f"calib_scores must be finite, one of shape {np.shape(self.qhat)} per point")
 
 
 @dataclass(frozen=True)
@@ -122,17 +124,19 @@ class _Method:
     ``flags`` is None for methods without a degenerate fallback.
     ``hyper`` maps each hyperparameter's name to its (default, check); ``fit``
     gets every declared name, with values checked by :func:`checked_hyper`.
-    ``state_keys`` names the entries of the state ``fit`` returns.
-    ``qhat`` reads a document's qhat and rejects any other shape than the
-    one ``quantile`` returns.  ``check(state, k, scale)``, when set, rejects
-    a decoded state that contradicts the document's k, its scale or itself.
+    ``state`` maps each entry of the state ``fit`` returns to its JSON
+    reader: a value check, or an estimator's ``from_dict`` looked up on its
+    class when called.  ``qhat`` reads a document's qhat and rejects any
+    other shape than the one ``quantile`` returns.  ``check(state, k,
+    scale)``, when set, rejects a read state that contradicts the
+    document's k, its scale or itself.
     """
 
     fit: Callable
     score: Callable
     quantile: Callable
     interval: Callable
-    state_keys: tuple
+    state: dict
     qhat: Callable
     hyper: dict
     check: Callable | None = None
@@ -393,12 +397,12 @@ def _fit_lvd(train: Dataset, calib: Dataset, alpha: float, h: dict) -> dict:
 
 def _check_lvd(state: dict, k: int, scale: LabelScale) -> None:
     _check_reads(state, k, ("ridge", "kernel"))
-    calib, order = state["calib_logits"], state["sort_order"]
-    if calib.ndim != 2 or calib.shape[1] != k or len(calib) == 0:
+    calib, scores, order = state["calib_logits"], state["sorted_scores"], state["sort_order"]
+    if calib.shape[1] != k:
         raise ValidationError(f"model state 'calib_logits' must be an (m, {k}) array with m >= 1")
     m = len(calib)
-    if state["sorted_scores"].shape != (m,):
-        raise ValidationError(f"model state 'sorted_scores' must hold {m} scores")
+    if scores.shape != (m,) or not (np.all(scores >= 0) and np.all(scores[1:] >= scores[:-1])):
+        raise ValidationError(f"model state 'sorted_scores' must hold {m} scores >= 0 in non-decreasing order")
     if order.shape != (m,) or not np.array_equal(np.sort(order), np.arange(m)):
         raise ValidationError(f"model state 'sort_order' must be a permutation of 0..{m - 1}")
     # the kernel's reader checks any bandwidth given
@@ -666,15 +670,8 @@ def _ordinal_values(state: dict, Z: np.ndarray) -> np.ndarray:
 
 
 def _check_ordinal_rc(state: dict, k: int, scale: LabelScale) -> None:
-    if state["h"].shape != (k,) or not np.all((state["h"] > 0) & np.isfinite(state["h"])):
+    if state["h"].shape != (k,) or not np.all(state["h"] > 0):
         raise ValidationError(f"ordinal_rc needs {k} finite positive label weights 'h'")
-
-
-def _label_weights(value, label="value") -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{label} must be numbers, got {value!r}") from exc
 
 
 def _fit_ordinal_rc(train: Dataset, calib: Dataset, alpha: float, h: dict) -> dict:
@@ -718,13 +715,18 @@ def _null(value) -> None:
         raise TypeError(f"expected null, got {value!r}")
 
 
-_FORESTS = ("forest_lo", "forest_hi")
+# estimator readers look their class up when called, so a reader replaced there later is called
+_FORESTS = {key: lambda d: QuantileForest.from_dict(d) for key in ("forest_lo", "forest_hi")}
+_CLASSIFIER = {"classifier": lambda d: BinClassifier.from_dict(d)}
+_RIDGE = {"ridge": lambda d: None if d is None else RidgePredictor.from_dict(d)}
+
+_point_predictor = one_of("point predictor", POINT_PREDICTORS)
+_levels = integer(1)  # chr's T
 
 _METHOD_TABLE = {
     "split_abs": _Method(_fit_split_abs, _score_split_abs, conformal_quantile, _interval_split_abs,
-                         ("point_predictor", "ridge"), _nonnegative,
-                         {"point_predictor": ("raw_score", one_of("point predictor", POINT_PREDICTORS)),
-                          **RIDGE_HYPER},
+                         {"point_predictor": _point_predictor, **_RIDGE}, _nonnegative,
+                         {"point_predictor": ("raw_score", _point_predictor), **RIDGE_HYPER},
                          _check_split_abs),
     "cqr": _Method(lambda train, calib, alpha, h: _fit_forests(train, alpha / 2, h),
                    _score_cqr, conformal_quantile, _interval_cqr, _FORESTS, _number, FOREST_HYPER, _check_forests),
@@ -733,22 +735,25 @@ _METHOD_TABLE = {
                         _score_asym_cqr, _quantile_asym_cqr, _interval_cqr, _FORESTS, _pair, FOREST_HYPER,
                         _check_forests),
     "chr": _Method(lambda train, calib, alpha, h: {"classifier": _fit_classifier(train, h), "T": h["T"]},
-                   _score_chr, conformal_quantile, _interval_chr, ("classifier", "T"), _nonnegative,
-                   {"T": (100, integer(1)), **CLASSIFIER_HYPER}, _check_classifier),
+                   _score_chr, conformal_quantile, _interval_chr, {**_CLASSIFIER, "T": _levels}, _nonnegative,
+                   {"T": (100, _levels), **CLASSIFIER_HYPER}, _check_classifier),
     # lvd takes its quantile per query, from the kernel-weighted scores
     "lvd": _Method(_fit_lvd, _score_lvd, lambda scores, alpha: None, _interval_lvd,
-                   ("ridge", "kernel", "calib_logits", "sorted_scores", "sort_order"), _null,
+                   {**_RIDGE, "kernel": lambda d: KernelSimilarity.from_dict(d), "calib_logits": array(2),
+                    "sorted_scores": array(1), "sort_order": array(1, whole=True)}, _null,
                    {**RIDGE_HYPER, **KERNEL_HYPER}, _check_lvd),
     # low density is non-conforming, so r2ccp keeps the lower quantile
     "r2ccp": _Method(lambda train, calib, alpha, h: {"classifier": _fit_classifier(train, h)},
-                     _score_r2ccp, lower_conformal_quantile, _interval_r2ccp, ("classifier",), _nonnegative,
+                     _score_r2ccp, lower_conformal_quantile, _interval_r2ccp, _CLASSIFIER, _nonnegative,
                      CLASSIFIER_HYPER, _check_classifier),
     "ordinal_aps": _Method(lambda train, calib, alpha, h: {},
-                           _score_ordinal, conformal_quantile, _interval_ordinal, (), _nonnegative, {}),
+                           _score_ordinal, conformal_quantile, _interval_ordinal, {}, _nonnegative, {}),
     # the weights' length and sign are checked against k by _check_ordinal_rc
-    "ordinal_rc": _Method(_fit_ordinal_rc, _score_ordinal, conformal_quantile, _interval_ordinal, ("h",),
-                          _nonnegative, {"weights": (None, or_none(_label_weights))}, _check_ordinal_rc),
+    "ordinal_rc": _Method(_fit_ordinal_rc, _score_ordinal, conformal_quantile, _interval_ordinal, {"h": array(1)},
+                          _nonnegative, {"weights": (None, or_none(array(1)))}, _check_ordinal_rc),
 }
+
+METHODS = tuple(_METHOD_TABLE)
 
 
 def checked_hyper(method: str, hyper: dict | None = None, **kw) -> dict:
@@ -816,24 +821,6 @@ def score_samples(model: CalibratedModel, dataset: Dataset) -> np.ndarray:
 # Serialization
 
 
-# how each state entry is rebuilt from its JSON value (a hyperparameter by
-# its declared check); an estimator's reader is looked up on its class at
-# each call, so a reader replaced there later is the one called
-_STATE_DECODERS = {
-    "point_predictor": _METHOD_TABLE["split_abs"].hyper["point_predictor"][1],
-    "ridge": lambda d: None if d is None else RidgePredictor.from_dict(d),
-    "forest_lo": lambda d: QuantileForest.from_dict(d),
-    "forest_hi": lambda d: QuantileForest.from_dict(d),
-    "classifier": lambda d: BinClassifier.from_dict(d),
-    "T": _METHOD_TABLE["chr"].hyper["T"][1],
-    "kernel": lambda d: KernelSimilarity.from_dict(d),
-    "calib_logits": lambda v: np.asarray(v, dtype=float),
-    "sorted_scores": lambda v: np.asarray(v, dtype=float),
-    "sort_order": lambda v: np.asarray(v, dtype=int),
-    "h": _label_weights,
-}
-
-
 def _encoded(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
@@ -856,8 +843,8 @@ def model_to_json(model: CalibratedModel) -> str:
     return json.dumps(doc)
 
 
-# how each top-level field is rebuilt from its JSON value
-_FIELD_DECODERS = {
+# the reader of each top-level field's JSON value
+_FIELD_READERS = {
     "alpha": _number,
     "scale": LabelScale.from_dict,
     "k": integer(1),
@@ -865,11 +852,11 @@ _FIELD_DECODERS = {
 }
 
 
-def _decoded(entries: dict, decoders: dict, keys, what: str) -> dict:
+def _decoded(entries: dict, readers: dict, what: str) -> dict:
     out = {}
-    for key in keys:
+    for key, read in readers.items():
         try:
-            out[key] = decoders[key](entries[key])
+            out[key] = read(entries[key])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"model {what} {key!r} is missing or malformed: {exc}") from exc
     return out
@@ -890,9 +877,8 @@ def model_from_json(text: str) -> CalibratedModel:
     if method not in METHODS:
         raise ValidationError(f"model document has unknown method {method!r}; valid: {', '.join(METHODS)}")
     spec = _METHOD_TABLE[method]
-    decoders = {**_FIELD_DECODERS, "qhat": spec.qhat}
-    fields = _decoded(doc, decoders, decoders, "field")
-    state = _decoded(doc.get("state"), _STATE_DECODERS, spec.state_keys, "state")
+    fields = _decoded(doc, {**_FIELD_READERS, "qhat": spec.qhat}, "field")
+    state = _decoded(doc.get("state"), spec.state, "state")
     if spec.check is not None:
         spec.check(state, fields["k"], fields["scale"])
     return CalibratedModel(method=method, state=state, **fields)

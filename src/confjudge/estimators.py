@@ -7,8 +7,10 @@ saved and reloaded.
 A v1 document is ``kind`` and ``v: 1``, the hyperparameters, then the
 fitted numbers, arrays as lists.  ``from_dict`` raises ValidationError
 unless the header is its kind at v1, the constructor accepts the
-hyperparameters, every fitted number is finite, ``means`` and ``stds`` are
-vectors of one length with stds > 0, and its class's shapes hold: ridge
+hyperparameters, every fitted number is a finite JSON number (by the value
+checks ``real`` and ``array``, which also read the model state in
+``conformal``; tree lists are still read as floats), ``means`` and ``stds``
+are vectors of one length with stds > 0, and its class's shapes hold: ridge
 ``coef`` like ``means`` and one ``intercept``; classifier ``weights`` of
 shape (bins, means) and a ``bias`` per bin; one forest ``base`` and
 ``n_trees`` well-formed trees with finite thresholds and values.  Other
@@ -85,6 +87,23 @@ def or_none(check):
     return lambda value, label="value": None if value is None else check(value, label)
 
 
+def array(ndim: int, whole: bool = False):
+    """A finite array of exactly ``ndim`` dimensions of numbers, as floats,
+    or as int64 when ``whole`` (a fraction is rejected, not truncated).  As
+    for :func:`real`, a string or null is no number, nor is an all-bool list."""
+    def check(value, label="value"):
+        try:
+            a = np.asarray(value)
+        except ValueError:  # a ragged list
+            a = np.asarray(None)
+        x = a.astype(float, copy=False) if a.dtype.kind in "iuf" and a.ndim == ndim else np.asarray(math.nan)
+        if not np.isfinite(x).all() or whole and not np.all((x == np.floor(x)) & (np.abs(x) < 2.0 ** 63)):
+            raise ValidationError(f"{label} must be a {ndim}-D array of finite {'whole ' if whole else ''}numbers")
+        # an integer array converts exactly, a float one once checked
+        return (a if a.dtype.kind in "iu" else x).astype(np.int64) if whole else x
+    return check
+
+
 def _training_arrays(X, y):
     """X and y as float arrays; raises ValidationError unless X is 2-D with
     one row per entry of the 1-D y."""
@@ -127,25 +146,19 @@ def _document(est, kind: str, names) -> dict:
     return d
 
 
-def _from_document(cls, d: dict, kind: str, hyper, arrays: dict):
+def _from_document(cls, d: dict, kind: str, hyper, fitted: dict):
     """``cls`` built from the ``hyper`` entries of its v1 ``kind`` document
-    ``d``, with each ``arrays`` entry set as a finite float array of the
-    ndim it maps to (a float for 0).  Raises ValidationError for another
-    header, a missing entry, a hyperparameter the constructor rejects,
-    another array, or ``stds`` unlike ``means`` or not all > 0."""
-    names = (*hyper, *arrays)
+    ``d``, with each ``fitted`` entry set as read by the value check it
+    maps to.  Raises ValidationError for another header, a missing entry, a
+    hyperparameter the constructor rejects, a value its check rejects, or
+    ``stds`` unlike ``means`` or not all > 0."""
+    names = (*hyper, *fitted)
     if not isinstance(d, dict) or d.get("kind") != kind or d.get("v") != 1 or not d.keys() >= set(names):
         raise ValidationError(f"not a v1 {kind!r} document with entries {', '.join(names)}")
     est = cls(**{name: d[name] for name in hyper})
-    for name, ndim in arrays.items():
-        try:
-            a = np.asarray(d[name], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{kind} {name!r} must be numbers") from exc
-        if a.ndim != ndim or not np.isfinite(a).all():
-            raise ValidationError(f"{kind} {name!r} must be a {ndim}-D array of finite numbers")
-        setattr(est, name, float(a) if ndim == 0 else a)
-    if "means" in arrays and (est.stds.shape != est.means.shape or not np.all(est.stds > 0)):
+    for name, check in fitted.items():
+        setattr(est, name, check(d[name], f"{kind} {name!r}"))
+    if "means" in fitted and (est.stds.shape != est.means.shape or not np.all(est.stds > 0)):
         raise ValidationError(f"{kind} 'means' and 'stds' must be of one length, with stds > 0")
     return est
 
@@ -440,7 +453,7 @@ class QuantileForest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuantileForest":
-        qf = _from_document(cls, d, "quantile_forest", ("tau", "n_trees", "depth", "lr", "min_leaf"), {"base": 0})
+        qf = _from_document(cls, d, "quantile_forest", ("tau", "n_trees", "depth", "lr", "min_leaf"), {"base": real()})
         if not isinstance(d.get("trees"), list) or len(d["trees"]) != qf.n_trees:
             raise ValidationError(f"forest needs a list of n_trees = {qf.n_trees} trees")
         qf.trees = [_Tree.from_dict(t) for t in d["trees"]]
@@ -479,12 +492,7 @@ class BinClassifier:
     """
 
     def __init__(self, bins, epochs: int, l2: float):
-        try:
-            self.bins = np.asarray(bins, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"classifier bins must be numbers, got {bins!r}") from exc
-        if self.bins.ndim != 1 or not np.isfinite(self.bins).all():
-            raise ValidationError("classifier bins must be a 1-D array of finite numbers")
+        self.bins = array(1)(bins, "classifier bins")
         self.epochs = CLASSIFIER_HYPER["epochs"][1](epochs, "classifier epochs")
         self.l2 = CLASSIFIER_HYPER["l2"][1](l2, "classifier l2")
         self.weights = None
@@ -591,7 +599,7 @@ class BinClassifier:
     @classmethod
     def from_dict(cls, d: dict) -> "BinClassifier":
         bc = _from_document(cls, d, "bin_classifier", ("bins", "epochs", "l2"),
-                            {"weights": 2, "bias": 1, "means": 1, "stds": 1})
+                            {"weights": array(2), "bias": array(1), "means": array(1), "stds": array(1)})
         if bc.weights.shape != (len(bc.bins), len(bc.means)) or bc.bias.shape != bc.bins.shape:
             raise ValidationError("bin_classifier needs per bin a 'bias' and a row of 'weights' "
                                   "with one entry per mean")
@@ -903,7 +911,7 @@ class KernelSimilarity:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSimilarity":
-        return _from_document(cls, d, "kernel_similarity", ("bandwidth",), {"means": 1, "stds": 1})
+        return _from_document(cls, d, "kernel_similarity", ("bandwidth",), {"means": array(1), "stds": array(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +951,8 @@ class RidgePredictor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RidgePredictor":
-        rp = _from_document(cls, d, "ridge", ("l2",), {"coef": 1, "intercept": 0, "means": 1, "stds": 1})
+        rp = _from_document(cls, d, "ridge", ("l2",),
+                            {"coef": array(1), "intercept": real(), "means": array(1), "stds": array(1)})
         if rp.coef.shape != rp.means.shape:
             raise ValidationError("ridge needs one 'coef' entry per mean")
         return rp

@@ -287,6 +287,17 @@ class TestOtherCommands:
         ("sweep", ("--fractions", ""), None),
         ("sweep", ("--fractions", "0.5,2"), None),
         ("sweep", ("--fractions", "0,0.5"), None),
+        # a split fraction outside (0, 1) used to be a data error (exit 2),
+        # raised only after the input was read
+        ("evaluate", ("--calib-fraction", "1.5"), None),
+        ("evaluate", ("--calib-fraction", "0"), None),
+        ("evaluate", ("--inner-train-fraction", "1"), None),
+        ("evaluate", ("--inner-train-fraction", "nan"), None),
+        ("midpoints", ("--calib-fraction", "-0.2"), None),
+        ("midpoints", ("--inner-train-fraction", "0"), None),
+        ("sweep", ("--calib-fraction", "inf"), None),
+        ("sweep", ("--inner-train-fraction", "2"), None),
+        ("human-baseline", ("--calib-fraction", "1.0"), None),
     ])
     def test_bad_flags_are_usage_errors_before_any_read(self, tmp_path, monkeypatch, capsys, command, flags, env):
         # each used to end as an internal error (exit 3) or, for --jobs -3,

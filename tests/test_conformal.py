@@ -572,6 +572,12 @@ class TestModelContract:
         ("kernel", lambda s: {**s["kernel"], "bandwidth": None}),
         ("kernel", lambda s: {**s["kernel"], "bandwidth": "1.5"}),
         ("kernel", lambda s: {**s["kernel"], "bandwidth": 10 ** 400}),
+        # each of these used to load: reversed scores served a narrower
+        # interval, and fractional sort entries were truncated
+        ("sorted_scores", lambda s: s["sorted_scores"][::-1]),
+        ("sorted_scores", lambda s: [-1.0] + s["sorted_scores"][1:]),
+        ("sort_order", lambda s: [i + 0.5 for i in s["sort_order"]]),
+        ("calib_logits", lambda s: [[str(x) for x in row] for row in s["calib_logits"]]),
     ])
     def test_inconsistent_lvd_state_rejected(self, fitted, entry, corrupt):
         doc = json.loads(cj.model_to_json(fitted[3]["lvd"]))
@@ -694,6 +700,48 @@ class TestModelContract:
             cj.calibrate("quantile", train, calib, 0.1)
 
 
+def _number_paths(value, path=()):
+    """The path of every number in a JSON value, following only the first
+    entry of each list."""
+    if isinstance(value, dict):
+        for key, entry in value.items():
+            yield from _number_paths(entry, path + (key,))
+    elif isinstance(value, list):
+        yield from _number_paths(value[0], path + (0,)) if value else ()
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+@pytest.fixture(scope="module")
+def small_documents():
+    train, calib, _ = peaked_split(seed=23, n=200)
+    hyper = {"split_abs": {"point_predictor": "ridge"}, "chr": {"epochs": 5, "T": 20}, "r2ccp": {"epochs": 5},
+             **{m: {"n_trees": 3, "depth": 2, "min_leaf": 10, "lr": 0.1} for m in ("cqr", "asym_cqr")}}
+    return {m: cj.model_to_json(cj.calibrate(m, train, calib, 0.1, hyper.get(m))) for m in cj.METHODS}
+
+
+@pytest.mark.parametrize("method", cj.METHODS)
+def test_every_number_in_a_document_is_checked(small_documents, method):
+    # lvd's sorted_scores and calib_logits, and every method's calib_scores,
+    # used to load a NaN or an infinity
+    paths = list(_number_paths(json.loads(small_documents[method])))
+    assert len(paths) > 5
+    loaded = []
+    for path in paths:
+        for bad in (math.nan, math.inf):
+            broken = json.loads(small_documents[method])
+            entry = broken
+            for key in path[:-1]:
+                entry = entry[key]
+            entry[path[-1]] = bad
+            try:
+                cj.model_from_json(json.dumps(broken))
+            except ValidationError:
+                continue
+            loaded.append((path, bad))
+    assert loaded == []
+
+
 class TestWidthMonotoneInAlpha:
     def test_structurally_nested_methods(self):
         train, calib, test = peaked_split(seed=41, n=500)
@@ -779,6 +827,31 @@ class TestLvdDocumentCompatibility:
         train, calib, _ = cj.split(ds, cj.SplitSpec(expected["split_seed"]))
         model = cj.calibrate("lvd", train, calib, expected["alpha"], expected["hyper"])
         assert cj.model_to_json(model) == (DATA / "lvd_model_v1.json").read_text(encoding="utf-8")
+
+
+class TestSplitAbsOrdinalDocumentCompatibility:
+    """split_abs (ridge point predictor), ordinal_aps and ordinal_rc (label
+    weights other than the default) documents written before the method
+    table named each method's state readers (tests/data)."""
+
+    METHODS = ("split_abs", "ordinal_aps", "ordinal_rc")
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return json.loads((DATA / "split_abs_ordinal_v1_expected.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_old_documents_give_the_same_intervals(self, expected, method):
+        model = cj.model_from_json((DATA / f"{method}_model_v1.json").read_text(encoding="utf-8"))
+        intervals = cj.predict_intervals(model, np.asarray(expected["rows"]))
+        assert [[iv.lo, iv.hi] for iv in intervals] == expected["intervals"][method]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_refit_writes_the_same_document(self, expected, method):
+        ds, _ = cj.generate(cj.GeneratorSpec(seed=expected["generator_seed"], n=expected["n"]))
+        train, calib, _ = cj.split(ds, cj.SplitSpec(expected["split_seed"]))
+        model = cj.calibrate(method, train, calib, expected["alpha"], expected["hyper"][method])
+        assert cj.model_to_json(model) == (DATA / f"{method}_model_v1.json").read_text(encoding="utf-8")
 
 
 class TestChrR2ccpDocumentCompatibility:

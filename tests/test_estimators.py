@@ -494,7 +494,10 @@ _OWN_SHAPES = {
     "ridge": {"NaN coef": _with("coef", lambda v: [math.nan] + v[1:]),
               "short coef": _with("coef", lambda v: v[:-1]),
               "inf intercept": _with("intercept", lambda v: math.inf),
-              "list intercept": _with("intercept", lambda v: [v])},
+              "list intercept": _with("intercept", lambda v: [v]),
+              # numeric strings used to load, though a string l2 did not
+              "coef of numeric strings": _with("coef", lambda v: [str(x) for x in v]),
+              "intercept a numeric string": _with("intercept", lambda v: "0.3")},
     "classifier": {"inf weight": _with("weights", lambda v: [[math.inf] + v[0][1:]] + v[1:]),
                    "NaN bias": _with("bias", lambda v: [math.nan] + v[1:]),
                    "weights of one bin less": _with("weights", lambda v: v[:-1]),
@@ -502,8 +505,10 @@ _OWN_SHAPES = {
                    "bias of one bin less": _with("bias", lambda v: v[:-1]),
                    "one bin less": _with("bins", lambda v: v[:-1]),
                    "NaN bin": _with("bins", lambda v: [math.nan] + v[1:]),
-                   "bins a string": _with("bins", lambda v: "x")},
-    "kernel": {"zero bandwidth": _with("bandwidth", lambda v: 0.0)},
+                   "bins a string": _with("bins", lambda v: "x"),
+                   "bins of numeric strings": _with("bins", lambda v: [str(b) for b in v])},
+    "kernel": {"zero bandwidth": _with("bandwidth", lambda v: 0.0),
+               "all-bool means": _with("means", lambda v: [i % 2 == 0 for i in range(len(v))])},
     "forest": {"NaN base": _with("base", lambda v: math.nan),
                "inf base": _with("base", lambda v: math.inf),
                "list base": _with("base", lambda v: [v]),
