@@ -127,9 +127,10 @@ class _Method:
     ``state`` maps each entry of the state ``fit`` returns to its JSON
     reader: a value check, or an estimator's ``from_dict`` looked up on its
     class when called.  ``qhat`` reads a document's qhat and rejects any
-    other shape than the one ``quantile`` returns.  ``check(state, k,
-    scale)``, when set, rejects a read state that contradicts the
-    document's k, its scale or itself.
+    other shape than the one ``quantile`` returns.  ``check(state,
+    **fields)``, when set, gets the document's read top-level fields by
+    name (``alpha``, ``scale``, ``k``, ``qhat``, ``calib_scores``) and
+    rejects a read state that contradicts them or itself.
     """
 
     fit: Callable
@@ -179,7 +180,7 @@ def _check_reads(state: dict, k: int, keys) -> None:
             raise ValidationError(f"model state {key!r} reads {n} features, but k is {k}")
 
 
-def _check_split_abs(state: dict, k: int, scale: LabelScale) -> None:
+def _check_split_abs(state: dict, k: int, **_) -> None:
     if (state["ridge"] is None) == (state["point_predictor"] == "ridge"):
         raise ValidationError("model state 'ridge' must be set exactly when the point predictor is ridge")
     if state["ridge"] is not None:
@@ -208,7 +209,7 @@ def _fit_forests(train: Dataset, tail: float, h: dict) -> dict:
     }
 
 
-def _check_forests(state: dict, k: int, scale: LabelScale) -> None:
+def _check_forests(state: dict, k: int, **_) -> None:
     # a forest may split on fewer than k features, never on more
     for key in _FORESTS:
         if state[key].min_features > k:
@@ -254,7 +255,7 @@ def _fit_classifier(train: Dataset, h: dict) -> BinClassifier:
     return clf.fit(train.logits, train.labels)
 
 
-def _check_classifier(state: dict, k: int, scale: LabelScale) -> None:
+def _check_classifier(state: dict, k: int, scale: LabelScale, **_) -> None:
     bins, labels = state["classifier"].bins, scale.labels()
     if bins.shape != labels.shape or not np.allclose(bins, labels, rtol=0.0, atol=GRID_TOL):
         raise ValidationError(f"model state 'classifier' bins must be the scale's {len(labels)} labels")
@@ -395,7 +396,7 @@ def _fit_lvd(train: Dataset, calib: Dataset, alpha: float, h: dict) -> dict:
             "sorted_scores": scores[order], "sort_order": order}
 
 
-def _check_lvd(state: dict, k: int, scale: LabelScale) -> None:
+def _check_lvd(state: dict, k: int, calib_scores: np.ndarray, **_) -> None:
     _check_reads(state, k, ("ridge", "kernel"))
     calib, scores, order = state["calib_logits"], state["sorted_scores"], state["sort_order"]
     if calib.shape[1] != k:
@@ -405,6 +406,9 @@ def _check_lvd(state: dict, k: int, scale: LabelScale) -> None:
         raise ValidationError(f"model state 'sorted_scores' must hold {m} scores >= 0 in non-decreasing order")
     if order.shape != (m,) or not np.array_equal(np.sort(order), np.arange(m)):
         raise ValidationError(f"model state 'sort_order' must be a permutation of 0..{m - 1}")
+    # fit writes exactly these, and each query's quantile is read from them
+    if calib_scores.shape != (m,) or not np.array_equal(scores, calib_scores[order]):
+        raise ValidationError("model state 'sorted_scores' must be calib_scores in sort_order")
     # the kernel's reader checks any bandwidth given
     if state["kernel"].bandwidth is None:
         raise ValidationError("model state 'kernel' has no bandwidth")
@@ -669,14 +673,14 @@ def _ordinal_values(state: dict, Z: np.ndarray) -> np.ndarray:
     return probs if weights is None else probs * weights[None, :]
 
 
-def _check_ordinal_rc(state: dict, k: int, scale: LabelScale) -> None:
+def _check_ordinal_rc(state: dict, k: int, **_) -> None:
     if state["h"].shape != (k,) or not np.all(state["h"] > 0):
         raise ValidationError(f"ordinal_rc needs {k} finite positive label weights 'h'")
 
 
 def _fit_ordinal_rc(train: Dataset, calib: Dataset, alpha: float, h: dict) -> dict:
     state = {"h": np.ones(calib.k) if h["weights"] is None else h["weights"]}
-    _check_ordinal_rc(state, calib.k, calib.scale)
+    _check_ordinal_rc(state, calib.k)
     return state
 
 
@@ -846,9 +850,8 @@ def model_to_json(model: CalibratedModel) -> str:
 # the reader of each top-level field's JSON value
 _FIELD_READERS = {
     "alpha": _number,
-    "scale": LabelScale.from_dict,
+    "scale": lambda v: LabelScale(*(_number(v[key], key) for key in ("min", "max", "step"))),
     "k": integer(1),
-    "calib_scores": lambda v: np.asarray(v, dtype=float),
 }
 
 
@@ -878,7 +881,9 @@ def model_from_json(text: str) -> CalibratedModel:
         raise ValidationError(f"model document has unknown method {method!r}; valid: {', '.join(METHODS)}")
     spec = _METHOD_TABLE[method]
     fields = _decoded(doc, {**_FIELD_READERS, "qhat": spec.qhat}, "field")
+    # one score per calibration point, each of qhat's shape
+    fields |= _decoded(doc, {"calib_scores": array(np.ndim(fields["qhat"]) + 1)}, "field")
     state = _decoded(doc.get("state"), spec.state, "state")
     if spec.check is not None:
-        spec.check(state, fields["k"], fields["scale"])
+        spec.check(state, **fields)
     return CalibratedModel(method=method, state=state, **fields)

@@ -79,13 +79,13 @@ class LabelScale:
         """All admissible labels, in increasing order."""
         return self.min + self.step * np.arange(self.n_labels)
 
-    def on_grid(self, value, tol: float = GRID_TOL):
-        """Whether ``value`` is a label of the grid, within ``tol``; elementwise
-        for an array."""
+    def on_grid(self, value):
+        """Whether ``value`` is a label of the grid, within ``GRID_TOL``;
+        elementwise for an array."""
         k = (value - self.min) / self.step
         with np.errstate(invalid="ignore"):
             off = np.abs(k - np.round(k)) * self.step
-        return (off <= tol) & (self.min - tol <= value) & (value <= self.max + tol)
+        return (off <= GRID_TOL) & (self.min - GRID_TOL <= value) & (value <= self.max + GRID_TOL)
 
     def nearest_label(self, value):
         """The label nearest ``value`` (ties to the even index); elementwise for an array."""
@@ -94,10 +94,6 @@ class LabelScale:
 
     def to_dict(self) -> dict:
         return {"min": self.min, "max": self.max, "step": self.step}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LabelScale":
-        return cls(float(d["min"]), float(d["max"]), float(d["step"]))
 
 
 LIKERT_5 = LabelScale(1.0, 5.0, 1.0)
@@ -262,8 +258,8 @@ class Interval:
     def width(self) -> float:
         return 0.0 if self.empty else self.hi - self.lo
 
-    def covers(self, value: float, tol: float = _COVER_TOL) -> bool:
-        return (not self.empty) and self.lo - tol <= value <= self.hi + tol
+    def covers(self, value: float) -> bool:
+        return (not self.empty) and self.lo - _COVER_TOL <= value <= self.hi + _COVER_TOL
 
     @staticmethod
     def make_empty() -> "Interval":

@@ -8,17 +8,18 @@ A v1 document is ``kind`` and ``v: 1``, the hyperparameters, then the
 fitted numbers, arrays as lists.  ``from_dict`` raises ValidationError
 unless the header is its kind at v1, the constructor accepts the
 hyperparameters, every fitted number is a finite JSON number (by the value
-checks ``real`` and ``array``, which also read the model state in
-``conformal``; tree lists are still read as floats), ``means`` and ``stds``
-are vectors of one length with stds > 0, and its class's shapes hold: ridge
-``coef`` like ``means`` and one ``intercept``; classifier ``weights`` of
-shape (bins, means) and a ``bias`` per bin; one forest ``base`` and
-``n_trees`` well-formed trees with finite thresholds and values.  Other
-keys (an older classifier's ``lr`` and ``seed``) are ignored.
+checks ``real`` and ``array``, which also read the model document in
+``conformal``), ``means`` and ``stds`` are vectors of one length with
+stds > 0, and its class's shapes hold: ridge ``coef`` like ``means`` and
+one ``intercept``; classifier ``weights`` of shape (bins, means) and a
+``bias`` per bin; one forest ``base`` and ``n_trees`` well-formed trees
+with finite thresholds and values.  Other keys (an older classifier's
+``lr`` and ``seed``) are ignored.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -206,40 +207,12 @@ class _Tree:
                 and self.left is other.left and self.right is other.right)
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "thresh": self.thresh.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name in _TREE_LISTS}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "_Tree":
-        """Rebuild a tree; raises ValidationError unless it is a dict of five
-        lists of numbers with one entry per node, every threshold and value
-        is finite, and every node is a leaf or has a feature and two
-        children numbered after it (which also rules out routing cycles).
-        Features and children must be whole numbers: they are read as
-        floats, so a fraction is rejected instead of truncated."""
-        names = ("feature", "thresh", "left", "right", "value")
-        try:
-            arrays = [np.asarray(d[name], dtype=float) for name in names]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"a tree must be a dict of the number lists {', '.join(names)}") from exc
-        feature, thresh, left, right, value = arrays
-        if value.ndim != 1 or value.size == 0 or any(a.shape != value.shape for a in arrays):
-            raise ValidationError("tree lists must be non-empty, flat and of equal length")
-        n = value.size
-        node = np.arange(n)
-        leaf = (feature == -1) & (left == -1) & (right == -1)
-        # a child lies below n; a feature must convert to int64 exactly
-        internal = ((feature >= 0) & (feature < 2.0 ** 63) & (feature == np.floor(feature))
-                    & (left > node) & (left < n) & (left == np.floor(left))
-                    & (right > node) & (right < n) & (right == np.floor(right)))
-        if not np.all((leaf | internal) & np.isfinite(thresh) & np.isfinite(value)):
-            raise ValidationError("tree node is malformed or has a non-finite threshold or value")
-        return cls(feature, thresh, left, right, value)
+
+# a tree document's lists, one entry per node, with the value check of each
+_TREE_LISTS = {"feature": array(1, whole=True), "thresh": array(1), "left": array(1, whole=True),
+               "right": array(1, whole=True), "value": array(1)}
 
 
 def _best_cut(xs: np.ndarray, gs: np.ndarray, total, total_sq, lo: int):
@@ -318,11 +291,14 @@ class QuantileForest:
     re-estimates leaf values as the tau-quantile of the current residuals,
     matching the usual boosted quantile-regression update.
 
-    Each feature is sorted once per fit.  Trees grow a level at a time: a
-    node's candidate cuts for all features come from that presorted order
-    restricted to the node's rows, every leaf's quantile comes from one
-    lexsort, and the training predictions are updated from the rows' leaves
-    without routing them through the new tree.
+    Each feature is sorted once per fit.  Trees grow depth-first from an
+    explicit stack, so each node gets its document number (see
+    :class:`_Tree`) when it is taken off the stack.  A node's candidate cuts
+    for all features come from its rows in each feature's presorted order,
+    which a child takes from its parent's with one stable mask; every
+    leaf's quantile comes from one lexsort, and the training predictions
+    are updated from the rows' leaves without routing them through the new
+    tree.
 
     The cuts depend on the features and the gradients alone, and every
     gradient is tau or tau - 1.  So a round in which no residual changed
@@ -355,55 +331,44 @@ class QuantileForest:
 
     def _grow(self, X, order, xs, g):
         """Find one tree's cuts for the gradients g; returns its (feature,
-        thresh, left, right) arrays and each row's leaf."""
-        n_feat = X.shape[1]
+        thresh, left, right) arrays, nodes numbered as in its document, and
+        each row's leaf."""
         lo = self.min_leaf  # fewest rows a side may keep
-        node = np.zeros(len(g), dtype=np.intp)  # each row's node, numbered breadth-first
-        feature, thresh, kids = [-1], [0.0], [(-1, -1)]
-        level = [0]
-        for _ in range(self.depth):
-            at = node[order]
-            grown = []
-            for v in level:
-                rows = np.flatnonzero(node == v)
-                m = len(rows)
-                if m < 2 * lo:
-                    continue
-                member = at == v
-                xv = xs[member].reshape(n_feat, m)
+        leaf = np.empty(len(g), dtype=np.intp)
+        nodes = []  # each node's [feature, thresh, left, right]
+        # a node to number: its rows in row order; its parent's rows in each
+        # feature's sorted order and their values there, with the mask that
+        # keeps this node's (None at the root); its depth; and the node
+        # whose right child it is (-1 for a left child or the root).  The
+        # right child is pushed first, so the left one is numbered next.
+        stack = [(np.arange(len(g)), order, xs, None, 0, -1)]
+        while stack:
+            rows, o, xv, keep, depth, parent = stack.pop()
+            v = len(nodes)
+            if parent >= 0:
+                nodes[parent][3] = v
+            nodes.append([-1, 0.0, -1, -1])
+            cut = None
+            if depth < self.depth and len(rows) >= 2 * lo:
+                if keep is not None:
+                    o, xv = o[keep].reshape(len(o), -1), xv[keep].reshape(len(o), -1)
                 gr = g[rows]
-                cut = _best_cut(xv, g[order[member]].reshape(n_feat, m), gr.sum(), (gr * gr).sum(), lo)
-                if cut is None:
-                    continue
+                cut = _best_cut(xv, g[o], gr.sum(), (gr * gr).sum(), lo)
+            if cut is not None:
                 j, i = cut
                 thr = 0.5 * (xv[j, i] + xv[j, i + 1])
                 go_left = X[rows, j] <= thr
-                # the midpoint of two adjacent floats can round up to the
-                # upper one and leave the right side empty: keep the leaf
-                if go_left.all():
-                    continue
-                a = len(feature)
-                feature[v], thresh[v], kids[v] = j, thr, (a, a + 1)
-                feature += [-1, -1]
-                thresh += [0.0, 0.0]
-                kids += [(-1, -1), (-1, -1)]
-                node[rows] = np.where(go_left, a, a + 1)
-                grown += [a, a + 1]
-            level = grown
-        # number the nodes depth-first, as model documents have always had them
-        pre, stack = [], [0]
-        while stack:
-            v = stack.pop()
-            pre.append(v)
-            if feature[v] >= 0:
-                stack += [kids[v][1], kids[v][0]]
-        new = np.empty(len(pre), dtype=np.intp)
-        new[pre] = np.arange(len(pre))
-        kids = np.asarray(kids)[pre]
-        shape = (np.asarray(feature)[pre], np.asarray(thresh)[pre],
-                 np.where(kids[:, 0] >= 0, new[kids[:, 0]], -1),
-                 np.where(kids[:, 1] >= 0, new[kids[:, 1]], -1))
-        return shape, new[node]
+            # the midpoint of two adjacent floats can round up to the upper
+            # one and leave the right side empty: keep the leaf
+            if cut is None or go_left.all():
+                leaf[rows] = v
+                continue
+            nodes[v][:3] = j, thr, v + 1
+            # masking the sorted orders keeps ties in row order
+            mask = X[o, j] <= thr
+            stack.append((rows[~go_left], o, xv, ~mask, depth + 1, v))
+            stack.append((rows[go_left], o, xv, mask, depth + 1, -1))
+        return tuple(map(np.asarray, zip(*nodes))), leaf
 
     def fit(self, X, y) -> "QuantileForest":
         X, y = _training_arrays(X, y)
@@ -453,11 +418,38 @@ class QuantileForest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuantileForest":
+        """Rebuild a forest from its document.  Raises ValidationError unless
+        ``trees`` holds ``n_trees`` dicts of five non-empty lists of equal
+        length, each list read across all trees by one value check, and
+        every node is a leaf (feature and children -1) or has a feature and
+        two children numbered after it in its own tree (which also rules
+        out routing cycles)."""
         qf = _from_document(cls, d, "quantile_forest", ("tau", "n_trees", "depth", "lr", "min_leaf"), {"base": real()})
-        if not isinstance(d.get("trees"), list) or len(d["trees"]) != qf.n_trees:
+        trees = d.get("trees")
+        if not isinstance(trees, list) or len(trees) != qf.n_trees:
             raise ValidationError(f"forest needs a list of n_trees = {qf.n_trees} trees")
-        qf.trees = [_Tree.from_dict(t) for t in d["trees"]]
-        qf.min_features = max((int(t.feature.max()) + 1 for t in qf.trees), default=0)
+        sizes = []
+        for t in trees:
+            lists = [t.get(name) for name in _TREE_LISTS] if isinstance(t, dict) else [None]
+            if not all(isinstance(v, list) and v and len(v) == len(lists[0]) for v in lists):
+                raise ValidationError(f"a tree must be a dict of the non-empty lists {', '.join(_TREE_LISTS)} "
+                                      "of one length")
+            sizes.append(len(lists[0]))
+        arrays = [
+            check(list(itertools.chain.from_iterable(t[name] for t in trees)), f"quantile_forest tree {name!r}")
+            for name, check in _TREE_LISTS.items()]
+        feature, _, left, right, _ = arrays
+        ends = np.cumsum(sizes, dtype=np.int64)
+        starts = ends - sizes
+        # each node's index within its tree, and the size of its tree
+        node, n = np.arange(len(feature)) - np.repeat(starts, sizes), np.repeat(sizes, sizes)
+        leaf = (feature == -1) & (left == -1) & (right == -1)
+        internal = (feature >= 0) & (left > node) & (left < n) & (right > node) & (right < n)
+        if not np.all(leaf | internal):
+            raise ValidationError("forest tree node is neither a leaf nor a split into two children "
+                                  "numbered after it in its tree")
+        qf.trees = [_Tree(*(a[start:end] for a in arrays)) for start, end in zip(starts.tolist(), ends.tolist())]
+        qf.min_features = int(feature.max(initial=-1)) + 1
         return qf
 
 

@@ -484,12 +484,16 @@ class TestModelContract:
     @pytest.mark.parametrize("field", ["qhat", "alpha", "k", "scale", "calib_scores"])
     def test_missing_or_malformed_field_rejected(self, fitted, field):
         doc = json.loads(cj.model_to_json(fitted[3]["cqr"]))
+        # string scale bounds and numeric-string scores used to load
+        malformed = {"scale": [{key: str(v) for key, v in doc["scale"].items()}, {**doc["scale"], "max": "5"}],
+                     "calib_scores": [[str(v) for v in doc["calib_scores"]]]}
         del doc[field]
         with pytest.raises(ValidationError, match=field):
             cj.model_from_json(json.dumps(doc))
-        doc[field] = "bogus"
-        with pytest.raises(ValidationError, match=field):
-            cj.model_from_json(json.dumps(doc))
+        for value in ["bogus", *malformed.get(field, [])]:
+            doc[field] = value
+            with pytest.raises(ValidationError, match=field):
+                cj.model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("method, qhat", [
         ("cqr", "pair"), ("asym_cqr", 0.5), ("asym_cqr", [0.5, 0.5, 0.5]), ("asym_cqr", None),
@@ -578,6 +582,9 @@ class TestModelContract:
         ("sorted_scores", lambda s: [-1.0] + s["sorted_scores"][1:]),
         ("sort_order", lambda s: [i + 0.5 for i in s["sort_order"]]),
         ("calib_logits", lambda s: [[str(x) for x in row] for row in s["calib_logits"]]),
+        # halved scores, still ordered and non-negative, used to load and
+        # serve intervals about half as wide
+        ("sorted_scores", lambda s: [x / 2 for x in s["sorted_scores"]]),
     ])
     def test_inconsistent_lvd_state_rejected(self, fitted, entry, corrupt):
         doc = json.loads(cj.model_to_json(fitted[3]["lvd"]))

@@ -115,9 +115,10 @@ class TestQuantileForest:
 
 # The recursive, one-feature-at-a-time builder that QuantileForest.fit
 # replaced, kept as the oracle: it grows every round's tree afresh, so the
-# presorted level-wise builder, with its reuse of the previous round's cuts
-# when the gradients repeat, must give the same splits, thresholds, leaf
-# values and node numbering.
+# presorted depth-first builder, which numbers each node as it takes it off
+# an explicit stack and reuses the previous round's cuts when the gradients
+# repeat, must give the same splits, thresholds, leaf values and node
+# numbering.
 
 
 def _best_split(X: np.ndarray, g: np.ndarray, min_leaf: int):
@@ -438,7 +439,7 @@ class TestStrictForestDecoding:
         d = _small_forest_dict()
         for key, value in node.items():
             d["trees"][0][key][0] = value
-        with pytest.raises(ValidationError, match="tree node is malformed"):
+        with pytest.raises(ValidationError, match=r"tree '(feature|left|right)' must be a 1-D array of finite whole"):
             QuantileForest.from_dict(d)
 
     def test_whole_numbers_as_floats_load(self):
@@ -451,8 +452,35 @@ class TestStrictForestDecoding:
         assert all(t.feature.dtype == np.int64 and t.left.dtype == np.int64 for t in loaded.trees)
 
     def test_empty_tree_rejected(self):
-        with pytest.raises(ValueError):
-            _Tree.from_dict({key: [] for key in ("feature", "thresh", "left", "right", "value")})
+        d = _small_forest_dict()
+        d["trees"][1] = {key: [] for key in ("feature", "thresh", "left", "right", "value")}
+        with pytest.raises(ValidationError, match="non-empty"):
+            QuantileForest.from_dict(d)
+
+    def test_child_outside_its_own_tree_rejected(self):
+        # the second tree's root splits, and its left child's index lies
+        # inside the concatenated lists but past its own tree
+        d = _small_forest_dict()
+        second = d["trees"][1]
+        assert second["feature"][0] >= 0
+        second["left"][0] = len(second["value"])
+        with pytest.raises(ValidationError, match="numbered after it in its tree"):
+            QuantileForest.from_dict(d)
+
+    @pytest.mark.parametrize("key", ["feature", "thresh", "left", "right", "value"])
+    def test_numeric_strings_in_tree_lists_rejected(self, key):
+        # each of these used to load: the tree lists were parsed as floats
+        d = _small_forest_dict()
+        d["trees"][1][key] = [str(v) for v in d["trees"][1][key]]
+        with pytest.raises(ValidationError, match=f"tree '{key}'"):
+            QuantileForest.from_dict(d)
+
+    def test_zero_trees_round_trip_and_predict_base(self):
+        d = {**_small_forest_dict(), "n_trees": 0, "trees": []}
+        loaded = QuantileForest.from_dict(d)
+        assert loaded.trees == [] and loaded.min_features == 0
+        assert loaded.to_dict() == d
+        np.testing.assert_array_equal(loaded.predict(np.zeros((3, 2))), np.full(3, d["base"]))
 
     @pytest.mark.parametrize("trees", [lambda t: t[:1], lambda t: [], lambda t: t + t[:1]])
     def test_tree_count_other_than_n_trees_rejected(self, trees):
