@@ -168,6 +168,20 @@ def _from_document(cls, d: dict, kind: str, hyper, fitted: dict):
 # Boosted quantile trees
 
 
+def _route(X: np.ndarray, feature, thresh, left, right) -> np.ndarray:
+    """The leaf each row of X reaches through a tree's cut arrays."""
+    idx = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feat = feature[idx]
+        active = feat >= 0
+        if not active.any():
+            break
+        rows = np.nonzero(active)[0]
+        go_left = X[rows, feat[rows]] <= thresh[idx[rows]]
+        idx[rows] = np.where(go_left, left[idx[rows]], right[idx[rows]])
+    return idx
+
+
 class _Tree:
     """Depth-limited regression tree stored as flat arrays for fast routing.
 
@@ -186,25 +200,10 @@ class _Tree:
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
         """The leaf each row of X reaches."""
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[idx]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            go_left = X[rows, feat[rows]] <= self.thresh[idx[rows]]
-            idx[rows] = np.where(go_left, self.left[idx[rows]], self.right[idx[rows]])
-        return idx
+        return _route(X, self.feature, self.thresh, self.left, self.right)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.leaves(X)]
-
-    def shares_cuts(self, other: "_Tree | None") -> bool:
-        """Whether ``other`` holds this tree's very cut arrays, so that every
-        row reaches the same leaf in both."""
-        return (other is not None and self.feature is other.feature and self.thresh is other.thresh
-                and self.left is other.left and self.right is other.right)
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name).tolist() for name in _TREE_LISTS}
@@ -301,16 +300,18 @@ class QuantileForest:
     tree.
 
     The cuts depend on the features and the gradients alone, and every
-    gradient is tau or tau - 1.  So a round in which no residual changed
-    sign has the previous round's gradients, cuts and row-to-leaf map: it
-    reuses them (the trees share those arrays) and its leaf layout, and
-    recomputes only the leaf values.  ``n_grown`` counts the rounds of the
-    last fit that ran the cut search; a forest rebuilt from a document has
-    None.
+    gradient is tau or tau - 1, so the residuals' sign pattern fixes them.
+    The fit runs the cut search once per pattern and keeps its cut arrays
+    (no row-sized array), which every round with that pattern shares.  Such
+    a round recomputes only the leaf values; it takes the row-to-leaf map
+    from the previous round when that had the same pattern, else by routing
+    the rows through the cuts with the tests that grew them.  ``n_grown``
+    counts the distinct sign patterns of the last fit; a forest rebuilt
+    from a document has None.
 
-    ``predict`` routes the rows through a tree only when its cut arrays are
-    not the previous tree's, and otherwise reuses their leaves; it still
-    adds the trees' values in order.  So a fitted forest routes its input
+    ``predict`` routes the rows once per distinct set of cut arrays, keeping
+    their leaves up to the last tree holding them, and adds the trees'
+    values in order.  So a fitted forest routes its input
     ``n_grown`` times per call, and a forest rebuilt from a document, whose
     trees share no arrays, ``n_trees`` times.  Its input needs at least
     ``min_features`` columns: one more than the largest split feature.
@@ -384,17 +385,24 @@ class QuantileForest:
         xs = np.take_along_axis(X.T, order, axis=1)
         pred = np.full(len(y), self.base)
         self.n_grown = self.min_features = 0
-        prev_g = None
+        grown = {}  # each sign pattern's cut arrays, which its rounds share
+        key = None
         for _ in range(self.n_trees):
             resid = y - pred
-            g = np.where(resid > 0, self.tau, self.tau - 1.0)
-            # a repeated g repeats the cuts and leaves: only the values change
-            if prev_g is None or not np.array_equal(g, prev_g):
-                shape, leaf = self._grow(X, order, xs, g)
+            positive = resid > 0
+            # g, and so the cuts and leaves, follow from the signs alone: a
+            # repeated pattern changes only the values
+            last, key = key, np.packbits(positive).tobytes()
+            if key != last:
+                shape = grown.get(key)
+                if shape is None:
+                    shape, leaf = self._grow(X, order, xs, np.where(positive, self.tau, self.tau - 1.0))
+                    grown[key] = shape
+                    self.n_grown += 1
+                    self.min_features = max(self.min_features, int(shape[0].max()) + 1)
+                else:
+                    leaf = _route(X, *shape)
                 quantiles = _SegmentQuantiles(leaf, self.tau)
-                prev_g = g
-                self.n_grown += 1
-                self.min_features = max(self.min_features, int(shape[0].max()) + 1)
             value = np.zeros(len(shape[0]))
             value[quantiles.ids] = quantiles(resid)
             self.trees.append(_Tree(*shape, value))
@@ -404,12 +412,17 @@ class QuantileForest:
     def predict(self, X) -> np.ndarray:
         X = _prediction_features(X, self.min_features, at_least=True)
         out = np.full(X.shape[0], self.base)
-        prev = None
-        for tree in self.trees:
-            if not tree.shares_cuts(prev):
-                leaf = tree.leaves(X)
+        # self.trees keeps every cut array alive, so no id is reused in this call
+        cuts = [(id(t.feature), id(t.thresh), id(t.left), id(t.right)) for t in self.trees]
+        last = {key: i for i, key in enumerate(cuts)}
+        leaves = {}  # the rows' leaves for each set of cut arrays still to come
+        for i, (tree, key) in enumerate(zip(self.trees, cuts)):
+            leaf = leaves.get(key)
+            if leaf is None:
+                leaf = leaves[key] = tree.leaves(X)
+            if last[key] == i:
+                del leaves[key]
             out += self.lr * tree.value[leaf]
-            prev = tree
         return out
 
     def to_dict(self) -> dict:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -116,8 +117,8 @@ class TestQuantileForest:
 # The recursive, one-feature-at-a-time builder that QuantileForest.fit
 # replaced, kept as the oracle: it grows every round's tree afresh, so the
 # presorted depth-first builder, which numbers each node as it takes it off
-# an explicit stack and reuses the previous round's cuts when the gradients
-# repeat, must give the same splits, thresholds, leaf values and node
+# an explicit stack and reuses a sign pattern's cuts whenever the pattern
+# recurs, must give the same splits, thresholds, leaf values and node
 # numbering.
 
 
@@ -255,11 +256,20 @@ class TestLevelWiseBuilderMatchesRecursiveOracle:
             QuantileForest(0.5, n_trees=2, depth=3, lr=0.05, min_leaf=10).fit(np.zeros((3, 1)), np.array([1.0, np.nan, 2.0]))
 
 
+def _sign_patterns(doc: dict, X, y) -> list:
+    """The residual sign pattern of each round of a forest document."""
+    pred, patterns = np.full(len(y), doc["base"]), []
+    for tree in doc["trees"]:
+        patterns.append((y - pred > 0).tobytes())
+        pred = pred + doc["lr"] * _Tree(**tree).predict(X)
+    return patterns
+
+
 class TestRepeatedGradientsReuseTheTree:
-    """Every gradient is tau or tau - 1, so a round in which no residual
-    changed sign has the previous round's gradients; fit then reuses that
-    round's cuts and leaves and counts only the rounds it grew in
-    ``n_grown``.  Either way the forest must equal the oracle's."""
+    """Every gradient is tau or tau - 1, so rounds with one residual sign
+    pattern have one gradient; fit grows each pattern's cuts once, reuses
+    them in the pattern's later rounds, and counts in ``n_grown`` only the
+    rounds it grew.  Either way the forest must equal the oracle's."""
 
     @pytest.mark.parametrize("tau", [0.05, 0.95])
     def test_rounded_labels_reuse_most_rounds(self, tau):
@@ -277,6 +287,42 @@ class TestRepeatedGradientsReuseTheTree:
         qf = QuantileForest(*args).fit(X, y)
         assert qf.n_grown == 40
         assert qf.to_dict() == _reference_fit(*args, X, y)
+
+    @pytest.mark.parametrize("kind, tau, n, seed", [("rounded", 0.05, 60, 4), ("rounded", 0.95, 80, 2)])
+    def test_recurring_patterns_grow_once(self, kind, tau, n, seed):
+        X, y = _oracle_data(kind, n, seed)
+        args = (tau, 40, 3, 0.05, 5)
+        reference = _reference_fit(*args, X, y)
+        qf = QuantileForest(*args).fit(X, y)
+        assert qf.to_dict() == reference
+        patterns = _sign_patterns(reference, X, y)
+        # rounds whose pattern is not the previous round's: each grew before
+        runs = sum(a != b for a, b in zip(patterns, [None] + patterns))
+        # so fewer distinct patterns than runs means a pattern came back
+        # after another one (A, B, A)
+        assert qf.n_grown == len(set(patterns)) < runs
+
+    def test_bounded_memory_across_rounds(self):
+        # continuous labels grow every round; what fit keeps per sign pattern
+        # must hold no row-sized array, or 100 rounds of 20 000 rows would
+        # add ~15 MB
+        X, y = _oracle_data("continuous", 20_000, seed=6)
+        peaks = []
+        for rounds in (10, 100):
+            qf = QuantileForest(0.5, rounds, 3, 0.05, 10)
+            tracemalloc.start()
+            try:
+                qf.fit(X, y)
+                fit_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                qf.predict(X)
+                current, peak = tracemalloc.get_traced_memory()
+                peaks.append((fit_peak, peak - current))
+            finally:
+                tracemalloc.stop()
+            assert qf.n_grown == rounds
+        # predict, likewise, holds no row-to-leaf map past its trees' last use
+        assert peaks[1][0] - peaks[0][0] < 4e6 and peaks[1][1] - peaks[0][1] < 4e6
 
     def test_counter_is_not_part_of_the_document(self):
         X, y = _oracle_data("rounded", 40, seed=5)
@@ -318,7 +364,7 @@ class TestPredictRoutesEachShapeOnce:
         value = np.array([0.0, -1.0, 1.0])
         first = _Tree(**shared, value=value)
         second = _Tree(**{**shared, cut: other[cut]}, value=value)
-        assert first.feature is second.feature and not first.shares_cuts(second)
+        assert first.feature is second.feature
         qf = QuantileForest(0.5, 2, 1, 1.0, 1)
         qf.trees, qf.min_features = [first, second], 1
         X = np.array([[-1.0], [1.0], [3.0]])
@@ -328,12 +374,14 @@ class TestPredictRoutesEachShapeOnce:
         assert not np.array_equal(got, qf.base + value[first.leaves(X)] * 2)
 
     def test_routes_once_per_grown_round_or_loaded_tree(self):
-        X, y = _oracle_data("discrete", 80, seed=1)
-        qf = QuantileForest(0.05, 40, 3, 0.05, 5).fit(X, y)
+        X, y = _oracle_data("rounded", 80, seed=2)
+        qf = QuantileForest(0.95, 40, 3, 0.05, 5).fit(X, y)
         loaded = QuantileForest.from_dict(qf.to_dict())
+        # routing once per run of trees sharing cut arrays would route this often
+        runs = sum(a.thresh is not getattr(b, "thresh", None) for a, b in zip(qf.trees, [None] + qf.trees))
         with mock.patch.object(_Tree, "leaves", autospec=True, side_effect=_Tree.leaves) as leaves:
             qf.predict(X)
-            assert leaves.call_count == qf.n_grown < 40
+            assert leaves.call_count == qf.n_grown < runs
             leaves.reset_mock()
             loaded.predict(X)
             assert leaves.call_count == 40
