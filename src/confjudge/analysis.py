@@ -148,11 +148,13 @@ def _check_run(seeds: list, alpha: float, calib_fraction: float, inner_train_fra
                hyper: dict | None = None, policy: AdjustmentPolicy | None = None, scale=None,
                fractions=()) -> None:
     """Raise ValidationError, before any split or draw, for a seeded run's
-    bad configuration: no seeds, an unknown method or bad hyperparameter in
-    ``hyper`` (method -> its hyperparameters), or a bad alpha, split
-    fraction, policy (for ``scale``) or sweep fraction."""
+    bad configuration: no seeds or a repeated seed, an unknown method or bad
+    hyperparameter in ``hyper`` (method -> its hyperparameters), or a bad
+    alpha, split fraction, policy (for ``scale``) or sweep fraction."""
     if not seeds:
         raise ValidationError("need at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ValidationError(f"seeds {seeds} repeat a seed")
     for m, h in (hyper or {}).items():
         conformal.checked_hyper(m, h)
     if not 0.0 < alpha < 1.0:
@@ -217,14 +219,16 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
     """Split/calibrate/predict each (method, seed) cell and aggregate
     width and coverage.  A cell that raises ValidationError is recorded and
     skipped rather than aborting the run; any other exception aborts it.
-    ``hyper`` maps method name to a hyperparameter dict.  An unknown method,
-    a bad hyperparameter, alpha, split fraction or policy raises
-    ValidationError before any split.  With ``jobs`` > 1 the cells run in
-    a pool of that many processes, each sent the dataset once.
+    ``hyper`` maps method name to a hyperparameter dict.  An unknown or
+    repeated method or seed, a bad hyperparameter, alpha, split fraction or
+    policy raises ValidationError before any split.  With ``jobs`` > 1 the
+    cells run in a pool of that many processes, each sent the dataset once.
     """
     methods = list(methods)
     seeds = list(seeds)
     hyper = hyper or {}
+    if len(set(methods)) < len(methods):
+        raise ValidationError(f"methods {methods} repeat a method")
     _check_run(seeds, alpha, calib_fraction, inner_train_fraction, {m: hyper.get(m) for m in [*methods, *hyper]},
                policy, dataset.scale)
     cells = [

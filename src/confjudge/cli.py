@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import analysis, conformal, synth
 from .adjust import AdjustmentPolicy
-from .core import LabelScale, ValidationError, read_samples, write_samples
+from .core import LabelScale, ValidationError, array, read_json, read_json_lines, read_samples, write_samples
 from .extract import SynonymTable, extract_dataset, read_transcripts
 
 EXIT_OK = 0
@@ -46,12 +46,21 @@ def _git_blob_sha1(path: Path) -> str:
     return h.hexdigest()
 
 
-def _append_manifest(out_dir: Path, entry: dict) -> None:
+def _manifest(doc: dict) -> dict:
+    if not isinstance(doc["runs"], list) or not all(isinstance(run, dict) for run in doc["runs"]):
+        raise TypeError("'runs' must be a list of objects")
+    return doc
+
+
+def _append_manifest(out_dir: Path, args, config: dict, inputs, outputs, **extra) -> None:
+    """Append the run's entry to ``manifest.json`` in ``out_dir``: the command,
+    its configuration, the hash of each file in ``inputs``, the files
+    ``outputs`` and any ``extra`` fields."""
     manifest_path = out_dir / "manifest.json"
-    doc = {"runs": []}
-    if manifest_path.exists():
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    doc["runs"].append(entry)
+    doc = read_json(manifest_path, _manifest, "manifest") if manifest_path.exists() else {"runs": []}
+    doc["runs"].append({"command": args.command, "config": config,
+                        "inputs": {source: _git_blob_sha1(Path(source)) for source in inputs},
+                        "outputs": [str(path) for path in outputs], **extra})
     manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -61,14 +70,18 @@ def _parse_seeds(text: str) -> list:
         for part in text.split(","):
             part = part.strip()
             if ".." in part:
-                a, b = part.split("..")
-                seeds.extend(range(int(a), int(b) + 1))
+                a, b = map(int, part.split(".."))
+                if b < a:
+                    raise UsageError(f"reversed seed range {part!r}")
+                seeds.extend(range(a, b + 1))
             elif part:
                 seeds.append(int(part))
     except ValueError as exc:
         raise UsageError(f"bad seed list: {text!r}") from exc
     if not seeds:
         raise UsageError("no seeds given")
+    if len(set(seeds)) < len(seeds):
+        raise UsageError(f"seed list {text!r} repeats a seed")
     return seeds
 
 
@@ -210,30 +223,23 @@ def _load_dataset(args) -> tuple:
     sidecar = Path(args.samples).with_suffix(".exclusions.json")
     if not sidecar.exists():
         return dataset, 0
-    try:
-        exclusions = json.loads(sidecar.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValidationError(f"{sidecar}: exclusions sidecar is not JSON: {exc}") from exc
-    if not isinstance(exclusions, list):
-        raise ValidationError(f"{sidecar}: exclusions sidecar is not a JSON list")
-    return dataset, len(exclusions)
+    return dataset, len(read_json(sidecar, _exclusions, "exclusions sidecar"))
+
+
+def _exclusions(entries: list) -> list:
+    """An exclusions sidecar's entries: objects of a string ``id`` and ``reason``."""
+    if type(entries) is not list or not all(type(e["id"]) is type(e["reason"]) is str for e in entries):
+        raise TypeError('expected a list of {"id", "reason"} objects of strings')
+    return entries
 
 
 def _write_report(args, name: str, write, rows, config: dict, source: str, **extra) -> None:
     """Write the CSV ``name`` into --out-dir with ``write`` and append the
-    run's manifest entry: the command, its configuration, the hash of the
-    input file ``source``, the CSV, and any ``extra`` fields."""
+    run's manifest entry, with the input file ``source``."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / name
-    write(csv_path, rows)
-    _append_manifest(out_dir, {
-        "command": args.command,
-        "config": config,
-        "inputs": {source: _git_blob_sha1(Path(source))},
-        "outputs": [str(csv_path)],
-        **extra,
-    })
+    write(out_dir / name, rows)
+    _append_manifest(out_dir, args, config, [source], [out_dir / name], **extra)
 
 
 def cmd_extract(args) -> int:
@@ -249,15 +255,8 @@ def cmd_extract(args) -> int:
         json.dumps([{"id": i, "reason": r} for i, r in exclusions], indent=2) + "\n",
         encoding="utf-8",
     )
-    out_dir = out.parent if str(out.parent) else Path(".")
-    _append_manifest(out_dir, {
-        "command": "extract",
-        "config": {"k": args.k, "scale": scale.to_dict(), "synonyms": args.synonyms},
-        "inputs": {args.transcripts: _git_blob_sha1(Path(args.transcripts))},
-        "outputs": [str(out), str(excl_path)],
-        "written": len(dataset),
-        "excluded": len(exclusions),
-    })
+    _append_manifest(out.parent, args, {"k": args.k, "scale": scale.to_dict(), "synonyms": args.synonyms},
+                     [args.transcripts], [out, excl_path], written=len(dataset), excluded=len(exclusions))
     print(f"wrote {len(dataset)} samples, {len(exclusions)} exclusions")
     return EXIT_OK
 
@@ -267,6 +266,8 @@ def cmd_evaluate(args) -> int:
     for m in methods:
         if m not in conformal.METHODS:
             raise UsageError(f"unknown method {m!r}; valid: {', '.join(conformal.METHODS)}")
+    if len(set(methods)) < len(methods):
+        raise UsageError(f"--methods {args.methods!r} repeats a method")
     if args.jobs is not None and args.jobs < 1:
         raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
     jobs = args.jobs or _default_jobs()
@@ -363,30 +364,19 @@ def cmd_synth(args) -> int:
     write_samples(out, dataset)
     oracle_path = Path(args.oracle) if args.oracle else out.with_suffix(".oracle.json")
     oracle_path.write_text(oracle.to_json() + "\n", encoding="utf-8")
-    out_dir = out.parent if str(out.parent) else Path(".")
-    _append_manifest(out_dir, {
-        "command": "synth",
-        "config": {"noise": args.noise, "sigma": args.sigma, "bias": args.bias,
-                   "n": args.n, "k": args.k, "seed": args.seed, "scale": scale.to_dict()},
-        "inputs": {},
-        "outputs": [str(out), str(oracle_path)],
-    })
+    config = {"noise": args.noise, "sigma": args.sigma, "bias": args.bias,
+              "n": args.n, "k": args.k, "seed": args.seed, "scale": scale.to_dict()}
+    _append_manifest(out.parent, args, config, [], [out, oracle_path])
     print(f"wrote {len(dataset)} samples")
     return EXIT_OK
 
 
+_annotations = array(1)  # one item's annotations
+
+
 def cmd_human_baseline(args) -> int:
-    annotations = []
-    with open(args.annotations, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                annotations.append([float(v) for v in rec["annotations"]])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"line {lineno}: malformed annotation record: {exc}") from exc
+    _, annotations = read_json_lines(args.annotations, lambda rec: _annotations(rec["annotations"], "annotations"),
+                                     "annotation")
     rows = analysis.human_baseline(annotations, alpha=args.alpha, seeds=args.seeds,
                                    calib_fraction=args.calib_fraction)
     config = {"seeds": args.seeds, "alpha": args.alpha, "calib_fraction": args.calib_fraction}
@@ -416,10 +406,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValidationError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001

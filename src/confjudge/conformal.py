@@ -42,8 +42,14 @@ from .core import (
     Intervals,
     LabelScale,
     ValidationError,
+    _RECORD_ERRORS,
+    array,
     conformal_quantile,
+    integer,
     lower_conformal_quantile,
+    one_of,
+    or_none,
+    real,
 )
 from .estimators import (
     CLASSIFIER_HYPER,
@@ -58,11 +64,6 @@ from .estimators import (
     _block_rows,
     _gram_factor,
     _gram_sq_distances,
-    array,
-    integer,
-    one_of,
-    or_none,
-    real,
 )
 from .ratings import rating_values, softmax, weighted_average
 
@@ -860,7 +861,7 @@ def _decoded(entries: dict, readers: dict, what: str) -> dict:
     for key, read in readers.items():
         try:
             out[key] = read(entries[key])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except _RECORD_ERRORS as exc:
             raise ValidationError(f"model {what} {key!r} is missing or malformed: {exc}") from exc
     return out
 

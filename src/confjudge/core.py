@@ -1,4 +1,5 @@
-"""Core data model: ordinal scales, the columnar dataset, deterministic
+"""Core data model: the value checks and the two JSON readers that every
+input file goes through, ordinal scales, the columnar dataset, deterministic
 splits, and the split-conformal quantile shared by every interval method.
 
 A :class:`Dataset` holds one judge run as columns.  Every sample invariant
@@ -16,8 +17,10 @@ safe to share across workers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -45,6 +48,135 @@ _COVER_TOL = 1e-9  # an interval covers a label this close to its bounds
 
 class ValidationError(ValueError):
     """Input data violates a documented invariant."""
+
+
+# ---------------------------------------------------------------------------
+# Value checks: each check(value, label) returns the value as a plain Python
+# object or raises ValidationError naming label.  They read every number of
+# an input file or model document: an int or a float, numpy's too, never a bool.
+
+_JSON_NUMBERS = frozenset((int, float))  # the types json.loads gives a number
+
+
+def _numbers_only(types) -> bool:
+    return types <= _JSON_NUMBERS or all(issubclass(t, numbers.Real) and not issubclass(t, bool) for t in types)
+
+
+def integer(lo: int):
+    """An integer >= lo."""
+    def check(value, label="value"):
+        if not (_numbers_only({type(value)}) and isinstance(value, numbers.Integral) and value >= lo):
+            raise ValidationError(f"{label} must be an integer >= {lo}, got {value!r}")
+        return int(value)
+    return check
+
+
+def real(lo: float = -math.inf, strict: bool = False):
+    """A finite real >= lo, or > lo when ``strict``."""
+    def check(value, label="value"):
+        try:
+            x = float(value) if _numbers_only({type(value)}) else math.nan
+        except OverflowError:  # an int past the largest float
+            x = math.inf
+        if not (math.isfinite(x) and (x > lo if strict else x >= lo)):
+            raise ValidationError(f"{label} must be a finite number {'>' if strict else '>='} {lo:g}, "
+                                  f"got {value!r}")
+        return x
+    return check
+
+
+def one_of(what: str, choices):
+    """One of the names in ``choices``, each a ``what``."""
+    def check(value, label="value"):
+        if not isinstance(value, str) or value not in choices:
+            raise ValidationError(f"{label} must be a {what} ({', '.join(choices)}), got {value!r}")
+        return value
+    return check
+
+
+def or_none(check):
+    """None, or a value that passes ``check``."""
+    return lambda value, label="value": None if value is None else check(value, label)
+
+
+def array(ndim: int, whole: bool = False):
+    """A finite array of exactly ``ndim`` dimensions of numbers, as floats,
+    or as int64 when ``whole`` (a fraction is rejected, not truncated).  As
+    for :func:`real`, a string, null or bool is no number: an ndarray must
+    have a numeric dtype, and a list only number entries."""
+    def check(value, label="value"):
+        try:
+            a = np.asarray(value)
+        except ValueError:  # a ragged list
+            a = np.asarray(None)
+        numeric = a.dtype.kind in "iuf" and a.ndim == ndim
+        if numeric and isinstance(value, list):  # numpy reads [True, 0.5] as a float array
+            entries = value
+            for _ in range(ndim - 1):
+                entries = itertools.chain.from_iterable(entries)
+            numeric = _numbers_only(set(map(type, entries)))
+        x = a.astype(float, copy=False) if numeric else np.asarray(math.nan)
+        if not np.isfinite(x).all() or whole and not np.all((x == np.floor(x)) & (np.abs(x) < 2.0 ** 63)):
+            raise ValidationError(f"{label} must be a {ndim}-D array of finite {'whole ' if whole else ''}numbers")
+        # an integer array converts exactly, a float one once checked
+        return (a if a.dtype.kind in "iu" else x).astype(np.int64) if whole else x
+    return check
+
+
+# ---------------------------------------------------------------------------
+# JSON input files: every one is parsed by one of these two readers
+
+# what parsing text that is not UTF-8 JSON, or nested past the recursion limit, raises
+_PARSE_ERRORS = (ValueError, RecursionError)
+# what reading a value of the wrong type or shape raises
+_RECORD_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
+
+
+def read_json_lines(path, read, what: str) -> tuple:
+    """(line numbers, records) of the JSON-lines file at ``path``, each
+    non-blank line's value passed through ``read``.  Invalid JSON or a value
+    ``read`` rejects raises ValidationError naming the line."""
+    linenos, records = [], []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line.decode())
+            except _PARSE_ERRORS as exc:
+                raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
+            try:
+                records.append(read(value))
+            except _RECORD_ERRORS as exc:
+                raise ValidationError(f"line {lineno}: malformed {what} record: {exc}") from exc
+            linenos.append(lineno)
+    return linenos, records
+
+
+def read_json(path, read, what: str):
+    """The JSON file at ``path`` passed through ``read``; as
+    :func:`read_json_lines`, with errors naming the path."""
+    with open(path, "rb") as fh:
+        try:
+            value = json.load(fh)
+        except _PARSE_ERRORS as exc:
+            raise ValidationError(f"{path}: {what} is not JSON: {exc}") from exc
+    try:
+        return read(value)
+    except _RECORD_ERRORS as exc:
+        raise ValidationError(f"{path}: malformed {what}: {exc}") from exc
+
+
+def string_id(value) -> str:
+    """A record's id: a string, or an integer read as its digits."""
+    if type(value) not in (str, int):
+        raise ValidationError(f"id must be a string or an integer, got {value!r}")
+    return str(value)
+
+
+def read_meta(value) -> dict:
+    """A record's meta object, each value read as a string."""
+    return {str(key): str(v) for key, v in value.items()}
 
 
 @dataclass(frozen=True)
@@ -394,40 +526,41 @@ def to_fine_grid(scale: LabelScale):
 # JSONL sample records
 
 
+def _sample_row(rec: dict) -> tuple:
+    """A sample record's (id, logits, raw_score, label, read-only meta): the
+    numbers as JSON numbers, tested by the types of a whole record at once."""
+    sid, logits, raw_score, label = rec["id"], rec["logits"], rec["raw_score"], rec["label"]
+    types = {type(raw_score), type(label), *map(type, logits)}
+    if not types <= _JSON_NUMBERS:
+        raise TypeError("logits must be a list of numbers, and raw_score and label numbers")
+    if int in types:
+        list(map(float, (raw_score, label, *logits)))  # raises OverflowError for an int past the largest float
+    meta = rec.get("meta", _NO_META)
+    # the common id and meta skip a call
+    return (sid if type(sid) is str else string_id(sid), logits, raw_score, label,
+            _NO_META if meta == {} else MappingProxyType(read_meta(meta)))
+
+
 def read_samples(path, scale: LabelScale, k: int | None = None) -> Dataset:
     """Load a JSONL sample file.  A malformed record, a record with another
     number of logits than ``k`` (default: the first record's), and then the
     first record that breaks a row invariant raise ValidationError with
     the line number."""
-    rows, linenos = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                row = (str(rec["id"]), [float(v) for v in rec["logits"]], float(rec["raw_score"]),
-                       float(rec["label"]), {str(key): str(v) for key, v in rec.get("meta", {}).items()})
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"line {lineno}: malformed sample record: {exc}") from exc
-            k = len(row[1]) if k is None else k
-            if len(row[1]) != k:
-                raise ValidationError(f"line {lineno}: sample {row[0]!r}: expected {k} logits, got {len(row[1])}")
-            rows.append(row)
-            linenos.append(lineno)
+    linenos, rows = read_json_lines(path, _sample_row, "sample")
     if not rows:
         raise ValidationError("no samples")
     ids, logits, raw_scores, labels, meta = zip(*rows)
-    columns = (ids, np.array(logits), np.array(raw_scores), np.array(labels))
+    k = len(logits[0]) if k is None else k
     if k == 0:
         raise ValidationError(f"line {linenos[0]}: sample {ids[0]!r}: no logits")
+    if set(map(len, logits)) != {k}:
+        r = next(r for r, row in enumerate(logits) if len(row) != k)
+        raise ValidationError(f"line {linenos[r]}: sample {ids[r]!r}: expected {k} logits, got {len(logits[r])}")
+    columns = (ids, *(np.array(c, dtype=float) for c in (logits, raw_scores, labels)))
     problems = row_problems(*columns, scale)
     if problems:
         raise ValidationError(f"line {linenos[problems[0][0]]}: {problems[0][1]}")
-    return Dataset._checked(*columns, scale, _read_only_meta(meta))
+    return Dataset._checked(*columns, scale, meta)
 
 
 def write_samples(path, dataset: Dataset) -> None:

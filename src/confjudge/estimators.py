@@ -8,12 +8,11 @@ A v1 document is ``kind`` and ``v: 1``, the hyperparameters, then the
 fitted numbers, arrays as lists.  ``from_dict`` raises ValidationError
 unless the header is its kind at v1, the constructor accepts the
 hyperparameters, every fitted number is a finite JSON number (by the value
-checks ``real`` and ``array``, which also read the model document in
-``conformal``), ``means`` and ``stds`` are vectors of one length with
-stds > 0, and its class's shapes hold: ridge ``coef`` like ``means`` and
-one ``intercept``; classifier ``weights`` of shape (bins, means) and a
-``bias`` per bin; one forest ``base`` and ``n_trees`` well-formed trees
-with finite thresholds and values.  Other keys (an older classifier's
+checks ``real`` and ``array`` of ``core``), ``means`` and ``stds`` are
+vectors of one length with stds > 0, and its class's shapes hold: ridge
+``coef`` like ``means`` and one ``intercept``; classifier ``weights`` of
+shape (bins, means) and a ``bias`` per bin; one forest ``base`` and
+``n_trees`` well-formed trees with finite thresholds and values.  Other keys (an older classifier's
 ``lr`` and ``seed``) are ignored.
 """
 
@@ -21,12 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, array, integer, or_none, real
 
 __all__ = [
     "QuantileForest",
@@ -43,66 +41,6 @@ def pinball_loss(y, pred, tau: float) -> float:
     """Mean pinball loss; its minimizer is the conditional tau-quantile."""
     d = np.asarray(y, dtype=float) - np.asarray(pred, dtype=float)
     return float(np.mean(np.maximum(tau * d, (tau - 1.0) * d)))
-
-
-# ---------------------------------------------------------------------------
-# Value checks: each check(value, label) returns the value as a plain Python
-# object or raises ValidationError naming label.  numpy scalars pass; a bool
-# is not a number.
-
-
-def integer(lo: int):
-    """An integer >= lo."""
-    def check(value, label="value"):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
-            raise ValidationError(f"{label} must be an integer >= {lo}, got {value!r}")
-        return int(value)
-    return check
-
-
-def real(lo: float = -math.inf, strict: bool = False):
-    """A finite real >= lo, or > lo when ``strict``."""
-    def check(value, label="value"):
-        try:
-            x = math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
-        except OverflowError:  # an int past the largest float
-            x = math.inf
-        if not (math.isfinite(x) and (x > lo if strict else x >= lo)):
-            raise ValidationError(f"{label} must be a finite number {'>' if strict else '>='} {lo:g}, "
-                                  f"got {value!r}")
-        return x
-    return check
-
-
-def one_of(what: str, choices):
-    """One of the names in ``choices``, each a ``what``."""
-    def check(value, label="value"):
-        if not isinstance(value, str) or value not in choices:
-            raise ValidationError(f"{label} must be a {what} ({', '.join(choices)}), got {value!r}")
-        return value
-    return check
-
-
-def or_none(check):
-    """None, or a value that passes ``check``."""
-    return lambda value, label="value": None if value is None else check(value, label)
-
-
-def array(ndim: int, whole: bool = False):
-    """A finite array of exactly ``ndim`` dimensions of numbers, as floats,
-    or as int64 when ``whole`` (a fraction is rejected, not truncated).  As
-    for :func:`real`, a string or null is no number, nor is an all-bool list."""
-    def check(value, label="value"):
-        try:
-            a = np.asarray(value)
-        except ValueError:  # a ragged list
-            a = np.asarray(None)
-        x = a.astype(float, copy=False) if a.dtype.kind in "iuf" and a.ndim == ndim else np.asarray(math.nan)
-        if not np.isfinite(x).all() or whole and not np.all((x == np.floor(x)) & (np.abs(x) < 2.0 ** 63)):
-            raise ValidationError(f"{label} must be a {ndim}-D array of finite {'whole ' if whole else ''}numbers")
-        # an integer array converts exactly, a float one once checked
-        return (a if a.dtype.kind in "iu" else x).astype(np.int64) if whole else x
-    return check
 
 
 def _training_arrays(X, y):

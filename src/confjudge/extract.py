@@ -9,14 +9,14 @@ rating before taking logs.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, LabelScale, ValidationError, row_problems
+from .core import (Dataset, LabelScale, ValidationError, integer, or_none, read_json, read_json_lines, read_meta,
+                   real, row_problems, string_id)
 from .ratings import rating_values
 
 __all__ = [
@@ -58,6 +58,9 @@ def _normalize(text: str) -> str:
     return text.lstrip().lower()
 
 
+_rating = integer(1)  # a synonym's rating, at most k
+
+
 class SynonymTable:
     """Surface form -> rating value (1..K).  Every rating must at least have
     its digit form, and no surface form may map to two ratings."""
@@ -67,8 +70,8 @@ class SynonymTable:
         self.mapping = {}
         for surface, rating in mapping.items():
             norm = _normalize(surface)
-            rating = int(rating)
-            if not 1 <= rating <= k:
+            rating = _rating(rating, f"rating of {surface!r}")
+            if rating > k:
                 raise ValidationError(f"rating {rating} outside 1..{k}")
             if norm in self.mapping and self.mapping[norm] != rating:
                 raise ValidationError(f"surface form {surface!r} maps to two ratings")
@@ -89,48 +92,35 @@ class SynonymTable:
 
     @classmethod
     def from_json(cls, path, k: int) -> "SynonymTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh), k)
+        """The table of the JSON object at ``path``, from surface form to rating."""
+        return read_json(path, lambda mapping: cls(mapping, k), "synonym table")
+
+
+_logprob = real()
+_score = or_none(real())  # a transcript's declared score and label
+
+
+def _token_text(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"token text must be a non-empty string, got {value!r}")
+    return value
+
+
+def _transcript_token(tok: dict) -> TranscriptToken:
+    alts = tuple((_token_text(a["text"]), _logprob(a["logprob"], "logprob"))
+                 for a in tok.get("alternatives", []))
+    return TranscriptToken(_token_text(tok["text"]), _logprob(tok["logprob"], "logprob"), alts)
+
+
+def _transcript_record(rec: dict) -> TranscriptRecord:
+    return TranscriptRecord(id=string_id(rec["id"]), tokens=tuple(map(_transcript_token, rec["tokens"])),
+                            declared_score=_score(rec.get("declared_score"), "declared_score"),
+                            label=_score(rec.get("label"), "label"), meta=read_meta(rec.get("meta", {})))
 
 
 def read_transcripts(path) -> list:
     """Load transcript records from JSONL with line-numbered errors."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                tokens = []
-                for tok in rec["tokens"]:
-                    text = str(tok["text"])
-                    if not text:
-                        raise ValidationError("empty token text")
-                    lp = float(tok["logprob"])
-                    if not math.isfinite(lp):
-                        raise ValidationError("non-finite logprob")
-                    alts = tuple(
-                        (str(a["text"]), float(a["logprob"]))
-                        for a in tok.get("alternatives", [])
-                    )
-                    tokens.append(TranscriptToken(text, lp, alts))
-                declared = rec.get("declared_score")
-                label = rec.get("label")
-                records.append(TranscriptRecord(
-                    id=str(rec["id"]),
-                    tokens=tuple(tokens),
-                    declared_score=None if declared is None else float(declared),
-                    label=None if label is None else float(label),
-                    meta={str(k): str(v) for k, v in rec.get("meta", {}).items()},
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"line {lineno}: malformed transcript record: {exc}") from exc
-    return records
+    return read_json_lines(path, _transcript_record, "transcript")[1]
 
 
 def _candidates(record: TranscriptRecord, table: SynonymTable) -> list:

@@ -541,6 +541,31 @@ class TestSeededRunChecks:
             _seeded_run(run, dataset, **kw)
 
 
+
+class TestRepeatedSeedsAndMethods:
+    @pytest.fixture()
+    def no_split(self, monkeypatch):
+        def split(*args):
+            raise AssertionError("split before the configuration was checked")
+
+        monkeypatch.setattr(analysis, "split", split)
+
+    @pytest.mark.parametrize("run", ["evaluate", "midpoint_report", "calibration_sweep"])
+    def test_repeated_seed_rejected_before_any_split(self, dataset, no_split, run):
+        # midpoint_report and calibration_sweep used to count seed 1 twice,
+        # and evaluate to fit its cells twice and keep one row
+        with pytest.raises(ValidationError, match="repeat a seed"):
+            _seeded_run(run, dataset, seeds=[1, 2, 1])
+
+    def test_repeated_seed_rejected_by_human_baseline(self):
+        with pytest.raises(ValidationError, match="repeat a seed"):
+            human_baseline([[1, 2, 3]] * 20, seeds=[3, 3])
+
+    def test_repeated_method_rejected_before_any_split(self, dataset, no_split):
+        # every cqr cell used to be fitted twice
+        with pytest.raises(ValidationError, match="repeat a method"):
+            evaluate(dataset, ["cqr", "split_abs", "cqr"], seeds=[1])
+
 class TestHumanBaseline:
     def test_identical_annotators(self):
         rows = human_baseline([[3.0, 3.0, 3.0]] * 40, seeds=[1, 2])

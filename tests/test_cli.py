@@ -329,3 +329,120 @@ class TestOtherCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         entry = next(r for r in manifest["runs"] if r["command"] == "evaluate")
         assert entry["excluded"] == 1
+
+
+# the fifth line of an annotation file; "45" used to be read as [4.0, 5.0]
+# and the run to exit 0, [true, 4] as [1.0, 4.0]
+_BAD_ANNOTATIONS = {
+    "a numeric string": {"id": "h4", "annotations": "45"},
+    "a bool among the annotations": {"id": "h4", "annotations": [True, 4]},
+    "null": {"id": "h4", "annotations": None},
+    "a nested list": {"id": "h4", "annotations": [[4, 5]]},
+    "record a list": [4, 5],
+    "an annotation too large for a float": {"id": "h4", "annotations": [10 ** 400, 4]},
+}
+# an exclusions sidecar; each used to be counted, or (an object) rejected
+_BAD_SIDECARS = {
+    "a string": '"45"',
+    "a bool": "true",
+    "null": "null",
+    "a nested list": '[["t1", "unlocatable"]]',
+    "an entry not an object": "[1]",
+    "a bool id": '[{"id": true, "reason": "unlocatable"}]',
+    "a 400-digit reason": f'[{{"id": "t1", "reason": {10 ** 400}}}]',
+}
+# a manifest.json already in --out-dir; "{not json" used to make evaluate
+# write eval.csv, then exit 3
+_BAD_MANIFESTS = {
+    "not JSON": "{not json",
+    "a list": "[]",
+    "no runs": "{}",
+    "runs a string": '{"runs": "45"}',
+    "runs null": '{"runs": null}',
+    "a run a bool": '{"runs": [true]}',
+    "a run a nested list": '{"runs": [[1]]}',
+}
+
+
+class TestInputFileTypes:
+    @pytest.mark.parametrize("record", list(_BAD_ANNOTATIONS.values()), ids=list(_BAD_ANNOTATIONS))
+    def test_bad_annotation_record_names_its_line(self, tmp_path, capsys, record):
+        ann = tmp_path / "ann.jsonl"
+        good = [{"id": f"h{i}", "annotations": [i % 5 + 1, 3]} for i in range(4)]
+        ann.write_text("".join(json.dumps(r) + "\n" for r in [*good, record, *good]))
+        assert run("human-baseline", str(ann), "--seeds", "1", "--out-dir", str(tmp_path / "run")) == 2
+        assert "line 5: malformed annotation record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", list(_BAD_SIDECARS.values()), ids=list(_BAD_SIDECARS))
+    def test_bad_exclusions_sidecar_names_its_path(self, synth_file, tmp_path, capsys, text):
+        path = synth_file.with_suffix(".exclusions.json")
+        path.write_text(text)
+        code = run("evaluate", str(synth_file), "--methods", "split_abs", "--seeds", "1",
+                   "--out-dir", str(tmp_path / "run"), "--jobs", "1")
+        assert code == 2
+        assert f"{path}: malformed exclusions sidecar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", list(_BAD_MANIFESTS.values()), ids=list(_BAD_MANIFESTS))
+    def test_bad_manifest_names_its_path(self, synth_file, tmp_path, capsys, text):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        code = run("evaluate", str(synth_file), "--methods", "split_abs", "--seeds", "1",
+                   "--out-dir", str(out), "--jobs", "1")
+        assert code == 2
+        assert str(out / "manifest.json") in capsys.readouterr().err
+        assert (out / "manifest.json").read_text() == text
+
+    @pytest.mark.parametrize("record", [{"meta": [1, 2]}, {"label": True}])
+    def test_extract_bad_transcript_is_data_error(self, tmp_path, capsys, record):
+        # a meta of [1, 2] used to be an internal error (exit 3)
+        transcripts = tmp_path / "t.jsonl"
+        write_transcripts(transcripts, [reference_transcript("a", label=5.0),
+                                        {**reference_transcript("b"), **record}])
+        assert run("extract", str(transcripts), "-o", str(tmp_path / "s.jsonl")) == 2
+        assert "line 2: malformed transcript record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{four", '["1", "2", "3", "4", "5"]',
+                                      json.dumps({**{str(r): r for r in range(1, 6)}, "four": 4.7})])
+    def test_extract_bad_synonyms_is_data_error(self, tmp_path, capsys, text):
+        # the first two used to be internal errors (exit 3); a rating of 4.7
+        # was read as 4 and the run exited 0
+        transcripts = tmp_path / "t.jsonl"
+        write_transcripts(transcripts, [reference_transcript("a", label=5.0)])
+        synonyms = tmp_path / "synonyms.json"
+        synonyms.write_text(text)
+        assert run("extract", str(transcripts), "--synonyms", str(synonyms), "-o", str(tmp_path / "s.jsonl")) == 2
+        assert str(synonyms) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries", [{"label": True}, {"raw_score": 10 ** 400}, {"logits": "12345"}])
+    def test_evaluate_bad_sample_is_data_error(self, tmp_path, capsys, entries):
+        # label true used to be read as 1.0, and a 400-digit raw_score to be
+        # an internal error (exit 3)
+        samples = tmp_path / "s.jsonl"
+        samples.write_text(json.dumps({"id": "a", "logits": [0.0] * 5, "raw_score": 3.0, "label": 1.0,
+                                       **entries}) + "\n")
+        code = run("evaluate", str(samples), "--methods", "split_abs", "--seeds", "1",
+                   "--out-dir", str(tmp_path / "run"), "--jobs", "1")
+        assert code == 2
+        assert "line 1: malformed sample record" in capsys.readouterr().err
+
+
+class TestRepeatedSeedsAndMethods:
+    @pytest.mark.parametrize("command, flags", [
+        # 3..2 used to be dropped, so the run had seed 1 only
+        ("evaluate", ("--seeds", "1,3..2")),
+        # a repeated seed used to count twice in midpoints and sweep
+        ("midpoints", ("--seeds", "1,1")),
+        ("sweep", ("--seeds", "1..3,2")),
+        ("evaluate", ("--seeds", "1,1")),
+        ("human-baseline", ("--seeds", "2,2")),
+        # every cqr cell used to be fitted twice
+        ("evaluate", ("--methods", "cqr,cqr")),
+    ])
+    def test_usage_error_before_any_read(self, tmp_path, capsys, command, flags):
+        assert run(command, str(tmp_path / "missing.jsonl"), *flags, "--out-dir", str(tmp_path)) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_single_seed_range_is_one_seed(self, synth_file, tmp_path):
+        assert run("midpoints", str(synth_file), "--seeds", "4..4", "--out-dir", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["runs"][-1]["config"]["seeds"] == [4]

@@ -529,6 +529,20 @@ class TestModelContract:
         with pytest.raises(ValidationError, match="but k is 3"):
             cj.model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("method, entry, corrupt", [
+        ("cqr", "forest_lo", lambda e: e["trees"][0]["value"].__setitem__(-1, True)),
+        ("asym_cqr", "forest_hi", lambda e: e["trees"][3]["thresh"].__setitem__(0, False)),
+        ("chr", "classifier", lambda e: e["weights"][1].__setitem__(2, True)),
+        ("r2ccp", "classifier", lambda e: e["bias"].__setitem__(0, True)),
+    ])
+    def test_bool_among_document_numbers_rejected(self, method, entry, corrupt):
+        # numpy reads [0.5, true] as a float array, so a leaf value of true
+        # used to load and serve 1.0
+        doc = json.loads((DATA / f"{method}_model_v1.json").read_text(encoding="utf-8"))
+        corrupt(doc["state"][entry])
+        with pytest.raises(ValidationError, match=entry):
+            cj.model_from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("method, entry", [("split_abs", "ridge"), ("lvd", "ridge"), ("lvd", "kernel"),
                                                ("chr", "classifier"), ("r2ccp", "classifier")])
     def test_estimator_of_other_than_k_features_rejected(self, fitted, method, entry):

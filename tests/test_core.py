@@ -15,9 +15,12 @@ from confjudge.core import (
     LabelScale,
     SplitSpec,
     ValidationError,
+    array,
     conformal_quantile,
+    integer,
     lower_conformal_quantile,
     read_samples,
+    real,
     row_problems,
     split,
     to_fine_grid,
@@ -472,3 +475,82 @@ class TestSampleIO:
         path.write_text("")
         with pytest.raises(ValidationError, match="no samples"):
             read_samples(path, LIKERT)
+
+
+# the second line of a sample file; each used to load, raise an error other
+# than ValidationError, or (meta) be read as an empty mapping
+_GOOD_SAMPLE = {"id": "x", "logits": [0.0] * 5, "raw_score": 3.0, "label": 3.0}
+_BAD_SAMPLES = {
+    "logits a numeric string": {**_GOOD_SAMPLE, "logits": "12345"},
+    "raw_score a numeric string": {**_GOOD_SAMPLE, "raw_score": "3"},
+    "label a bool": {**_GOOD_SAMPLE, "label": True},
+    "a bool among the logits": {**_GOOD_SAMPLE, "logits": [True, 0.0, 0.0, 0.0, 0.0]},
+    "label null": {**_GOOD_SAMPLE, "label": None},
+    "logits null": {**_GOOD_SAMPLE, "logits": None},
+    "logits a nested list": {**_GOOD_SAMPLE, "logits": [[0.0] * 5]},
+    "meta a list": {**_GOOD_SAMPLE, "meta": [1, 2]},
+    "meta null": {**_GOOD_SAMPLE, "meta": None},
+    "id null": {**_GOOD_SAMPLE, "id": None},
+    "id a bool": {**_GOOD_SAMPLE, "id": True},
+    "raw_score too large for a float": {**_GOOD_SAMPLE, "raw_score": 10 ** 400},
+    "a logit too large for a float": {**_GOOD_SAMPLE, "logits": [10 ** 400, 0, 0, 0, 0]},
+    "record a list": [1, 2],
+    "record a string": "x",
+}
+
+
+class TestSampleRecordTypes:
+    @pytest.mark.parametrize("record", list(_BAD_SAMPLES.values()), ids=list(_BAD_SAMPLES))
+    def test_bad_record_names_its_line(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({**_GOOD_SAMPLE, "id": "w"}) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValidationError, match="line 2: malformed sample record"):
+            read_samples(path, LIKERT)
+
+    def test_integers_load_as_floats(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text(json.dumps({"id": 7, "logits": [0, 1, 2, 3, 4], "raw_score": 3, "label": 4}) + "\n")
+        ds = read_samples(path, LIKERT)
+        assert ds.ids == ("7",) and ds.logits.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0]]
+        assert ds.raw_scores.tolist() == [3.0] and ds.labels.tolist() == [4.0]
+
+    def test_line_nested_past_the_recursion_limit_names_its_line(self, tmp_path):
+        # it used to raise RecursionError, an internal error on the command line
+        path = tmp_path / "deep.jsonl"
+        path.write_text(json.dumps(_GOOD_SAMPLE) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(ValidationError, match="line 2: invalid JSON"):
+            read_samples(path, LIKERT)
+
+    def test_line_not_utf8_names_its_line(self, tmp_path):
+        # it used to raise UnicodeDecodeError, an internal error on the command line
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(json.dumps(_GOOD_SAMPLE).encode() + b"\n" + b'{"id": "\xe9"}\n')
+        with pytest.raises(ValidationError, match="line 2: invalid JSON"):
+            read_samples(path, LIKERT)
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("value", [True, "3", None, [3], 10 ** 400, math.nan])
+    def test_real_rejects(self, value):
+        with pytest.raises(ValidationError, match="finite number"):
+            real()(value)
+
+    def test_real_reads_numpy_scalars(self):
+        assert real()(np.float32(1.5)) == 1.5 and real()(np.int64(2)) == 2.0
+
+    @pytest.mark.parametrize("value", [True, 3.0, "3", -1])
+    def test_integer_rejects(self, value):
+        with pytest.raises(ValidationError, match="integer >= 0"):
+            integer(0)(value)
+
+    @pytest.mark.parametrize("ndim, value", [(1, [True, 0.5]), (2, [[1.0, True]]), (1, np.array([True, False])),
+                                             (1, ["1", 2.0]), (1, [None, 1.0]), (1, [[1.0]]), (2, [1.0]),
+                                             (1, [10 ** 400])])
+    def test_array_rejects(self, ndim, value):
+        # numpy reads [True, 0.5] as a float array, so a bool among numbers used to pass
+        with pytest.raises(ValidationError, match=f"{ndim}-D array"):
+            array(ndim)(value)
+
+    def test_array_reads_numpy_entries(self):
+        assert array(1)([np.float64(1.5), np.int64(2), 3]).tolist() == [1.5, 2.0, 3.0]
+        assert array(2, whole=True)(np.array([[1, 2]])).tolist() == [[1, 2]]

@@ -226,3 +226,78 @@ class TestTranscriptIO:
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ValidationError, match="line 1"):
             read_transcripts(path)
+
+
+_GOOD_TRANSCRIPT = {"id": "t", "tokens": [{"text": "4", "logprob": -0.1,
+                                            "alternatives": [{"text": "5", "logprob": -2.5}]}],
+                    "declared_score": 4, "label": 4.0, "meta": {"dimension": "consistency"}}
+
+
+def _with_token(**entries):
+    return {**_GOOD_TRANSCRIPT, "tokens": [{**_GOOD_TRANSCRIPT["tokens"][0], **entries}]}
+
+
+# the second line of a transcript file; each used to load, or to raise an
+# error other than ValidationError (meta [1, 2] an AttributeError)
+_BAD_TRANSCRIPTS = {
+    "meta a list": {**_GOOD_TRANSCRIPT, "meta": [1, 2]},
+    "logprob a numeric string": _with_token(logprob="-0.1"),
+    "logprob a bool": _with_token(logprob=True),
+    "logprob null": _with_token(logprob=None),
+    "alternative logprob a numeric string": _with_token(alternatives=[{"text": "5", "logprob": "-2.5"}]),
+    "alternatives a string": _with_token(alternatives="5"),
+    "token text a number": _with_token(text=4),
+    "declared_score a numeric string": {**_GOOD_TRANSCRIPT, "declared_score": "4"},
+    "label a bool": {**_GOOD_TRANSCRIPT, "label": True},
+    "label too large for a float": {**_GOOD_TRANSCRIPT, "label": 10 ** 400},
+    "tokens a string": {**_GOOD_TRANSCRIPT, "tokens": "4"},
+    "tokens a nested list": {**_GOOD_TRANSCRIPT, "tokens": [[{"text": "4", "logprob": -0.1}]]},
+    "id null": {**_GOOD_TRANSCRIPT, "id": None},
+    "record a list": [1, 2],
+}
+
+
+class TestTranscriptRecordTypes:
+    @pytest.mark.parametrize("record", list(_BAD_TRANSCRIPTS.values()), ids=list(_BAD_TRANSCRIPTS))
+    def test_bad_record_names_its_line(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(_GOOD_TRANSCRIPT) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValidationError, match="line 2: malformed transcript record"):
+            read_transcripts(path)
+
+    def test_good_record_reads(self, tmp_path):
+        path = tmp_path / "good.jsonl"
+        path.write_text(json.dumps(_GOOD_TRANSCRIPT) + "\n")
+        (rec,) = read_transcripts(path)
+        assert rec == TranscriptRecord("t", (TranscriptToken("4", -0.1, (("5", -2.5),)),), 4.0, 4.0,
+                                       {"dimension": "consistency"})
+        assert type(rec.declared_score) is float
+
+
+_DIGITS = {str(r): r for r in range(1, 6)}
+# a synonym file; each used to load (4.7 read as 4, "4" and true as 4 and 1)
+# or to raise an error other than ValidationError
+_BAD_SYNONYMS = {
+    "not JSON": "{four",
+    "a list": json.dumps(list(_DIGITS)),
+    "a fractional rating": json.dumps({**_DIGITS, "four": 4.7}),
+    "a numeric-string rating": json.dumps({**_DIGITS, "four": "4"}),
+    "a bool rating": json.dumps({**_DIGITS, "one": True}),
+    "a null rating": json.dumps({**_DIGITS, "four": None}),
+    "a nested-list rating": json.dumps({**_DIGITS, "four": [[4]]}),
+    "a 400-digit rating": json.dumps({**_DIGITS, "four": 10 ** 400}),
+}
+
+
+class TestSynonymFile:
+    @pytest.mark.parametrize("text", list(_BAD_SYNONYMS.values()), ids=list(_BAD_SYNONYMS))
+    def test_bad_file_names_its_path(self, tmp_path, text):
+        path = tmp_path / "synonyms.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="synonyms.json"):
+            SynonymTable.from_json(path, 5)
+
+    def test_good_file_reads(self, tmp_path):
+        path = tmp_path / "synonyms.json"
+        path.write_text(json.dumps({**_DIGITS, "four": 4}))
+        assert SynonymTable.from_json(path, 5).lookup("Four") == 4
