@@ -52,16 +52,21 @@ def _manifest(doc: dict) -> dict:
     return doc
 
 
-def _append_manifest(out_dir: Path, args, config: dict, inputs, outputs, **extra) -> None:
-    """Append the run's entry to ``manifest.json`` in ``out_dir``: the command,
-    its configuration, the hash of each file in ``inputs``, the files
-    ``outputs`` and any ``extra`` fields."""
+def _read_manifest(out_dir: Path) -> dict:
+    """The ``manifest.json`` in ``out_dir``, or an empty one.  A command reads
+    it before writing any output, so a malformed one leaves no file behind."""
     manifest_path = out_dir / "manifest.json"
-    doc = read_json(manifest_path, _manifest, "manifest") if manifest_path.exists() else {"runs": []}
+    return read_json(manifest_path, _manifest, "manifest") if manifest_path.exists() else {"runs": []}
+
+
+def _append_manifest(doc: dict, out_dir: Path, args, config: dict, inputs, outputs, **extra) -> None:
+    """Append the run's entry to the manifest ``doc`` of ``out_dir`` and write
+    it there: the command, its configuration, the hash of each file in
+    ``inputs``, the files ``outputs`` and any ``extra`` fields."""
     doc["runs"].append({"command": args.command, "config": config,
                         "inputs": {source: _git_blob_sha1(Path(source)) for source in inputs},
                         "outputs": [str(path) for path in outputs], **extra})
-    manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _parse_seeds(text: str) -> list:
@@ -238,8 +243,9 @@ def _write_report(args, name: str, write, rows, config: dict, source: str, **ext
     run's manifest entry, with the input file ``source``."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = _read_manifest(out_dir)
     write(out_dir / name, rows)
-    _append_manifest(out_dir, args, config, [source], [out_dir / name], **extra)
+    _append_manifest(manifest, out_dir, args, config, [source], [out_dir / name], **extra)
 
 
 def cmd_extract(args) -> int:
@@ -249,13 +255,15 @@ def cmd_extract(args) -> int:
     scale = _scale_from(args)
     dataset, exclusions = extract_dataset(records, table, args.k, scale)
     out = Path(args.output)
+    manifest = _read_manifest(out.parent)
     write_samples(out, dataset)
     excl_path = Path(args.exclusions) if args.exclusions else out.with_suffix(".exclusions.json")
     excl_path.write_text(
         json.dumps([{"id": i, "reason": r} for i, r in exclusions], indent=2) + "\n",
         encoding="utf-8",
     )
-    _append_manifest(out.parent, args, {"k": args.k, "scale": scale.to_dict(), "synonyms": args.synonyms},
+    _append_manifest(manifest, out.parent, args,
+                     {"k": args.k, "scale": scale.to_dict(), "synonyms": args.synonyms},
                      [args.transcripts], [out, excl_path], written=len(dataset), excluded=len(exclusions))
     print(f"wrote {len(dataset)} samples, {len(exclusions)} exclusions")
     return EXIT_OK
@@ -361,12 +369,13 @@ def cmd_synth(args) -> int:
     spec = synth.GeneratorSpec(seed=args.seed, n=args.n, k=args.k, noise=noise, scale=scale)
     dataset, oracle = synth.generate(spec)
     out = Path(args.output)
+    manifest = _read_manifest(out.parent)
     write_samples(out, dataset)
     oracle_path = Path(args.oracle) if args.oracle else out.with_suffix(".oracle.json")
     oracle_path.write_text(oracle.to_json() + "\n", encoding="utf-8")
     config = {"noise": args.noise, "sigma": args.sigma, "bias": args.bias,
               "n": args.n, "k": args.k, "seed": args.seed, "scale": scale.to_dict()}
-    _append_manifest(out.parent, args, config, [], [out, oracle_path])
+    _append_manifest(manifest, out.parent, args, config, [], [out, oracle_path])
     print(f"wrote {len(dataset)} samples")
     return EXIT_OK
 
@@ -375,8 +384,8 @@ _annotations = array(1)  # one item's annotations
 
 
 def cmd_human_baseline(args) -> int:
-    _, annotations = read_json_lines(args.annotations, lambda rec: _annotations(rec["annotations"], "annotations"),
-                                     "annotation")
+    annotations = [values for _, values in read_json_lines(
+        args.annotations, lambda rec: _annotations(rec["annotations"], "annotations"), "annotation")]
     rows = analysis.human_baseline(annotations, alpha=args.alpha, seeds=args.seeds,
                                    calib_fraction=args.calib_fraction)
     config = {"seeds": args.seeds, "alpha": args.alpha, "calib_fraction": args.calib_fraction}

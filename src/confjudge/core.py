@@ -10,6 +10,10 @@ gathers rows that were already checked and rejects only a repeated index,
 and meta rows are read-only mappings that subsets share.  An
 :class:`Intervals` batch holds predicted intervals as columns too.
 
+Sample files are read and written ``_CHUNK_ROWS`` rows at a time, so
+beyond the dataset itself ``read_samples`` and ``write_samples`` hold the
+Python objects of one chunk of rows, not of every row.
+
 All types are immutable after construction (the dataset's arrays are
 read-only) and all operations are pure functions, so everything here is
 safe to share across workers.
@@ -22,6 +26,7 @@ import json
 import math
 import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -132,25 +137,23 @@ _PARSE_ERRORS = (ValueError, RecursionError)
 _RECORD_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
 
 
-def read_json_lines(path, read, what: str) -> tuple:
-    """(line numbers, records) of the JSON-lines file at ``path``, each
-    non-blank line's value passed through ``read``.  Invalid JSON or a value
-    ``read`` rejects raises ValidationError naming the line."""
-    linenos, records = [], []
+def read_json_lines(path, read, what: str):
+    """Yield (line number, record) for each non-blank line of the JSON-lines
+    file at ``path``, the line's value passed through ``read``.  Invalid JSON
+    or a value ``read`` rejects raises ValidationError naming the line."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 value = json.loads(line.decode())
             except _PARSE_ERRORS as exc:
                 raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
             try:
-                records.append(read(value))
+                record = read(value)
             except _RECORD_ERRORS as exc:
                 raise ValidationError(f"line {lineno}: malformed {what} record: {exc}") from exc
-            linenos.append(lineno)
-    return linenos, records
+            yield lineno, record
 
 
 def read_json(path, read, what: str):
@@ -526,47 +529,106 @@ def to_fine_grid(scale: LabelScale):
 # JSONL sample records
 
 
+_CHUNK_ROWS = 1024  # sample rows converted to or from arrays at a time
+
+
 def _sample_row(rec: dict) -> tuple:
     """A sample record's (id, logits, raw_score, label, read-only meta): the
     numbers as JSON numbers, tested by the types of a whole record at once."""
-    sid, logits, raw_score, label = rec["id"], rec["logits"], rec["raw_score"], rec["label"]
-    types = {type(raw_score), type(label), *map(type, logits)}
-    if not types <= _JSON_NUMBERS:
-        raise TypeError("logits must be a list of numbers, and raw_score and label numbers")
-    if int in types:
-        list(map(float, (raw_score, label, *logits)))  # raises OverflowError for an int past the largest float
-    meta = rec.get("meta", _NO_META)
-    # the common id and meta skip a call
-    return (sid if type(sid) is str else string_id(sid), logits, raw_score, label,
-            _NO_META if meta == {} else MappingProxyType(read_meta(meta)))
+    try:
+        sid, logits, raw_score, label = rec["id"], rec["logits"], rec["raw_score"], rec["label"]
+        types = {type(raw_score), type(label), *map(type, logits)}
+        if not types <= _JSON_NUMBERS:
+            raise TypeError  # named below, with every other type defect
+        if int in types:
+            list(map(float, (raw_score, label, *logits)))  # raises OverflowError for an int past the largest float
+        meta = rec.get("meta", _NO_META)
+        # the common meta skips a call
+        meta = _NO_META if meta == {} else MappingProxyType(read_meta(meta))
+    except (TypeError, AttributeError, OverflowError):
+        raise TypeError(_sample_type_problem(rec)) from None
+    return sid if type(sid) is str else string_id(sid), logits, raw_score, label, meta
+
+
+def _sample_type_problem(rec) -> str:
+    """The first field of a sample record that breaks a type rule, and its
+    value; the error path of :func:`_sample_row`, which found one."""
+    if type(rec) is not dict:
+        return f"record must be an object, got {reprlib.repr(rec)}"
+    if type(rec["logits"]) is not list:
+        return f"logits must be a list of numbers, got {reprlib.repr(rec['logits'])}"
+    fields = [*((f"logits[{i}]", value) for i, value in enumerate(rec["logits"])),
+              ("raw_score", rec["raw_score"]), ("label", rec["label"])]
+    for name, value in fields:
+        if type(value) not in _JSON_NUMBERS:
+            return f"{name} must be a number, got {reprlib.repr(value)}"
+        try:
+            float(value)
+        except OverflowError:
+            return f"{name} must fit a float, got {reprlib.repr(value)}"
+    return f"meta must be an object, got {reprlib.repr(rec['meta'])}"  # the one field left
 
 
 def read_samples(path, scale: LabelScale, k: int | None = None) -> Dataset:
-    """Load a JSONL sample file.  A malformed record, a record with another
-    number of logits than ``k`` (default: the first record's), and then the
-    first record that breaks a row invariant raise ValidationError with
-    the line number."""
-    linenos, rows = read_json_lines(path, _sample_row, "sample")
-    if not rows:
-        raise ValidationError("no samples")
-    ids, logits, raw_scores, labels, meta = zip(*rows)
-    k = len(logits[0]) if k is None else k
-    if k == 0:
-        raise ValidationError(f"line {linenos[0]}: sample {ids[0]!r}: no logits")
-    if set(map(len, logits)) != {k}:
-        r = next(r for r, row in enumerate(logits) if len(row) != k)
-        raise ValidationError(f"line {linenos[r]}: sample {ids[r]!r}: expected {k} logits, got {len(logits[r])}")
-    columns = (ids, *(np.array(c, dtype=float) for c in (logits, raw_scores, labels)))
-    problems = row_problems(*columns, scale)
+    """Load a JSONL sample file, ``_CHUNK_ROWS`` records at a time.  A
+    malformed record or one with another number of logits than ``k``
+    (default: the first record's), whichever comes first, and then the
+    first record that breaks a row invariant raise ValidationError with the
+    line number."""
+    linenos, ids, logits, raw_scores, labels, meta = _join_chunks(_sample_chunks(path, k))
+    problems = row_problems(ids, logits, raw_scores, labels, scale)
     if problems:
         raise ValidationError(f"line {linenos[problems[0][0]]}: {problems[0][1]}")
-    return Dataset._checked(*columns, scale, meta)
+    return Dataset._checked(ids, logits, raw_scores, labels, scale, meta)
+
+
+def _sample_chunks(path, k: int | None):
+    """Yield the columns of the sample file at ``path`` for each
+    ``_CHUNK_ROWS`` records: (line numbers, ids, logits, raw scores, labels,
+    meta rows), the ids and meta as tuples, the rest as arrays."""
+    records = read_json_lines(path, _sample_row, "sample")
+    first = next(records, None)
+    if first is None:
+        raise ValidationError("no samples")
+    lineno, (sid, logits, *_) = first
+    k = len(logits) if k is None else k
+    if k == 0:
+        raise ValidationError(f"line {lineno}: sample {sid!r}: no logits")
+    records = itertools.chain([first], records)
+    while True:
+        linenos, rows = [], []
+        for lineno, row in itertools.islice(records, _CHUNK_ROWS):
+            if len(row[1]) != k:
+                raise ValidationError(f"line {lineno}: sample {row[0]!r}: expected {k} logits, got {len(row[1])}")
+            linenos.append(lineno)
+            rows.append(row)
+        if not rows:
+            return
+        yield _sample_columns(linenos, rows, k)
+
+
+def _sample_columns(linenos: list, rows: list, k: int) -> tuple:
+    ids, logits, raw_scores, labels, meta = zip(*rows)
+    # every row holds k logits; fromiter reads them faster than np.array
+    logits = np.fromiter(itertools.chain.from_iterable(logits), dtype=float, count=len(rows) * k)
+    return (np.array(linenos, dtype=np.int64), ids, logits.reshape(len(rows), k),
+            np.array(raw_scores, dtype=float), np.array(labels, dtype=float), meta)
+
+
+def _join_chunks(chunks) -> list:
+    """Each column of ``chunks`` joined: arrays concatenated, tuples chained.
+    The chunks are released before the caller checks the rows."""
+    return [np.concatenate(parts) if isinstance(parts[0], np.ndarray) else tuple(itertools.chain.from_iterable(parts))
+            for parts in zip(*chunks)]
 
 
 def write_samples(path, dataset: Dataset) -> None:
-    columns = (dataset.ids, dataset.logits.tolist(), dataset.raw_scores.tolist(),
-               dataset.labels.tolist(), map(dict, dataset.meta))
+    """Write ``dataset`` as JSONL, ``_CHUNK_ROWS`` rows at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        for sid, logits, raw_score, label, meta in zip(*columns):
-            rec = {"id": sid, "logits": logits, "raw_score": raw_score, "label": label, "meta": meta}
-            fh.write(json.dumps(rec) + "\n")
+        for start in range(0, len(dataset), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            columns = (dataset.ids[rows], dataset.logits[rows].tolist(), dataset.raw_scores[rows].tolist(),
+                       dataset.labels[rows].tolist(), map(dict, dataset.meta[rows]))
+            for sid, logits, raw_score, label, meta in zip(*columns):
+                rec = {"id": sid, "logits": logits, "raw_score": raw_score, "label": label, "meta": meta}
+                fh.write(json.dumps(rec) + "\n")

@@ -120,7 +120,7 @@ def _transcript_record(rec: dict) -> TranscriptRecord:
 
 def read_transcripts(path) -> list:
     """Load transcript records from JSONL with line-numbered errors."""
-    return read_json_lines(path, _transcript_record, "transcript")[1]
+    return [record for _, record in read_json_lines(path, _transcript_record, "transcript")]
 
 
 def _candidates(record: TranscriptRecord, table: SynonymTable) -> list:

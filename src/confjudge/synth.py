@@ -124,9 +124,10 @@ def generate(spec: GeneratorSpec):
     q = rng.choice(support, size=spec.n)
 
     ratings = rating_values(scale, spec.k)
-    z = -spec.peak_sharpness * np.abs(ratings[None, :] - q[:, None])
+    z = np.abs(ratings[None, :] - q[:, None])
+    np.multiply(-spec.peak_sharpness, z, out=z)
     if spec.logit_noise > 0:
-        z = z + rng.normal(0.0, spec.logit_noise, size=z.shape)
+        z += rng.normal(0.0, spec.logit_noise, size=z.shape)
 
     sigma, shift = _noise_params(spec.noise, q, scale)
     y_cont = q + shift + sigma * rng.standard_normal(spec.n)

@@ -384,14 +384,23 @@ class TestInputFileTypes:
 
     @pytest.mark.parametrize("text", list(_BAD_MANIFESTS.values()), ids=list(_BAD_MANIFESTS))
     def test_bad_manifest_names_its_path(self, synth_file, tmp_path, capsys, text):
-        out = tmp_path / "run"
-        out.mkdir()
-        (out / "manifest.json").write_text(text)
-        code = run("evaluate", str(synth_file), "--methods", "split_abs", "--seeds", "1",
-                   "--out-dir", str(out), "--jobs", "1")
-        assert code == 2
-        assert str(out / "manifest.json") in capsys.readouterr().err
-        assert (out / "manifest.json").read_text() == text
+        # each command used to write its outputs before reading the manifest
+        transcripts = tmp_path / "t.jsonl"
+        write_transcripts(transcripts, [reference_transcript("a", label=5.0)])
+        commands = {
+            "evaluate": lambda out: ("evaluate", str(synth_file), "--methods", "split_abs", "--seeds", "1",
+                                     "--out-dir", str(out), "--jobs", "1"),
+            "extract": lambda out: ("extract", str(transcripts), "-o", str(out / "s.jsonl")),
+            "synth": lambda out: ("synth", "--n", "50", "-o", str(out / "s.jsonl")),
+        }
+        for command, argv in commands.items():
+            out = tmp_path / command
+            out.mkdir()
+            (out / "manifest.json").write_text(text)
+            assert run(*argv(out)) == 2, command
+            assert str(out / "manifest.json") in capsys.readouterr().err
+            assert (out / "manifest.json").read_text() == text
+            assert [p.name for p in out.iterdir()] == ["manifest.json"], command
 
     @pytest.mark.parametrize("record", [{"meta": [1, 2]}, {"label": True}])
     def test_extract_bad_transcript_is_data_error(self, tmp_path, capsys, record):

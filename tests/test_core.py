@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from confjudge.core import (
+    _CHUNK_ROWS,
     Dataset,
     Interval,
     Intervals,
@@ -258,6 +260,10 @@ class TestSamples:
             read_samples(path, LIKERT)
         with pytest.raises(ValidationError, match="line 1: sample 'a': expected 4 logits, got 5"):
             read_samples(path, LIKERT, k=4)
+        # the whole file used to be parsed first, so a later line's parse error won
+        path.write_text(path.read_text() + "{not json\n")
+        with pytest.raises(ValidationError, match="line 2: sample 'b': expected 5 logits, got 4"):
+            read_samples(path, LIKERT)
 
     def test_non_finite_logit(self):
         with pytest.raises(ValidationError, match="'a': non-finite"):
@@ -341,6 +347,14 @@ class TestDatasetColumns:
         assert back.ids == ds.ids
         np.testing.assert_array_equal(back.logits, ds.logits)
         assert not back.logits.flags.writeable and not back.labels.flags.writeable
+
+
+def wide_dataset(n: int, k: int = 13) -> Dataset:
+    """n rows on the thirds grid with k logits each, meta on every third row."""
+    rng = np.random.default_rng(n)
+    labels = THIRDS.labels()
+    return Dataset([f"s{i}" for i in range(n)], rng.normal(size=(n, k)), rng.choice(labels, n),
+                   rng.choice(labels, n), THIRDS, [{"dimension": f"d{i}"} if i % 3 == 0 else {} for i in range(n)])
 
 
 def with_meta(n: int) -> Dataset:
@@ -476,36 +490,90 @@ class TestSampleIO:
         with pytest.raises(ValidationError, match="no samples"):
             read_samples(path, LIKERT)
 
+    @pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS])
+    def test_roundtrip_across_chunk_boundaries(self, tmp_path, n):
+        ds = wide_dataset(n)
+        first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+        write_samples(first, ds)
+        back = read_samples(first, THIRDS)
+        assert back.ids == ds.ids and back.meta == ds.meta
+        for a, b in ((back.logits, ds.logits), (back.raw_scores, ds.raw_scores), (back.labels, ds.labels)):
+            np.testing.assert_array_equal(a, b)
+        write_samples(again, back)
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_errors_in_a_later_chunk_name_their_line(self, tmp_path):
+        # a blank line in the first chunk shifts every later line by one
+        path = tmp_path / "bad.jsonl"
+        write_samples(path, wide_dataset(_CHUNK_ROWS + 10))
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        bad = _CHUNK_ROWS + 5
+
+        def write(rows):
+            lines = [json.dumps(r) + "\n" for r in rows]
+            path.write_text("".join(lines[:3] + ["\n"] + lines[3:]))
+
+        write([*rows[:bad], {**rows[bad], "logits": rows[bad]["logits"][:4]}, *rows[bad + 1:]])
+        with pytest.raises(ValidationError, match=f"line {bad + 2}: sample 's{bad}': expected 13 logits, got 4"):
+            read_samples(path, THIRDS)
+        write([*rows[:bad], {**rows[bad], "label": 1.1}, *rows[bad + 1:]])
+        with pytest.raises(ValidationError, match=f"line {bad + 2}: sample 's{bad}': label 1.1 off the scale grid"):
+            read_samples(path, THIRDS)
+
+    def test_read_and_write_hold_one_chunk_of_rows(self, tmp_path):
+        # reading used to peak at 3.3 times what the returned dataset keeps,
+        # as every record stayed Python lists until the end, and writing 1.2
+        # times above it, as whole columns were converted to lists at once
+        path = tmp_path / "samples.jsonl"
+        write_samples(path, wide_dataset(20_000, k=5))
+        tracemalloc.start()
+        try:
+            back = read_samples(path, THIRDS)
+            kept, read_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            write_samples(tmp_path / "again.jsonl", back)
+            write_peak = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        assert kept >= back.logits.nbytes + back.raw_scores.nbytes + back.labels.nbytes
+        assert read_peak < 2 * kept
+        assert write_peak < kept / 4
+
 
 # the second line of a sample file; each used to load, raise an error other
 # than ValidationError, or (meta) be read as an empty mapping
 _GOOD_SAMPLE = {"id": "x", "logits": [0.0] * 5, "raw_score": 3.0, "label": 3.0}
-_BAD_SAMPLES = {
-    "logits a numeric string": {**_GOOD_SAMPLE, "logits": "12345"},
-    "raw_score a numeric string": {**_GOOD_SAMPLE, "raw_score": "3"},
-    "label a bool": {**_GOOD_SAMPLE, "label": True},
-    "a bool among the logits": {**_GOOD_SAMPLE, "logits": [True, 0.0, 0.0, 0.0, 0.0]},
-    "label null": {**_GOOD_SAMPLE, "label": None},
-    "logits null": {**_GOOD_SAMPLE, "logits": None},
-    "logits a nested list": {**_GOOD_SAMPLE, "logits": [[0.0] * 5]},
-    "meta a list": {**_GOOD_SAMPLE, "meta": [1, 2]},
-    "meta null": {**_GOOD_SAMPLE, "meta": None},
-    "id null": {**_GOOD_SAMPLE, "id": None},
-    "id a bool": {**_GOOD_SAMPLE, "id": True},
-    "raw_score too large for a float": {**_GOOD_SAMPLE, "raw_score": 10 ** 400},
-    "a logit too large for a float": {**_GOOD_SAMPLE, "logits": [10 ** 400, 0, 0, 0, 0]},
-    "record a list": [1, 2],
-    "record a string": "x",
+_BAD_SAMPLES = {  # each with the message naming the field and value that break a type rule
+    "logits a numeric string": ({**_GOOD_SAMPLE, "logits": "12345"}, "logits must be a list of numbers, got '12345'"),
+    "raw_score a numeric string": ({**_GOOD_SAMPLE, "raw_score": "3"}, "raw_score must be a number, got '3'"),
+    "label a bool": ({**_GOOD_SAMPLE, "label": True}, "label must be a number, got True"),
+    "a bool among the logits": ({**_GOOD_SAMPLE, "logits": [True, 0.0, 0.0, 0.0, 0.0]},
+                                "logits[0] must be a number, got True"),
+    "label null": ({**_GOOD_SAMPLE, "label": None}, "label must be a number, got None"),
+    "logits null": ({**_GOOD_SAMPLE, "logits": None}, "logits must be a list of numbers, got None"),
+    "logits a nested list": ({**_GOOD_SAMPLE, "logits": [[0.0] * 5]}, "logits[0] must be a number, got [0.0,"),
+    "meta a list": ({**_GOOD_SAMPLE, "meta": [1, 2]}, "meta must be an object, got [1, 2]"),
+    "meta null": ({**_GOOD_SAMPLE, "meta": None}, "meta must be an object, got None"),
+    "id null": ({**_GOOD_SAMPLE, "id": None}, "id must be a string or an integer, got None"),
+    "id a bool": ({**_GOOD_SAMPLE, "id": True}, "id must be a string or an integer, got True"),
+    "raw_score too large for a float": ({**_GOOD_SAMPLE, "raw_score": 10 ** 400},
+                                        "raw_score must fit a float, got 1000"),
+    "a logit too large for a float": ({**_GOOD_SAMPLE, "logits": [10 ** 400, 0, 0, 0, 0]},
+                                      "logits[0] must fit a float, got 1000"),
+    "record a list": ([1, 2], "record must be an object, got [1, 2]"),
+    "record a string": ("x", "record must be an object, got 'x'"),
 }
 
 
 class TestSampleRecordTypes:
-    @pytest.mark.parametrize("record", list(_BAD_SAMPLES.values()), ids=list(_BAD_SAMPLES))
-    def test_bad_record_names_its_line(self, tmp_path, record):
+    @pytest.mark.parametrize("record, problem", list(_BAD_SAMPLES.values()), ids=list(_BAD_SAMPLES))
+    def test_bad_record_names_its_line(self, tmp_path, record, problem):
+        # a number-type defect used to be reported without naming its field
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({**_GOOD_SAMPLE, "id": "w"}) + "\n" + json.dumps(record) + "\n")
-        with pytest.raises(ValidationError, match="line 2: malformed sample record"):
+        with pytest.raises(ValidationError, match="line 2: malformed sample record") as err:
             read_samples(path, LIKERT)
+        assert problem in str(err.value)
 
     def test_integers_load_as_floats(self, tmp_path):
         path = tmp_path / "ints.jsonl"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -17,6 +18,21 @@ class TestGenerate:
         b, _ = generate(spec)
         np.testing.assert_array_equal(a.logits, b.logits)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("spec, digest", [
+        (GeneratorSpec(seed=7, n=300, k=13, noise=Heteroscedastic(0.5), scale=LabelScale(1, 5, 1 / 3)),
+         "1d6e64e432b45c79ddb6e339a1bb21478f21eed9a0506a436b91ccdd96ca27ab"),
+        (GeneratorSpec(seed=11, n=200, noise=Asymmetric(1.0, 0.25)),
+         "b0666126246e74b73b91b34bfb0e161d48a043649a67dec7d5c5710d43582c13"),
+    ])
+    def test_columns_keep_their_bits(self, spec, digest):
+        # sha256 of the logit, raw-score and label bytes: building the logit
+        # matrix in place must not move a bit
+        ds, _ = generate(spec)
+        h = hashlib.sha256()
+        for column in (ds.logits, ds.raw_scores, ds.labels):
+            h.update(column.tobytes())
+        assert h.hexdigest() == digest
 
     def test_noiseless_limit_label_equals_raw_score(self):
         ds, _ = generate(GeneratorSpec(seed=4, n=300, noise=Homoscedastic(0.0), logit_noise=0.0))
