@@ -456,9 +456,11 @@ def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
     """:func:`_lvd_exact_quantiles` bit for bit, with each crossing located
     from approximate distances and certified against the exact sum.
 
-    A block of queries at a time gets its squared distances from one matrix
-    product (``estimators._gram_sq_distances``, with a per-query error
-    bound), and from them the weights, their totals and each row's
+    A block of queries at a time gets its kernel exponents d2 / c (c = -2
+    bw^2) from one matrix product against the calibration points' Gram
+    factor, into which 1 / c is folded once per call
+    (``estimators._gram_sq_distances``, with a per-query error bound eta),
+    and from them the weights, their totals and each row's
     cumulative mass in score order: sums of ``_MASS_COLUMNS`` columns, then
     one cumsum inside the columns where the mass crosses ``level``.  The
     crossing index j stands when the located mass before it is below
@@ -472,7 +474,8 @@ def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
     exact path in one batch.  So does a whole call of at most
     ``_LOCATE_PAIRS`` pairs, or with a standardized feature that is not
     finite or above 1e100 in magnitude (which keeps the exact path's
-    errors), or with a bandwidth whose 2 bw^2 underflows.  Memory: a few
+    errors), or with a bandwidth whose 2 bw^2 is below 1e-100 (outside
+    eta's derivation).  Memory: a few
     (block x m) arrays, O(block * m), as on the exact path."""
     state = model.state
     kernel, calib = state["kernel"], state["calib_logits"]
@@ -483,60 +486,73 @@ def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
     c = -2.0 * bw * bw  # as weights_batch divides
     Xs = kernel._standardize(calib)[state["sort_order"]]
     Zs = kernel._standardize(Z)
-    if c == 0.0 or not (np.all(np.abs(Xs) <= 1e100) and np.all(np.abs(Zs) <= 1e100)):
+    if abs(c) < 1e-100 or not (np.all(np.abs(Xs) <= 1e100) and np.all(np.abs(Zs) <= 1e100)):
         return _lvd_exact_quantiles(model, Z)
     level = (1.0 - model.alpha) - _TOL
-    factor = _gram_factor(Xs)
+    # the product gives the exponents d2 / c themselves
+    factor = _gram_factor(Xs, c)
     width = -(-m // _MASS_COLUMNS) * _MASS_COLUMNS
     step = _block_rows(width)
     # the weights of a block, padded with zero columns to whole column groups
     w = np.zeros((min(step, len(Z)), width))
+    ones = np.ones(_MASS_COLUMNS)
+    # per query: the crossing index, the located mass at it and before it
+    # (not yet normalized), the total weight, and eta
     idx = np.empty(len(Z), dtype=np.intp)
-    certified = np.empty(len(Z), dtype=bool)
+    at, prev, total, eta = (np.empty(len(Z)) for _ in range(4))
     for r0 in range(0, len(Z), step):
-        d2, err = _gram_sq_distances(Zs[r0:r0 + step], factor)
-        n = len(d2)
+        r1 = min(r0 + step, len(Z))
+        n = r1 - r0
+        exponents, eta[r0:r1] = _gram_sq_distances(Zs[r0:r1], factor)
+        # an exponent above 0 is a rounding error within eta, and a row
+        # whose eta exceeds 1 is never certified (E > 4 eta); clamping its
+        # block at 0 keeps exp and the sums from overflowing
+        if eta[r0:r1].max() > 1.0:
+            np.minimum(exponents, 0.0, out=exponents)
         rows = np.arange(n)
-        weights = w[:n, :m]
-        np.divide(d2, c, out=weights)
-        np.exp(weights, out=weights)
+        np.exp(exponents, out=w[:n, :m])
         groups = w[:n].reshape(n, -1, _MASS_COLUMNS)
-        group_cum = np.cumsum(groups.sum(axis=2), axis=1)
-        # a row whose weights (nearly) all underflow is left to the exact path
-        live = group_cum[:, -1] >= math.exp(-700.0)
-        total = np.where(live, group_cum[:, -1], 1.0)
+        # the column groups' sums as one matrix-vector product
+        group_cum = np.cumsum((w[:n].reshape(-1, _MASS_COLUMNS) @ ones).reshape(n, -1), axis=1)
+        target = level * group_cum[:, -1:]
         # the first column group and then the first column where the mass reaches the level
-        g = np.argmax(group_cum >= level * total[:, None], axis=1)
+        g = np.argmax(group_cum >= target, axis=1)
         before = np.where(g > 0, group_cum[rows, g - 1], 0.0)
         cum = np.cumsum(groups[rows, g], axis=1)
         cum += before[:, None]
-        j = np.argmax(cum >= level * total[:, None], axis=1)
-        at = cum[rows, j] / total
-        prev = np.where(j > 0, cum[rows, j - 1], before) / total
-        # E, per query.  The located distances lie within err of the exact
-        # ones, and both paths divide them by c, rounding once.  Where the
-        # quotient is above -751 on either path, the two roundings move it
-        # by at most 2 * 752u < 2^-42 together, so the exponents differ by at
-        # most eta = err / |c| + 2^-42 and the true exp values by a factor
-        # of at most e^eta.  Taking numpy's exp as within 4 ulps, the
-        # weights then differ by at most rho w + tau, with rho = expm1(eta)
-        # + 18u and tau = _SUBNORMAL_ERR (8 subnormal ulps); below -751 on
-        # both paths both weights lie within tau / 2 of 0.  So the real
-        # totals W and prefix sums of the two paths differ by at most rho
-        # times the located ones plus m tau, and the normalized masses by
-        # 2 (rho + m tau / W) / (1 - rho - m tau / W).  Rounding: the exact
-        # path's pairwise total, division and cumsum leave its mass within
-        # about 2m u of the real one (Higham, *Accuracy and Stability of
-        # Numerical Algorithms*, 2002, ch. 3-4), as do this path's sums and
-        # division: 4m u together.  E doubles the sum of both.  It is used
-        # only with W >= e^-700, so m tau / W is negligible and the exact
-        # path's nearest-point fallback cannot apply, and with E <= 1e-6, so
-        # the denominator above is about 1.
-        with np.errstate(over="ignore"):
-            rho = np.expm1(err / -c + 2.0 ** -42) + 18 * _U
-        E = 4.0 * (rho + m * _SUBNORMAL_ERR / total) + 8 * (m + 1) * _U
-        certified[r0:r0 + n] = live & (E <= 1e-6) & (prev < level - E) & (at >= level + E)
-        idx[r0:r0 + n] = g * _MASS_COLUMNS + j
+        j = np.argmax(cum >= target, axis=1)
+        idx[r0:r1] = g * _MASS_COLUMNS + j
+        total[r0:r1] = group_cum[:, -1]
+        at[r0:r1] = cum[rows, j]
+        prev[r0:r1] = np.where(j > 0, cum[rows, j - 1], before)
+    # a row whose weights (nearly) all underflow is left to the exact path
+    live = total >= math.exp(-700.0)
+    total[~live] = 1.0
+    at /= total
+    prev /= total
+    # E, per query.  The located exponents lie within eta of the exact
+    # path's d2 / c: ``estimators._gram_sq_distances`` derives eta with c
+    # folded into the factor, and it bounds both paths' roundings, the
+    # exact path's division by c included, for exponents of any size.
+    # So the true exp values differ by a factor of at most e^eta.  Taking
+    # numpy's exp as within 4 ulps, the weights then differ by at most
+    # rho w + tau, with rho = expm1(eta) + 18u and tau = _SUBNORMAL_ERR
+    # (8 subnormal ulps, for results below the normal range).  So the
+    # real totals W and prefix sums of the two paths differ by at most
+    # rho times the located ones plus m tau, and the normalized masses
+    # by 2 (rho + m tau / W) / (1 - rho - m tau / W).  Rounding: the
+    # exact path's pairwise total, division and cumsum leave its mass
+    # within about 2m u of the real one (Higham, *Accuracy and
+    # Stability of Numerical Algorithms*, 2002, ch. 3-4), as do this
+    # path's sums, in whatever order the matrix-vector product adds, and
+    # its division: 4m u together.  E doubles the sum of
+    # both.  It is used only with W >= e^-700, so m tau / W is
+    # negligible and the exact path's nearest-point fallback cannot
+    # apply, and with E <= 1e-6, so the denominator above is about 1.
+    with np.errstate(over="ignore"):
+        rho = np.expm1(eta) + 18 * _U
+    E = 4.0 * (rho + m * _SUBNORMAL_ERR / total) + 8 * (m + 1) * _U
+    certified = live & (E <= 1e-6) & (prev < level - E) & (at >= level + E)
     qs = state["sorted_scores"][np.minimum(idx, m - 1)]
     rest = np.flatnonzero(~certified)
     if rest.size:

@@ -252,13 +252,26 @@ def row_problems(ids, logits: np.ndarray, raw_scores: np.ndarray, labels: np.nda
             problems[i] = f"sample {ids[i]!r}: raw_score {float(raw_scores[i])} outside scale range"
         else:
             problems[i] = f"sample {ids[i]!r}: label {float(labels[i])} off the scale grid"
-    if len(set(ids)) < len(ids):
-        seen = set()
-        for i, sid in enumerate(ids):
-            if sid in seen and i not in problems:
-                problems[i] = f"duplicate sample id {sid!r}"
-            seen.add(sid)
+    for i in _repeated_ids(ids):
+        problems.setdefault(i, f"duplicate sample id {ids[i]!r}")
     return sorted(problems.items())
+
+
+def _repeated_ids(ids) -> list:
+    """The rows whose id an earlier row already has, in row order.  Equal
+    ids hash equally, so only the rows whose hash repeats are compared: the
+    ids themselves need no order, and distinct ids cost two int64s each
+    rather than a set entry."""
+    hashes = np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids))
+    ordered = np.sort(hashes)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    repeated, seen = [], set()
+    if shared.size:
+        for i in np.flatnonzero(np.isin(hashes, shared)).tolist():
+            if ids[i] in seen:
+                repeated.append(i)
+            seen.add(ids[i])
+    return repeated
 
 
 _NO_META = MappingProxyType({})

@@ -603,41 +603,67 @@ def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 _U = 2.0 ** -53
 
 
-def _gram_factor(B: np.ndarray) -> np.ndarray:
-    """The right factor of :func:`_gram_sq_distances` for the points B: a
-    (features + 2, points) array whose columns are [b, |b|^2, 1]."""
-    return np.vstack([B.T, np.einsum("ij,ij->i", B, B), np.ones(len(B))])
+def _gram_factor(B: np.ndarray, c: float = 1.0) -> np.ndarray:
+    """The right factor of :func:`_gram_sq_distances` for the points B and
+    the divisor c: a (features + 2, points) array whose columns are
+    [b, |b|^2, 1] / c, one division per entry."""
+    return np.vstack([B.T, np.einsum("ij,ij->i", B, B), np.ones(len(B))]) / c
 
 
 def _gram_sq_distances(A: np.ndarray, factor: np.ndarray):
-    """The squared distances of A's rows to the points of ``factor`` (see
-    :func:`_gram_factor`) as |a|^2 + |b|^2 - 2 a.b clamped at 0, from one
-    matrix product, and per row of A a bound on how far they may lie from
-    :func:`_sq_distances`'s bits.  Returns ((rows, points), (rows,)).
+    """The squared distances of A's rows to the points B of ``factor``,
+    divided by the c it was made with (see :func:`_gram_factor`), as
+    (|a|^2 + |b|^2 - 2 a.b) / c from one matrix product; and per row of A a
+    bound on how far they may lie from ``np.divide(_sq_distances(A, B),
+    c)``'s bits.  Returns ((rows, points), (rows,)).  A value may lie on
+    the wrong side of 0 by up to its bound; clamping it at 0 only moves it
+    closer.
 
     In any order, a sum of n products is within gamma_n = nu / (1 - nu)
     times the sum of their magnitudes of its true value (Higham, *Accuracy
     and Stability of Numerical Algorithms*, 2002, ch. 3; u = 2^-53).  With
-    k features, s = |a|^2 and t = |b|^2:
+    k features, s = |a|^2, t = |b|^2 and the true distance d <= 2 (s + t),
+    to first order in u:
 
     - :func:`_sq_distances` adds k terms fl(fl(a_i - b_i)^2), each within 3u
-      of (a_i - b_i)^2, so it lies within gamma_{k+2} d of the true
-      distance d <= 2 (s + t);
-    - here s and t are each within gamma_k of their true values, and the
-      product adds the k + 2 terms -2 a_i b_i (the factor 2 is exact), t
-      and s within gamma_{k+2} (2 sum |a_i b_i| + s + t) <= 2 gamma_{k+2}
-      (s + t).  The clamp only moves a value towards d >= 0.
+      of (a_i - b_i)^2, so it lies within gamma_{k+2} d of d, and dividing
+      by c rounds once more: within (k + 3) u d / |c| <= 2 (k + 3) u (s +
+      t) / |c| of d / c;
+    - here the computed s and t are each within gamma_k of their true
+      values, and the factor's entries b_i / c, t / c and 1 / c round once
+      more.  That moves the k + 2 terms -2 a_i b_i / c (the factor 2 is
+      exact), t / c and s / c by at most (k + 2) u (s + t) / |c| together,
+      since 2 sum |a_i b_i| <= s + t.  The product adds them within
+      gamma_{k+2} of their sum of magnitudes, at most 2 (s + t) / |c|.  So
+      it lies within (3k + 6) u (s + t) / |c| of d / c.
 
-    So the two lie within (5k + 8) u (s + t) of each other to first order.
-    The bound doubles that, for the higher-order terms and for the computed
-    norms standing in for the true ones, and takes the largest t so that one
-    bound holds along a row.  It holds for finite inputs whose squares do
-    not overflow."""
+    So the two lie within (5k + 12) u (s + t) / |c| of each other.  The
+    bound doubles that, for the higher-order terms and for the computed
+    norms (and s times the factor's 1 / c) standing in for the true ones,
+    and takes the largest |t / c| of the factor so that one bound holds
+    along a row.  Each rounding that falls below the normal range adds at
+    most 2^-1075; with every |a_i| and |b_i| at most 1e100 and |c| at
+    least 1e-100, as the callers ensure, those add less than k 1e-122,
+    which the bound adds too.  It holds for finite inputs whose terms do
+    not overflow.  (With c = 1 the divisions are exact, and the bound is
+    looser than it need be.)"""
     k = A.shape[1]
     left = np.hstack([-2.0 * A, np.ones((len(A), 1)), np.einsum("ij,ij->i", A, A)[:, None]])
-    d2 = left @ factor
-    np.maximum(d2, 0.0, out=d2)
-    return d2, (10 * k + 16) * _U * (left[:, -1] + factor[k].max())
+    scaled = left[:, -1] * abs(factor[k + 1, 0]) + np.abs(factor[k]).max()
+    return left @ factor, (10 * k + 24) * _U * scaled + k * 1e-122
+
+
+def _paired_sq_distances(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The squared distances of X's rows i to its rows j, pair by pair,
+    with :func:`_sq_distances`'s bits below 8 features: one squared
+    difference per feature, added in order."""
+    d = np.take(X, i, axis=0)
+    d -= np.take(X, j, axis=0)
+    d *= d
+    out = d[:, 0].copy()
+    for column in d.T[1:]:
+        out += column
+    return out
 
 
 # the pair distances a median pass keeps, and the pairs its sample draws,
@@ -666,36 +692,73 @@ def _pair_pass(Xs: np.ndarray, lo: float, hi: float):
     """One blocked pass over the squared distances of the pairs i < j:
     ``(below, inside, kept)``, the numbers of them under ``lo`` and in
     [lo, hi], and those in [lo, hi] unless more than ``_SELECT_CAP`` are
-    (then None).  Each block of rows splits into the triangle of pairs
-    among its own rows and the rectangle against the rows after it, so no
-    mask covers the rectangle."""
-    m = len(Xs)
+    (then None).  The distances are :func:`_sq_distances`'s bits; see
+    :func:`_bracket_candidates` for which pairs get them."""
     everything = lo <= 0.0 and hi == np.inf
     below = inside = 0
     kept = []
-    step = _block_rows(m)
-    upper = np.triu(np.ones((min(step, m),) * 2, dtype=bool), 1)
-    for r0 in range(0, m - 1, step):
-        r1 = min(r0 + step, m)
-        rows = Xs[r0:r1]
-        for d in (_sq_distances(rows, rows)[upper[:r1 - r0, :r1 - r0]], _sq_distances(rows, Xs[r1:])):
-            if everything:
-                n_in = d.size
+    for certain, d in _bracket_candidates(Xs, lo, hi):
+        below += certain
+        if everything:
+            n_in = d.size
+        else:
+            lt = d < lo
+            le = d <= hi
+            n_lt = np.count_nonzero(lt)
+            n_in = np.count_nonzero(le) - n_lt
+            below += n_lt
+        inside += n_in
+        if kept is not None and n_in:
+            if inside > _SELECT_CAP:
+                kept = None
             else:
-                lt = d < lo
-                le = d <= hi
-                n_lt = np.count_nonzero(lt)
-                n_in = np.count_nonzero(le) - n_lt
-                below += n_lt
-            inside += n_in
-            if kept is not None and n_in:
-                if inside > _SELECT_CAP:
-                    kept = None
-                else:
-                    kept.append(d.ravel() if everything else d[le ^ lt])
+                kept.append(d.ravel() if everything else d[le ^ lt])
     if kept is not None:
         kept = np.concatenate(kept) if kept else np.empty(0)
     return below, inside, kept
+
+
+def _bracket_candidates(Xs: np.ndarray, lo: float, hi: float):
+    """Per block of rows, (n, d): the number n of pairs i < j whose squared
+    distance is certainly below ``lo``, and the exact squared distances d
+    of other pairs, among which are all those in [lo, hi].  Together they
+    cover every pair once.  Each block splits into the triangle of pairs
+    among its own rows and the rectangle against the rows after it.
+
+    The bracket [0, inf] holds every pair, so each block's distances come
+    from :func:`_sq_distances` and n is 0.  So do any bracket's from 8
+    features on, where numpy no longer adds a pair's terms in sequence, and
+    when a feature is not finite or above 1e100 in magnitude, outside
+    :func:`_gram_sq_distances`'s bound.  Otherwise a block's
+    distances come from one product against the Gram factor of the rows
+    from its own on, within that function's bound e (the largest of the
+    block's rows): those under lo - e are counted in n, those over hi + e
+    dropped, and only the rest, the bracket's contents and two bands of
+    width about e, are computed exactly, by :func:`_paired_sq_distances`."""
+    m, k = Xs.shape
+    step = _block_rows(m)
+    upper = np.triu(np.ones((min(step, m),) * 2, dtype=bool), 1)
+    located = (lo > 0.0 or hi < np.inf) and 0 < k < 8 and bool(np.all(np.abs(Xs) <= 1e100))
+    if located:
+        factor = _gram_factor(Xs)
+    for r0 in range(0, m - 1, step):
+        r1 = min(r0 + step, m)
+        rows, mask = Xs[r0:r1], upper[:r1 - r0, :r1 - r0]
+        if not located:
+            yield 0, _sq_distances(rows, rows)[mask]
+            yield 0, _sq_distances(rows, Xs[r1:])
+            continue
+        d2, e = _gram_sq_distances(rows, factor[:, r0:])
+        # the block's largest bound, with the thresholds rounded outwards,
+        # so each side of them is certain
+        e = e.max()
+        lt = d2 < np.nextafter(lo - e, -np.inf)
+        le = d2 <= np.nextafter(hi + e, np.inf)
+        lt[:, :r1 - r0] &= mask
+        le[:, :r1 - r0] &= mask
+        le ^= lt
+        i, j = np.divmod(np.flatnonzero(le), d2.shape[1])
+        yield np.count_nonzero(lt), _paired_sq_distances(Xs, r0 + i, r0 + j)
 
 
 def _bracket(sample: np.ndarray, lo: float, hi: float, p_lo: float, p_hi: float):
@@ -727,7 +790,10 @@ def _pair_distance_ranks(Xs: np.ndarray, ranks: list, state=None, sample=None) -
     sample of pairs picks a narrower one around the ranks and a pass counts
     and keeps what lies in it.  A pass whose bracket misses the ranks
     narrows [lo, hi] past it.  The counts are exact, so the sample only
-    sets how many passes run, never the result."""
+    sets how many passes run, never the result.  A pass over [0, inf]
+    computes every distance exactly; a narrower one locates the pairs by
+    Gram products and computes exactly only those in or next to the
+    bracket (:func:`_bracket_candidates`)."""
     m = len(Xs)
     n_pairs = m * (m - 1) // 2
     lo, hi, n_below, n_in = state or (0.0, np.inf, 0, n_pairs)
@@ -772,15 +838,19 @@ class KernelSimilarity:
     ``weights_batch`` gives the weights bit for bit from the exact squared
     distances of :func:`_sq_distances`.  A caller that only needs where a
     query's cumulative weight crosses a level can locate the crossing from
-    :func:`_gram_sq_distances` instead, one matrix product per block, and
-    certify it with that function's per-query error bound; rows the bound
-    cannot certify go through ``weights_batch`` (lvd's
-    ``conformal._lvd_local_quantiles`` does this).
+    :func:`_gram_sq_distances` instead, one matrix product per block that
+    gives the kernel's exponents d2 / (-2 bw^2) directly, and certify it
+    with that function's per-query error bound; rows the bound cannot
+    certify go through ``weights_batch`` (lvd's
+    ``conformal._lvd_local_quantiles`` does this).  ``median_bandwidth``
+    uses the same product, with its bound, to find which pairs lie in or
+    next to a selection bracket, and computes only those exactly.
 
     Memory: ``weights_batch`` and the located path hold a few (queries x m)
     arrays, and no (queries x m x features) tensor larger than one block,
     so callers that pass a block of queries at a time use O(block * m)
-    memory; ``median_bandwidth`` holds one block, a sample of at most
+    memory; ``median_bandwidth`` holds one block (with the exact distances
+    of its pairs in or next to the bracket), a sample of at most
     ``_SELECT_CAP`` pairs and at most that many kept distances, whatever m
     is: 2 MB each, against 16 MB for all pairs at m = 2000 and 2.5 GB at
     m = 25000."""

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -1308,6 +1309,20 @@ class TestLocatedQuantilesMatchExactPath:
         assert exact == [15]
         assert got.tobytes() == _dense_lvd_quantiles(model, Z).tobytes()
 
+    def test_positive_exponents_past_one_eta_are_clamped(self):
+        # with bw = 1e-9 the exponents' error bound is in the thousands, so
+        # a query on a calibration point may get an exponent far above 0;
+        # unclamped, its exp would overflow
+        rng = np.random.default_rng(9)
+        model = _lvd_model(rng, 60, 4, bandwidth=1e-9)
+        X = model.state["calib_logits"]
+        Z = np.vstack([X * (1.0 + 1e-15), rng.normal(size=(5, 4))])
+        with _exact_rows() as exact, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _lvd_local_quantiles(model, Z)
+        assert exact == [len(Z)]
+        assert got.tobytes() == _dense_lvd_quantiles(model, Z).tobytes()
+
     def test_random_rows_are_all_certified(self):
         rng = np.random.default_rng(3)
         model = _lvd_model(rng, 300, 5)
@@ -1489,6 +1504,97 @@ class TestMedianBandwidthBySelection:
             assert _dense_median_bandwidth(kernel, X * 1e200) == np.inf
         with pytest.raises(ValidationError, match="degenerate features"), np.errstate(over="ignore"):
             kernel.median_bandwidth(X * 1e200)
+
+
+class TestLocatedPairPass:
+    """A bracket narrower than [0, inf] is located by one Gram product per
+    block, and only the pairs in it or within the product's bound of its
+    ends get exact distances; each pass counts and keeps what the exact
+    pass would."""
+
+    @pytest.fixture(autouse=True)
+    def work(self, monkeypatch):
+        """The (row, point) entries of the Gram products and the pairs given
+        exact distances one by one, and each pass's (lo, hi, result)."""
+        seen = {"gram": 0, "exact": 0, "passes": []}
+        gram, paired, counted = estimators._gram_sq_distances, estimators._paired_sq_distances, estimators._pair_pass
+
+        def gram_counted(A, factor):
+            seen["gram"] += len(A) * factor.shape[1]
+            return gram(A, factor)
+
+        def paired_counted(X, i, j):
+            seen["exact"] += len(i)
+            return paired(X, i, j)
+
+        def recorded(Xs, lo, hi):
+            result = counted(Xs, lo, hi)
+            seen["passes"].append((lo, hi, result))
+            return result
+
+        monkeypatch.setattr(estimators, "_gram_sq_distances", gram_counted)
+        monkeypatch.setattr(estimators, "_paired_sq_distances", paired_counted)
+        monkeypatch.setattr(estimators, "_pair_pass", recorded)
+        return seen
+
+    @staticmethod
+    def pairs(Xs):
+        return np.sum((Xs[:, None] - Xs[None]) ** 2, axis=-1)[np.triu_indices(len(Xs), k=1)]
+
+    @pytest.mark.parametrize("cap", [20, 60, 200])
+    def test_lattice_distances_on_the_bracket_ends(self, monkeypatch, work, cap):
+        # integer features 0..2: the few distinct distances are shared by
+        # many pairs, so the sampled pivots fall on distances that pairs
+        # sit exactly on, and the Gram product misses some of them
+        monkeypatch.setattr(estimators, "_SELECT_CAP", cap)
+        X = np.random.default_rng(cap).integers(0, 3, size=(80, 3)).astype(float)
+        kernel = cj.KernelSimilarity(None).fit(X)
+        assert kernel.median_bandwidth(X) == _dense_median_bandwidth(kernel, X)
+        Xs = kernel._standardize(X)
+        d2 = self.pairs(Xs)
+        gram = estimators._gram_sq_distances(Xs, estimators._gram_factor(Xs))[0][np.triu_indices(len(Xs), k=1)]
+        narrow = [(lo, hi, result) for lo, hi, result in work["passes"] if hi < np.inf]
+        assert narrow and work["gram"] > 0
+        on_ends = off_by_rounding = 0
+        for lo, hi, (below, inside, kept) in narrow:
+            held = (d2 >= lo) & (d2 <= hi)
+            assert (below, inside) == (np.count_nonzero(d2 < lo), np.count_nonzero(held))
+            if kept is not None:
+                assert np.sort(kept).tobytes() == np.sort(d2[held]).tobytes()
+            ends = (d2 == lo) | (d2 == hi)
+            on_ends += np.count_nonzero(ends)
+            off_by_rounding += np.count_nonzero(ends & (gram != d2))
+        assert on_ends > 0 and off_by_rounding > 0
+
+    def test_eval_wide_size_recomputes_only_the_bracket(self, work):
+        # eval-wide's calibration set: 2000 points, 5 features, 1999000
+        # pairs in one pass; the oracle goes row by row
+        ds, _ = cj.generate(cj.GeneratorSpec(seed=7, n=8000, k=5, noise=cj.Heteroscedastic(0.5), scale=GPA_THIRDS))
+        _, calib, _ = cj.split(ds, cj.SplitSpec(7001))
+        X = calib.logits
+        kernel = cj.KernelSimilarity(None).fit(X)
+        Xs = kernel._standardize(X)
+        pairs = np.concatenate([np.sum((Xs[i] - Xs[i + 1:]) ** 2, axis=-1) for i in range(len(Xs) - 1)])
+        assert kernel.median_bandwidth(X) == float(np.sqrt(np.median(pairs)))
+        [(lo, hi, (below, inside, kept))] = work["passes"]
+        assert 0 < lo <= hi < np.inf and len(kept) == inside <= estimators._SELECT_CAP
+        # every pair went through the product, once per block of rows
+        assert len(pairs) <= work["gram"] <= len(pairs) + len(X) * estimators._block_rows(len(X))
+        # the bands of width e about lo and hi hold next to no pairs
+        assert inside <= work["exact"] <= inside + 100
+        assert work["exact"] < len(pairs) // 10
+
+    @pytest.mark.parametrize("k, scale", [(8, 1.0), (13, 1.0), (3, 1e120)], ids=["k8", "k13", "past-1e100"])
+    def test_exact_pass_kept(self, monkeypatch, work, k, scale):
+        # from 8 features numpy adds a pair's terms pairwise, and the Gram
+        # bound does not cover features past 1e100
+        monkeypatch.setattr(estimators, "_SELECT_CAP", 100)
+        X = np.random.default_rng(k).normal(size=(57, k)) * np.arange(1, k + 1)
+        kernel = cj.KernelSimilarity(None).fit(X)
+        Y = X * np.where(np.arange(k) == 0, scale, 1.0)
+        assert kernel.median_bandwidth(Y) == _dense_median_bandwidth(kernel, Y)
+        assert any(hi < np.inf for _, hi, _ in work["passes"])
+        assert work["gram"] == work["exact"] == 0
 
 
 def test_lvd_memory_stays_bounded():

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confjudge as cj
@@ -1053,6 +1053,30 @@ class TestSquaredDistances:
         A = rng.normal(size=(700, k)) * 10.0 ** rng.integers(-12, 12, size=(700, k))
         B = rng.normal(size=(90, k)) * 10.0 ** rng.integers(-12, 12, size=(90, k))
         assert estimators._sq_distances(A, B).tobytes() == self._dense(A, B).tobytes()
+
+
+class TestFoldedGramBound:
+    """With the kernel's divisor c folded into the Gram factor, the product's
+    exponents lie within the returned eta of the exact path's
+    ``_sq_distances / c``, and so do they clamped at 0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.integers(1, 20), b=st.integers(1, 40), k=st.integers(1, 9),
+           centre=st.sampled_from([0.0, 1.0, 1e4, 1e8, 1e50, 1e99]),
+           spread=st.sampled_from([1e-8, 1e-3, 1.0, 1e3]),
+           bandwidth=st.sampled_from([1e-6, 1.0, 1e9]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_exponents_within_eta(self, a, b, k, centre, spread, bandwidth, seed):
+        # points around one centre far from 0: large norms, small distances
+        rng = np.random.default_rng(seed)
+        offset = centre * rng.uniform(-1.0, 1.0, size=k)
+        A = offset + spread * rng.normal(size=(a, k))
+        B = np.vstack([offset + spread * rng.normal(size=(b, k)), A[: b // 2]])
+        c = -2.0 * bandwidth * bandwidth
+        got, eta = estimators._gram_sq_distances(A, estimators._gram_factor(B, c))
+        exact = np.divide(estimators._sq_distances(A, B), c)
+        assert got.shape == exact.shape and eta.shape == (a,)
+        assert np.all(np.abs(got - exact) <= eta[:, None])
+        assert np.all(np.abs(np.minimum(got, 0.0) - exact) <= eta[:, None])
 
 
 class TestRidge:
