@@ -221,7 +221,9 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
     skipped rather than aborting the run; any other exception aborts it.
     ``hyper`` maps method name to a hyperparameter dict.  An unknown or
     repeated method or seed, a bad hyperparameter, alpha, split fraction or
-    policy raises ValidationError before any split.  With ``jobs`` > 1 the
+    policy raises ValidationError before any split.  Cells run seed by
+    seed, every method of a seed before the next seed, so chr and r2ccp
+    share one classifier fit per training split.  With ``jobs`` > 1 the
     cells run in a pool of that many processes, each sent the dataset once.
     """
     methods = list(methods)
@@ -233,7 +235,7 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
                policy, dataset.scale)
     cells = [
         (m, s, alpha, policy, calib_fraction, inner_train_fraction, hyper.get(m))
-        for m in methods for s in seeds
+        for s in seeds for m in methods
     ]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,

@@ -13,6 +13,15 @@ softmaxed probabilities.  Calibrated models are immutable and hold their
 fitted estimators as live objects; the versioned JSON document is written
 and read only by :func:`model_to_json` and :func:`model_from_json`.
 
+chr and r2ccp fit the same classifier, and ``analysis.evaluate`` runs a
+seed's methods back to back on one training split, so the two share one
+fit per split: the last classifier fit is kept, keyed by a digest of
+everything it reads (the training logits and labels, the bins, epochs and
+l2), and a fit that would read the same gets a copy of its arrays.  No two
+models share an array, and nothing row-sized is kept.  In an evaluate pool
+(``jobs`` > 1) a worker reuses a fit only when it runs both cells of a
+seed, one after the other.
+
 Methods
 -------
 split_abs    absolute-residual split conformal around a point prediction
@@ -28,6 +37,7 @@ ordinal_rc   same growth on per-label weighted mass
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -251,9 +261,43 @@ def _interval_cqr(model: CalibratedModel, Z: np.ndarray, y_hats):
 # CHR: nested shortest histogram intervals
 
 
+# chr and r2ccp fit the same classifier on the same training split, so the
+# last fit is kept: (digest of what it read, a private copy of the fit)
+_last_classifier_fit = (None, None)
+
+
+def _classifier_key(train: Dataset, bins: np.ndarray, h: dict) -> bytes:
+    """A digest of everything a classifier fit reads: the bytes, shape and
+    dtype of the training logits, labels and bins, then epochs and l2."""
+    digest = hashlib.blake2b()
+    for a in (train.logits, train.labels, bins):
+        a = np.ascontiguousarray(a)
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a)
+    digest.update(f"{h['epochs']} {float(h['l2']).hex()}".encode())
+    return digest.digest()
+
+
+def _classifier_copy(clf: BinClassifier) -> BinClassifier:
+    """A fitted classifier that shares no array with ``clf``."""
+    out = BinClassifier(clf.bins.copy(), clf.epochs, clf.l2)
+    out.weights, out.bias, out.means, out.stds = (a.copy() for a in (clf.weights, clf.bias, clf.means, clf.stds))
+    out.loss_history, out.grad_norm = list(clf.loss_history), clf.grad_norm
+    return out
+
+
 def _fit_classifier(train: Dataset, h: dict) -> BinClassifier:
-    clf = BinClassifier(train.scale.labels(), h["epochs"], h["l2"])
-    return clf.fit(train.logits, train.labels)
+    """The classifier over the scale's labels fit to ``train``; a copy of
+    the last fit when that read the same bytes and hyperparameters."""
+    global _last_classifier_fit
+    bins = train.scale.labels()
+    key = _classifier_key(train, bins, h)
+    last_key, last_fit = _last_classifier_fit
+    if key == last_key:
+        return _classifier_copy(last_fit)
+    clf = BinClassifier(bins, h["epochs"], h["l2"]).fit(train.logits, train.labels)
+    _last_classifier_fit = (key, _classifier_copy(clf))
+    return clf
 
 
 def _check_classifier(state: dict, k: int, scale: LabelScale, **_) -> None:

@@ -670,6 +670,15 @@ def _paired_sq_distances(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndar
 # at most: 2 MB each
 _SELECT_CAP = 1 << 18
 
+# a located pass computes the pairs it marks a group of consecutive blocks
+# at a time: once _GATHER are marked, when the group holds _GROUP_BLOCKS
+# blocks, and at the end.  So the arrays made of a group's pairs (a mask
+# holds one byte per pair) are seldom under 1 KB.  numpy keeps up to 7 freed
+# buffers of each byte size under 1 KB, and arrays of one block's pairs,
+# their size changing from block to block, would pile up there
+_GATHER = 4096
+_GROUP_BLOCKS = 8
+
 
 def _pair_sample(Xs: np.ndarray, size: int) -> np.ndarray:
     """Sorted distances of ``size`` pairs i != j drawn with a fixed seed,
@@ -719,11 +728,11 @@ def _pair_pass(Xs: np.ndarray, lo: float, hi: float):
 
 
 def _bracket_candidates(Xs: np.ndarray, lo: float, hi: float):
-    """Per block of rows, (n, d): the number n of pairs i < j whose squared
+    """Per group of rows, (n, d): the number n of pairs i < j whose squared
     distance is certainly below ``lo``, and the exact squared distances d
     of other pairs, among which are all those in [lo, hi].  Together they
-    cover every pair once.  Each block splits into the triangle of pairs
-    among its own rows and the rectangle against the rows after it.
+    cover every pair once.  Each block of rows splits into the triangle of
+    pairs among its own rows and the rectangle against the rows after it.
 
     The bracket [0, inf] holds every pair, so each block's distances come
     from :func:`_sq_distances` and n is 0.  So do any bracket's from 8
@@ -734,31 +743,47 @@ def _bracket_candidates(Xs: np.ndarray, lo: float, hi: float):
     from its own on, within that function's bound e (the largest of the
     block's rows): those under lo - e are counted in n, those over hi + e
     dropped, and only the rest, the bracket's contents and two bands of
-    width about e, are computed exactly, by :func:`_paired_sq_distances`."""
+    width about e, are computed exactly, by :func:`_paired_sq_distances`.
+    Consecutive blocks mark those pairs in one mask until ``_GATHER`` of
+    them are marked, and a group's pairs are computed together."""
     m, k = Xs.shape
     step = _block_rows(m)
     upper = np.triu(np.ones((min(step, m),) * 2, dtype=bool), 1)
-    located = (lo > 0.0 or hi < np.inf) and 0 < k < 8 and bool(np.all(np.abs(Xs) <= 1e100))
-    if located:
-        factor = _gram_factor(Xs)
+    if not ((lo > 0.0 or hi < np.inf) and 0 < k < 8 and bool(np.all(np.abs(Xs) <= 1e100))):
+        for r0 in range(0, m - 1, step):
+            r1 = min(r0 + step, m)
+            rows = Xs[r0:r1]
+            yield 0, _sq_distances(rows, rows)[upper[:r1 - r0, :r1 - r0]]
+            yield 0, _sq_distances(rows, Xs[r1:])
+        return
+    factor = _gram_factor(Xs)
+    group_rows = _GROUP_BLOCKS * step
+    buffer = np.empty(group_rows * m, dtype=bool)
+    g0 = certain = marked = 0
     for r0 in range(0, m - 1, step):
         r1 = min(r0 + step, m)
-        rows, mask = Xs[r0:r1], upper[:r1 - r0, :r1 - r0]
-        if not located:
-            yield 0, _sq_distances(rows, rows)[mask]
-            yield 0, _sq_distances(rows, Xs[r1:])
-            continue
-        d2, e = _gram_sq_distances(rows, factor[:, r0:])
+        if r0 == g0:
+            # the marks of a group starting at row g0: row i - g0, column j - g0
+            marks = buffer[:group_rows * (m - g0)].reshape(group_rows, m - g0)
+        d2, e = _gram_sq_distances(Xs[r0:r1], factor[:, r0:])
         # the block's largest bound, with the thresholds rounded outwards,
         # so each side of them is certain
         e = e.max()
         lt = d2 < np.nextafter(lo - e, -np.inf)
-        le = d2 <= np.nextafter(hi + e, np.inf)
+        marks[r0 - g0:r1 - g0, :r0 - g0] = False
+        le = np.less_equal(d2, np.nextafter(hi + e, np.inf), out=marks[r0 - g0:r1 - g0, r0 - g0:])
+        mask = upper[:r1 - r0, :r1 - r0]
         lt[:, :r1 - r0] &= mask
         le[:, :r1 - r0] &= mask
         le ^= lt
-        i, j = np.divmod(np.flatnonzero(le), d2.shape[1])
-        yield np.count_nonzero(lt), _paired_sq_distances(Xs, r0 + i, r0 + j)
+        certain += np.count_nonzero(lt)
+        marked += np.count_nonzero(le)
+        if marked >= _GATHER or r1 - g0 + step > group_rows or r1 >= m - 1:
+            i, j = np.divmod(np.flatnonzero(marks[:r1 - g0]), m - g0)
+            i += g0
+            j += g0
+            yield certain, _paired_sq_distances(Xs, i, j)
+            g0, certain, marked = r1, 0, 0
 
 
 def _bracket(sample: np.ndarray, lo: float, hi: float, p_lo: float, p_hi: float):

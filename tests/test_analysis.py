@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import confjudge as cj
-from confjudge import analysis
+from confjudge import analysis, conformal, estimators
 from confjudge.analysis import (
     EvalRow,
     _lm_from_aux,
@@ -309,6 +309,20 @@ class TestEvaluate:
         report = evaluate(dataset, ["split_abs", "ordinal_rc", "ordinal_aps"], seeds=[1, 2, 3], jobs=2)
         assert len(report.rows) == 9 and not report.errors
         assert len(pickled) <= 2
+
+    def test_a_seeds_classifier_methods_share_one_fit(self, dataset, monkeypatch):
+        # run method by method, every chr fit would be replaced by the next
+        # seed's before r2ccp of its seed ran: 6 fits for 3 seeds
+        monkeypatch.setattr(conformal, "_last_classifier_fit", (None, None), raising=False)
+        fits = []
+        fit = estimators.BinClassifier.fit
+        monkeypatch.setattr(estimators.BinClassifier, "fit", lambda clf, X, y: fits.append(clf) or fit(clf, X, y))
+        kw = dict(methods=["chr", "r2ccp"], seeds=[1, 2, 3])
+        serial = evaluate(dataset, **kw, jobs=1)
+        assert len(fits) == 3
+        pooled = evaluate(dataset, **kw, jobs=2)
+        assert len(serial.rows) == 6 and not serial.errors
+        assert (serial.rows, serial.aggregates, serial.errors) == (pooled.rows, pooled.aggregates, pooled.errors)
 
     def test_row_validation(self):
         with pytest.raises(ValidationError):

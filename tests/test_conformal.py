@@ -298,6 +298,133 @@ class TestR2ccp:
         assert model.calib_scores[0] == pytest.approx(3 / 13, abs=1e-9)
 
 
+_FITTED = ("weights", "bias", "means", "stds")
+
+
+@pytest.fixture
+def counted_fits(monkeypatch):
+    """The classifier fits run from here on, with no earlier fit kept."""
+    monkeypatch.setattr(conformal, "_last_classifier_fit", (None, None))
+    fits = []
+    fit = estimators.BinClassifier.fit
+    monkeypatch.setattr(estimators.BinClassifier, "fit", lambda clf, X, y: fits.append(clf) or fit(clf, X, y))
+    return fits
+
+
+def _same_fit(a, b) -> bool:
+    return (all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in (*_FITTED, "bins"))
+            and all(_bits(x).tobytes() == _bits(y).tobytes()
+                    for x, y in ((a.loss_history, b.loss_history), (a.grad_norm, b.grad_norm))))
+
+
+def _changed(part: str, train: Dataset, h: dict):
+    """``train`` and ``h`` with one thing a classifier fit reads changed."""
+    Z, y = train.logits.copy(), train.labels.copy()
+    scale = train.scale
+    if part == "logit bit":
+        Z[3, 2] = np.nextafter(Z[3, 2], np.inf)
+    elif part == "label":
+        y[5] = 1.0 if y[5] != 1.0 else 2.0
+    elif part == "rows swapped":
+        Z[[0, 1]], y[[0, 1]] = Z[[1, 0]], y[[1, 0]]
+        assert Z.tobytes() != train.logits.tobytes()
+    elif part == "scale":
+        scale = LabelScale(1, 5, 0.5)  # the same labels lie on it
+    elif part == "epochs":
+        h = {**h, "epochs": h["epochs"] + 1}
+    elif part == "l2":
+        h = {**h, "l2": float(np.nextafter(h["l2"], 1.0))}
+    return Dataset(train.ids, Z, train.raw_scores, y, scale), h
+
+
+class TestClassifierFitReuse:
+    """chr and r2ccp fit one classifier per training split: the last fit
+    is kept, keyed by a digest of everything it reads."""
+
+    def test_chr_then_r2ccp_fit_once(self, counted_fits):
+        train, calib, _ = peaked_split()
+        chr_model = cj.calibrate("chr", train, calib, 0.1)
+        r2ccp_model = cj.calibrate("r2ccp", train, calib, 0.1)
+        assert len(counted_fits) == 1
+        a, b = chr_model.state["classifier"], r2ccp_model.state["classifier"]
+        assert a is not b
+        for name in (*_FITTED, "bins"):
+            assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
+        assert a.loss_history is not b.loss_history
+        assert _same_fit(a, b)
+
+    def test_a_reused_fit_has_the_bits_of_a_fresh_one(self, counted_fits, monkeypatch):
+        train, calib, test = peaked_split()
+        reused = cj.calibrate("r2ccp", train, calib, 0.1)
+        reused = cj.calibrate("r2ccp", train, calib, 0.1)
+        monkeypatch.setattr(conformal, "_last_classifier_fit", (None, None))
+        fresh = cj.calibrate("r2ccp", train, calib, 0.1)
+        assert len(counted_fits) == 2
+        assert _same_fit(reused.state["classifier"], fresh.state["classifier"])
+        assert reused.calib_scores.tobytes() == fresh.calib_scores.tobytes()
+        assert list(cj.predict_intervals(reused, test.logits)) == list(cj.predict_intervals(fresh, test.logits))
+
+    def test_writing_into_one_fit_changes_no_other(self, counted_fits):
+        train, calib, _ = peaked_split()
+        h = checked_hyper("chr")
+        first = conformal._fit_classifier(train, h)
+        second = conformal._fit_classifier(train, h)
+        untouched = conformal._classifier_copy(second)
+
+        def overwrite(clf):
+            for name in (*_FITTED, "bins"):
+                getattr(clf, name)[...] = 7.0
+            clf.loss_history.append(-1.0)
+
+        overwrite(first)
+        assert _same_fit(second, untouched)
+        assert _same_fit(conformal._fit_classifier(train, h), untouched)
+        overwrite(second)
+        assert _same_fit(conformal._fit_classifier(train, h), untouched)
+        assert len(counted_fits) == 1
+
+    @pytest.mark.parametrize("part", ["logit bit", "label", "rows swapped", "scale", "epochs", "l2"])
+    def test_any_one_changed_input_refits(self, counted_fits, part):
+        train, _, _ = peaked_split()
+        h = checked_hyper("chr")
+        conformal._fit_classifier(train, h)
+        changed_train, changed_h = _changed(part, train, h)
+        refit = conformal._fit_classifier(changed_train, changed_h)
+        assert len(counted_fits) == 2
+        assert counted_fits[-1] is refit
+        conformal._fit_classifier(changed_train, changed_h)
+        assert len(counted_fits) == 2
+
+    def test_a_fit_that_raises_keeps_nothing(self, counted_fits):
+        train, _, _ = peaked_split()
+        h = checked_hyper("r2ccp")
+        off_grid = SimpleNamespace(logits=train.logits, labels=train.labels + 0.5, scale=train.scale)
+        for tries in (1, 2):
+            with pytest.raises(ValidationError, match="off the bin grid"):
+                conformal._fit_classifier(off_grid, h)
+            assert len(counted_fits) == tries
+            assert conformal._last_classifier_fit == (None, None)
+        conformal._fit_classifier(train, h)
+        assert len(counted_fits) == 3
+
+    def test_the_kept_fit_holds_no_row_sized_array(self, counted_fits):
+        rng = np.random.default_rng(13)
+        Z = rng.normal(size=(20_000, 5))
+        labels = np.clip(np.round(3.0 + Z[:, 0]), 1, 5)
+        train = build_dataset(Z, labels, labels)
+        h = checked_hyper("r2ccp", epochs=3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            clf = conformal._fit_classifier(train, h)
+            del clf
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(counted_fits) == 1 and conformal._last_classifier_fit[0] is not None
+        assert kept < 64 * 1024, kept
+
+
 class TestOrdinal:
     def test_point_mass_single_label(self):
         Z = np.tile(np.array([-1000.0, -1000.0, 0.0, -1000.0, -1000.0]), (20, 1))
@@ -1595,6 +1722,23 @@ class TestLocatedPairPass:
         assert kernel.median_bandwidth(Y) == _dense_median_bandwidth(kernel, Y)
         assert any(hi < np.inf for _, hi, _ in work["passes"])
         assert work["gram"] == work["exact"] == 0
+
+
+def test_located_pass_computes_its_pairs_a_group_at_a_time(monkeypatch):
+    # numpy keeps up to 7 freed buffers of each byte size under 1 KB; one
+    # candidate array per block, of a size that changed block by block,
+    # grew malloc's in-use bytes by 1.3 MB over 100 eval-wide medians
+    groups = []
+    paired = estimators._paired_sq_distances
+    monkeypatch.setattr(estimators, "_paired_sq_distances", lambda X, i, j: groups.append(len(i)) or paired(X, i, j))
+    ds, _ = cj.generate(cj.GeneratorSpec(seed=7, n=8000, k=5, noise=cj.Heteroscedastic(0.5), scale=GPA_THIRDS))
+    for seed in (7001, 7002):
+        _, calib, _ = cj.split(ds, cj.SplitSpec(seed))
+        kernel = cj.KernelSimilarity(None).fit(calib.logits)
+        kernel.median_bandwidth(calib.logits)
+        # one narrow pass, whose last group takes what is left
+        assert len(groups) > 10 and min(groups[:-1]) >= 1024, groups
+        groups.clear()
 
 
 def test_lvd_memory_stays_bounded():
