@@ -224,7 +224,8 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
     policy raises ValidationError before any split.  Cells run seed by
     seed, every method of a seed before the next seed, so chr and r2ccp
     share one classifier fit per training split.  With ``jobs`` > 1 the
-    cells run in a pool of that many processes, each sent the dataset once.
+    cells run in a pool of that many processes, each sent the dataset once;
+    each task is one seed's cells, so the sharing holds there too.
     """
     methods = list(methods)
     seeds = list(seeds)
@@ -240,7 +241,7 @@ def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                                     initargs=(dataset,)) as pool:
-            outcomes = list(pool.map(_worker_eval_cell, cells))
+            outcomes = list(pool.map(_worker_eval_cell, cells, chunksize=max(1, len(methods))))
     else:
         outcomes = [_eval_cell(dataset, c) for c in cells]
     results = {}

@@ -18,9 +18,9 @@ seed's methods back to back on one training split, so the two share one
 fit per split: the last classifier fit is kept, keyed by a digest of
 everything it reads (the training logits and labels, the bins, epochs and
 l2), and a fit that would read the same gets a copy of its arrays.  No two
-models share an array, and nothing row-sized is kept.  In an evaluate pool
-(``jobs`` > 1) a worker reuses a fit only when it runs both cells of a
-seed, one after the other.
+models share an array, and nothing row-sized is kept.  An evaluate pool
+(``jobs`` > 1) hands each worker one seed's cells as one task, so the
+sharing holds there too.
 
 Methods
 -------
@@ -72,8 +72,10 @@ from .estimators import (
     RidgePredictor,
     _U,
     _block_rows,
+    _gram_bound,
     _gram_factor,
-    _gram_sq_distances,
+    _gram_product,
+    _gram_rows,
 )
 from .ratings import rating_values, softmax, weighted_average
 
@@ -168,11 +170,19 @@ def _check_dim(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
 
 
 def _point_predictions(state: dict, scale: LabelScale, Z: np.ndarray, y_hats) -> np.ndarray:
+    """One point prediction per row of Z.  The judge scores ``y_hats`` of
+    the raw_score predictor must be one finite number per row; anything
+    else raises ValidationError."""
     kind = state["point_predictor"]
     if kind == "raw_score":
         if y_hats is None:
             raise ValidationError("raw_score predictor needs the judge scores")
-        return np.asarray(y_hats, dtype=float)
+        y_hats = np.asarray(y_hats, dtype=float)
+        if y_hats.shape != (len(Z),):
+            raise ValidationError(f"expected {len(Z)} judge scores, one per row, got shape {y_hats.shape}")
+        if not np.isfinite(y_hats).all():
+            raise ValidationError("judge scores must be finite")
+        return y_hats
     if kind == "weighted_average":
         return np.atleast_1d(weighted_average(Z, scale))
     return state["ridge"].predict(Z)
@@ -326,7 +336,7 @@ def _run_table(m: int):
     return lo, hi, contains
 
 
-def _chr_growth_steps(probs: np.ndarray, T: int):
+def _chr_growth_steps(probs: np.ndarray, T: int, q: int | None = None, ybin: np.ndarray | None = None):
     """The nested interval family of each sample as its growth steps.
 
     The family starts at the modal bin and, at each level t / T - 1e-9,
@@ -345,11 +355,25 @@ def _chr_growth_steps(probs: np.ndarray, T: int):
     wider and has a larger index.  The run at level q is the one of the
     last step with t <= q.  Samples go a block at a time, so the
     (samples x runs) arrays stay bounded; the steps cost
-    O(n * runs * (m - 1)) for the m(m+1)/2 runs, whatever T is."""
+    O(n * runs * (m - 1)) for the m(m+1)/2 runs, whatever T is.
+
+    Two stop rules drop a sample once the caller's answer for it is fixed,
+    so its later steps are not yielded:
+
+    - with a level ``q`` (0 <= q <= T), when its next step's level passes
+      q: the run at level q is then its current one (steps come in
+      increasing t).  Without q the walk goes on to the top level T;
+    - with ``ybin``, one bin index per sample, once its current run holds
+      that bin: the step that first did is the label's first covering
+      level, and each later run holds it too.
+
+    A sample also stops on the full-support run, or once no level is above
+    its run's mass."""
     n, m = probs.shape
     run_lo, run_hi, contains = _run_table(m)
     full = len(run_lo) - 1
     grid = np.arange(T + 1) / T - 1e-9
+    last = T if q is None else q
     step = _block_rows(len(run_lo))
     for r0 in range(0, n, step):
         block = probs[r0:r0 + step]
@@ -361,7 +385,10 @@ def _chr_growth_steps(probs: np.ndarray, T: int):
         while rows.size:
             cur_mass = mass[rows, cur]
             t = np.where(np.isnan(cur_mass), 0, np.searchsorted(grid, cur_mass, side="right"))
-            growing = (t <= T) & (cur != full)
+            growing = (t <= last) & (cur != full)
+            if ybin is not None:
+                b = ybin[rows + r0]
+                growing &= (b < run_lo[cur]) | (b > run_hi[cur])
             rows, cur, t = rows[growing], cur[growing], t[growing]
             ok = (mass[rows] >= grid[t][:, None]) & contains[cur]
             ok[:, full] = True
@@ -396,9 +423,9 @@ def _score_chr(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
     # a label the family never reaches (all its mass truncated) scores
     # beyond the top level and simply stays uncovered
     s = np.full(len(ybin), T + 1)
-    for rows, t, run in _chr_growth_steps(probs, T):
+    for rows, t, run in _chr_growth_steps(probs, T, ybin=ybin):
         b = ybin[rows]
-        first = (run_lo[run] <= b) & (b <= run_hi[run]) & (t < s[rows])
+        first = (run_lo[run] <= b) & (b <= run_hi[run])
         s[rows[first]] = t[first]
     return s.astype(float)
 
@@ -414,9 +441,8 @@ def _interval_chr(model: CalibratedModel, Z: np.ndarray, y_hats):
     # reads level 0
     q = min(max(int(model.qhat), 0), T)
     runs = np.empty(len(probs), dtype=np.int64)
-    for rows, t, run in _chr_growth_steps(probs, T):
-        reached = t <= q
-        runs[rows[reached]] = run[reached]
+    for rows, t, run in _chr_growth_steps(probs, T, q):
+        runs[rows] = run
     return classifier.bins[run_lo[runs]], classifier.bins[run_hi[runs]], None
 
 
@@ -482,10 +508,14 @@ def _lvd_exact_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
 
 # Up to about this many (query, point) pairs the exact path is faster than
 # locating and certifying, whose set-up costs more than one served point's
-# whole exact predict.  Per call with 5 features: one query against 250
-# points 88 us exact against 213 located; about even from 8000 to 16000
-# pairs (8 x 1000: 269 against 304 us, 32 x 250: 198 against 188); 32 x
-# 1000 817 against 368 us.
+# whole exact predict.  Per call with 5 features (best of 7 x 50 calls,
+# 2-core x86, one BLAS thread): one query against 250 points 48-51 us
+# exact against 123-130 located; 4 x 1000 135-141 against 186-194; about
+# even at 8000 pairs (8 x 1000: 195-215 against 191-201, 32 x 250: 184-188
+# against 152-153); 16 x 1000 330-340 against 207-211; 32 x 1000 595 against
+# 243-247.  Building the query rows once per call left these small calls'
+# located cost where it was (8 x 1000 read 191-196 us before), so the
+# crossover stays between 4000 and 8000 pairs.
 _LOCATE_PAIRS = 10000
 
 # located weights are summed this many columns at a time, so that each row
@@ -502,9 +532,13 @@ def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
 
     A block of queries at a time gets its kernel exponents d2 / c (c = -2
     bw^2) from one matrix product against the calibration points' Gram
-    factor, into which 1 / c is folded once per call
-    (``estimators._gram_sq_distances``, with a per-query error bound eta),
-    and from them the weights, their totals and each row's
+    factor, into which 1 / c is folded (see
+    ``estimators._gram_sq_distances``, which derives the per-query error
+    bound eta).  The factor, padded with zero columns to whole column
+    groups, the queries' Gram rows and every eta are built once per call.
+    Each block's product is written straight into the weight buffer, exp
+    runs there in place, and the pad columns go back to 0.  From the
+    weights come their totals and each row's
     cumulative mass in score order: sums of ``_MASS_COLUMNS`` columns, then
     one cumsum inside the columns where the mass crosses ``level``.  The
     crossing index j stands when the located mass before it is below
@@ -519,8 +553,9 @@ def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
     ``_LOCATE_PAIRS`` pairs, or with a standardized feature that is not
     finite or above 1e100 in magnitude (which keeps the exact path's
     errors), or with a bandwidth whose 2 bw^2 is below 1e-100 (outside
-    eta's derivation).  Memory: a few
-    (block x m) arrays, O(block * m), as on the exact path."""
+    eta's derivation).  Memory: a few (block x m) arrays, O(block * m),
+    as on the exact path, plus one (queries x (k + 2)) array of Gram rows
+    and a few per-query values."""
     state = model.state
     kernel, calib = state["kernel"], state["calib_logits"]
     m = len(calib)
@@ -533,31 +568,38 @@ def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
     if abs(c) < 1e-100 or not (np.all(np.abs(Xs) <= 1e100) and np.all(np.abs(Zs) <= 1e100)):
         return _lvd_exact_quantiles(model, Z)
     level = (1.0 - model.alpha) - _TOL
-    # the product gives the exponents d2 / c themselves
-    factor = _gram_factor(Xs, c)
+    k = Xs.shape[1]
     width = -(-m // _MASS_COLUMNS) * _MASS_COLUMNS
+    # the product gives the exponents d2 / c themselves, padded with zero
+    # columns to whole column groups; the bound reads the real columns
+    factor = np.zeros((k + 2, width))
+    factor[:, :m] = _gram_factor(Xs, c)
+    left = _gram_rows(Zs)
+    # per query: eta, and the crossing index, the located mass at it and
+    # before it (not yet normalized) and the total weight
+    eta = _gram_bound(left[:, -1], factor, np.abs(factor[k, :m]).max())
     step = _block_rows(width)
-    # the weights of a block, padded with zero columns to whole column groups
-    w = np.zeros((min(step, len(Z)), width))
+    # a block's exponents, then in place its weights
+    w = np.empty((min(step, len(Z)), width))
     ones = np.ones(_MASS_COLUMNS)
-    # per query: the crossing index, the located mass at it and before it
-    # (not yet normalized), the total weight, and eta
     idx = np.empty(len(Z), dtype=np.intp)
-    at, prev, total, eta = (np.empty(len(Z)) for _ in range(4))
+    at, prev, total = (np.empty(len(Z)) for _ in range(3))
     for r0 in range(0, len(Z), step):
         r1 = min(r0 + step, len(Z))
         n = r1 - r0
-        exponents, eta[r0:r1] = _gram_sq_distances(Zs[r0:r1], factor)
+        block = _gram_product(left[r0:r1], factor, out=w[:n])
         # an exponent above 0 is a rounding error within eta, and a row
         # whose eta exceeds 1 is never certified (E > 4 eta); clamping its
         # block at 0 keeps exp and the sums from overflowing
         if eta[r0:r1].max() > 1.0:
-            np.minimum(exponents, 0.0, out=exponents)
+            np.minimum(block, 0.0, out=block)
+        np.exp(block, out=block)
+        # the pad columns' exp(0) = 1 back to weight 0
+        block[:, m:] = 0.0
         rows = np.arange(n)
-        np.exp(exponents, out=w[:n, :m])
-        groups = w[:n].reshape(n, -1, _MASS_COLUMNS)
+        groups = block.reshape(n, -1, _MASS_COLUMNS)
         # the column groups' sums as one matrix-vector product
-        group_cum = np.cumsum((w[:n].reshape(-1, _MASS_COLUMNS) @ ones).reshape(n, -1), axis=1)
+        group_cum = np.cumsum((block.reshape(-1, _MASS_COLUMNS) @ ones).reshape(n, -1), axis=1)
         target = level * group_cum[:, -1:]
         # the first column group and then the first column where the mass reaches the level
         g = np.argmax(group_cum >= target, axis=1)

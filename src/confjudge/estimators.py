@@ -610,6 +610,32 @@ def _gram_factor(B: np.ndarray, c: float = 1.0) -> np.ndarray:
     return np.vstack([B.T, np.einsum("ij,ij->i", B, B), np.ones(len(B))]) / c
 
 
+def _gram_rows(A: np.ndarray) -> np.ndarray:
+    """The left factor of :func:`_gram_sq_distances` for the rows A: a
+    (rows, features + 2) array whose rows are [-2a, 1, |a|^2].  A caller
+    that takes a block of rows at a time builds it once, for every row,
+    and slices it."""
+    return np.hstack([-2.0 * A, np.ones((len(A), 1)), np.einsum("ij,ij->i", A, A)[:, None]])
+
+
+def _gram_product(rows: np.ndarray, factor: np.ndarray, out=None) -> np.ndarray:
+    """The (rows, points) product of a slice of :func:`_gram_rows` with a
+    slice of :func:`_gram_factor`, written into ``out`` when given: each
+    entry is a squared distance divided by c, within
+    :func:`_gram_bound`."""
+    return np.matmul(rows, factor, out=out)
+
+
+def _gram_bound(s, factor: np.ndarray, t_max: float):
+    """:func:`_gram_sq_distances`'s bound for rows whose |a|^2 (the last
+    column of :func:`_gram_rows`) are ``s``, against the columns of
+    ``factor`` whose largest |t / c| is ``t_max``.  Every rounding in it
+    is monotone in s, so the bound at the largest of some rows' s is the
+    largest of their bounds."""
+    k = len(factor) - 2
+    return (10 * k + 24) * _U * (s * abs(factor[k + 1, 0]) + t_max) + k * 1e-122
+
+
 def _gram_sq_distances(A: np.ndarray, factor: np.ndarray):
     """The squared distances of A's rows to the points B of ``factor``,
     divided by the c it was made with (see :func:`_gram_factor`), as
@@ -646,11 +672,14 @@ def _gram_sq_distances(A: np.ndarray, factor: np.ndarray):
     least 1e-100, as the callers ensure, those add less than k 1e-122,
     which the bound adds too.  It holds for finite inputs whose terms do
     not overflow.  (With c = 1 the divisions are exact, and the bound is
-    looser than it need be.)"""
-    k = A.shape[1]
-    left = np.hstack([-2.0 * A, np.ones((len(A), 1)), np.einsum("ij,ij->i", A, A)[:, None]])
-    scaled = left[:, -1] * abs(factor[k + 1, 0]) + np.abs(factor[k]).max()
-    return left @ factor, (10 * k + 24) * _U * scaled + k * 1e-122
+    looser than it need be.)
+
+    This is the product and bound of one call; :func:`_gram_rows`,
+    :func:`_gram_product` and :func:`_gram_bound` are its three steps, for
+    callers that go a block of rows at a time and build the rows and bounds
+    once."""
+    rows = _gram_rows(A)
+    return _gram_product(rows, factor), _gram_bound(rows[:, -1], factor, np.abs(factor[A.shape[1]]).max())
 
 
 def _paired_sq_distances(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -757,18 +786,25 @@ def _bracket_candidates(Xs: np.ndarray, lo: float, hi: float):
             yield 0, _sq_distances(rows, Xs[r1:])
         return
     factor = _gram_factor(Xs)
+    rows = _gram_rows(Xs)
+    # each block's largest bound, against the columns from its own first
+    # row on: from the largest |a|^2 of its rows and the suffix maximum of
+    # |t| (a bracket narrower than [0, inf] comes with m >= 2, so there is
+    # a last block, and it ends at row min(r0 + step, m))
+    starts = np.arange(0, m - 1, step)
+    s_max = np.maximum.reduceat(rows[:min(starts[-1] + step, m), -1], starts)
+    t_max = np.maximum.accumulate(np.abs(factor[k, ::-1]))[::-1]
+    bounds = _gram_bound(s_max, factor, t_max[starts])
     group_rows = _GROUP_BLOCKS * step
     buffer = np.empty(group_rows * m, dtype=bool)
     g0 = certain = marked = 0
-    for r0 in range(0, m - 1, step):
+    for r0, e in zip(starts.tolist(), bounds.tolist()):
         r1 = min(r0 + step, m)
         if r0 == g0:
             # the marks of a group starting at row g0: row i - g0, column j - g0
             marks = buffer[:group_rows * (m - g0)].reshape(group_rows, m - g0)
-        d2, e = _gram_sq_distances(Xs[r0:r1], factor[:, r0:])
-        # the block's largest bound, with the thresholds rounded outwards,
-        # so each side of them is certain
-        e = e.max()
+        d2 = _gram_product(rows[r0:r1], factor[:, r0:])
+        # the thresholds rounded outwards, so each side of them is certain
         lt = d2 < np.nextafter(lo - e, -np.inf)
         marks[r0 - g0:r1 - g0, :r0 - g0] = False
         le = np.less_equal(d2, np.nextafter(hi + e, np.inf), out=marks[r0 - g0:r1 - g0, r0 - g0:])
@@ -863,18 +899,21 @@ class KernelSimilarity:
     ``weights_batch`` gives the weights bit for bit from the exact squared
     distances of :func:`_sq_distances`.  A caller that only needs where a
     query's cumulative weight crosses a level can locate the crossing from
-    :func:`_gram_sq_distances` instead, one matrix product per block that
-    gives the kernel's exponents d2 / (-2 bw^2) directly, and certify it
-    with that function's per-query error bound; rows the bound cannot
-    certify go through ``weights_batch`` (lvd's
+    Gram products instead (:func:`_gram_sq_distances`): one matrix product
+    per block gives the kernel's exponents d2 / (-2 bw^2) directly, and
+    that function's per-query error bound certifies the crossing; rows the
+    bound cannot certify go through ``weights_batch`` (lvd's
     ``conformal._lvd_local_quantiles`` does this).  ``median_bandwidth``
     uses the same product, with its bound, to find which pairs lie in or
-    next to a selection bracket, and computes only those exactly.
+    next to a selection bracket, and computes only those exactly.  Both
+    build the Gram rows (:func:`_gram_rows`) and bounds once per call and
+    give each block its slice.
 
     Memory: ``weights_batch`` and the located path hold a few (queries x m)
     arrays, and no (queries x m x features) tensor larger than one block,
     so callers that pass a block of queries at a time use O(block * m)
-    memory; ``median_bandwidth`` holds one block (with the exact distances
+    memory, plus O(rows * features) for the Gram rows of a located call;
+    ``median_bandwidth`` holds one block (with the exact distances
     of its pairs in or next to the bracket), a sample of at most
     ``_SELECT_CAP`` pairs and at most that many kept distances, whatever m
     is: 2 MB each, against 16 MB for all pairs at m = 2000 and 2.5 GB at

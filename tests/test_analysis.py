@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import statistics
 import tracemalloc
 
@@ -310,17 +311,33 @@ class TestEvaluate:
         assert len(report.rows) == 9 and not report.errors
         assert len(pickled) <= 2
 
-    def test_a_seeds_classifier_methods_share_one_fit(self, dataset, monkeypatch):
+    def test_a_seeds_classifier_methods_share_one_fit(self, dataset, monkeypatch, tmp_path):
         # run method by method, every chr fit would be replaced by the next
-        # seed's before r2ccp of its seed ran: 6 fits for 3 seeds
-        monkeypatch.setattr(conformal, "_last_classifier_fit", (None, None), raising=False)
-        fits = []
+        # seed's before r2ccp of its seed ran: 6 fits for 3 seeds.  A pool
+        # that hands out one cell per task leaves a seed's two cells to
+        # different workers, each fitting its own classifier.  Forked
+        # workers inherit the patched fit, which logs each fit to a file
+        log = tmp_path / "fits"
         fit = estimators.BinClassifier.fit
-        monkeypatch.setattr(estimators.BinClassifier, "fit", lambda clf, X, y: fits.append(clf) or fit(clf, X, y))
+
+        def logged(clf, X, y):
+            with open(log, "a") as f:
+                f.write("fit\n")
+            return fit(clf, X, y)
+
+        def fits():
+            return log.read_text().count("fit") if log.exists() else 0
+
+        monkeypatch.setattr(estimators.BinClassifier, "fit", logged)
         kw = dict(methods=["chr", "r2ccp"], seeds=[1, 2, 3])
-        serial = evaluate(dataset, **kw, jobs=1)
-        assert len(fits) == 3
-        pooled = evaluate(dataset, **kw, jobs=2)
+        reports = {}
+        for jobs in (1, 2):
+            monkeypatch.setattr(conformal, "_last_classifier_fit", (None, None), raising=False)
+            before = fits()
+            reports[jobs] = evaluate(dataset, **kw, jobs=jobs)
+            if jobs == 1 or multiprocessing.get_start_method() == "fork":
+                assert fits() - before == 3, jobs
+        serial, pooled = reports[1], reports[2]
         assert len(serial.rows) == 6 and not serial.errors
         assert (serial.rows, serial.aggregates, serial.errors) == (pooled.rows, pooled.aggregates, pooled.errors)
 

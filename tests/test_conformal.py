@@ -109,6 +109,38 @@ class TestSplitAbs:
             cj.calibrate("split_abs", train, calib, 0.1, point_predictor="mean")
 
 
+class TestJudgeScoresChecked:
+    """The raw_score predictor takes one finite judge score per row of Z."""
+
+    @pytest.fixture
+    def model(self):
+        train, calib, _ = peaked_split()
+        return cj.calibrate("split_abs", train, calib, 0.1)
+
+    def test_fewer_scores_than_rows(self, model):
+        # three intervals for five rows, before the check
+        Z = np.zeros((5, model.k))
+        with pytest.raises(ValidationError, match=r"expected 5 judge scores, one per row, got shape \(3,\)"):
+            cj.predict_intervals(model, Z, np.array([2.0, 3.0, 4.0]))
+
+    def test_column_of_scores(self, model):
+        # 2-D bounds, before the check
+        Z = np.zeros((5, model.k))
+        with pytest.raises(ValidationError, match=r"shape \(5, 1\)"):
+            cj.predict_intervals(model, Z, np.full((5, 1), 3.0))
+
+    def test_nan_score(self, model):
+        # Interval(nan, nan), on which scalar adjust raised ValueError
+        with pytest.raises(ValidationError, match="finite"):
+            cj.predict_interval(model, np.zeros(model.k), y_hat=np.nan)
+
+    def test_infinite_score(self, model):
+        # an interval clamped to [5, 5], before the check
+        Z = np.zeros((2, model.k))
+        with pytest.raises(ValidationError, match="finite"):
+            cj.predict_intervals(model, Z, np.array([3.0, np.inf]))
+
+
 class TestCqr:
     def test_constant_labels_zero_width(self):
         rng = np.random.default_rng(3)
@@ -1193,6 +1225,33 @@ class TestChrStepsMatchDenseScoreAndInterval:
         assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
 
+def test_chr_walks_stop_once_each_answer_is_fixed(monkeypatch):
+    # eval-wide's shape: 13 bins, 4000 test rows.  A score reads only the
+    # first run that holds the label and an interval only the run at level
+    # qhat, so each walk drops a row there, not at the top level
+    walked = []
+    steps = conformal._chr_growth_steps
+
+    def counted(probs, T, *args, **kw):
+        walked.append(0)
+        for rows, t, run in steps(probs, T, *args, **kw):
+            walked[-1] += len(rows)
+            yield rows, t, run
+
+    ds, _ = cj.generate(cj.GeneratorSpec(seed=7, n=8000, k=5, noise=cj.Heteroscedastic(0.5), scale=GPA_THIRDS))
+    for seed in (7001, 7002):
+        train, calib, test = cj.split(ds, cj.SplitSpec(seed))
+        model = cj.calibrate("chr", train, calib, 0.1)
+        full = sum(len(rows) for rows, _, _ in steps(model.state["classifier"].predict_proba(test.logits),
+                                                      model.state["T"]))
+        with monkeypatch.context() as patch:
+            patch.setattr(conformal, "_chr_growth_steps", counted)
+            cj.score_samples(model, test)
+            cj.predict_intervals(model, test.logits)
+        score, interval = walked[-2:]
+        assert score <= 0.5 * full and interval <= 0.75 * full, (score, interval, full)
+
+
 class TestR2ccpBatchMatchesScalarOracle:
     @staticmethod
     def rows(m, q, rng):
@@ -1516,6 +1575,23 @@ def test_located_quantiles_at_eval_wide_size():
     assert got[::20].tobytes() == _dense_lvd_quantiles(model, Z[::20]).tobytes()
 
 
+def test_located_call_builds_its_row_factors_once(monkeypatch):
+    # the queries' Gram rows [-2z, 1, |z|^2] and their bounds are made once
+    # for the whole call, and each block takes its slice
+    built = []
+    gram_rows = conformal._gram_rows
+    monkeypatch.setattr(conformal, "_gram_rows", lambda Z: built.append(len(Z)) or gram_rows(Z))
+    rng = np.random.default_rng(3)
+    model = _lvd_model(rng, 300, 5)
+    Z = rng.normal(size=(1000, 5)) * 2.0
+    with _exact_rows() as exact:
+        got = _lvd_local_quantiles(model, Z)
+    assert exact == [] and built == [len(Z)]
+    # five blocks of queries
+    assert len(Z) > 4 * estimators._block_rows(320)
+    assert got.tobytes() == _lvd_exact_quantiles(model, Z).tobytes()
+
+
 class TestMedianBandwidthBySelection:
     """The bandwidth selected pass by pass is the dense median's, bit for
     bit, whichever path the selection takes."""
@@ -1644,11 +1720,11 @@ class TestLocatedPairPass:
         """The (row, point) entries of the Gram products and the pairs given
         exact distances one by one, and each pass's (lo, hi, result)."""
         seen = {"gram": 0, "exact": 0, "passes": []}
-        gram, paired, counted = estimators._gram_sq_distances, estimators._paired_sq_distances, estimators._pair_pass
+        gram, paired, counted = estimators._gram_product, estimators._paired_sq_distances, estimators._pair_pass
 
-        def gram_counted(A, factor):
-            seen["gram"] += len(A) * factor.shape[1]
-            return gram(A, factor)
+        def gram_counted(rows, factor, out=None):
+            seen["gram"] += len(rows) * factor.shape[1]
+            return gram(rows, factor, out)
 
         def paired_counted(X, i, j):
             seen["exact"] += len(i)
@@ -1659,7 +1735,7 @@ class TestLocatedPairPass:
             seen["passes"].append((lo, hi, result))
             return result
 
-        monkeypatch.setattr(estimators, "_gram_sq_distances", gram_counted)
+        monkeypatch.setattr(estimators, "_gram_product", gram_counted)
         monkeypatch.setattr(estimators, "_paired_sq_distances", paired_counted)
         monkeypatch.setattr(estimators, "_pair_pass", recorded)
         return seen
