@@ -18,7 +18,7 @@ import numpy as np
 
 from . import conformal
 from .adjust import AdjustmentPolicy, adjust_all, fallback_label, midpoint
-from .core import Dataset, SplitSpec, ValidationError, conformal_quantile, split
+from .core import Dataset, SplitSpec, ValidationError, conformal_quantile, integer, split
 from .estimators import _block_rows, ols
 from .ratings import weighted_average
 from .special import chi2_sf, f_sf
@@ -145,59 +145,64 @@ def _policy_name(policy: AdjustmentPolicy | None) -> str:
 
 
 def _check_run(seeds: list, alpha: float, calib_fraction: float, inner_train_fraction: float = 0.5,
-               hyper: dict | None = None, policy: AdjustmentPolicy | None = None, scale=None,
-               fractions=()) -> None:
+               methods: list = (), hyper: dict | None = None, policy: AdjustmentPolicy | None = None,
+               scale=None, fractions: list | None = None, jobs: int = 1) -> None:
     """Raise ValidationError, before any split or draw, for a seeded run's
-    bad configuration: no seeds or a repeated seed, an unknown method or bad
-    hyperparameter in ``hyper`` (method -> its hyperparameters), or a bad
-    alpha, split fraction, policy (for ``scale``) or sweep fraction."""
+    bad configuration: no seeds or a repeated seed, a repeated method, an
+    unknown method or bad hyperparameter among ``methods`` and ``hyper``
+    (method -> its hyperparameters), a bad alpha, split fraction, policy
+    (for ``scale``), sweep ``fractions`` (when given) or ``jobs``."""
     if not seeds:
         raise ValidationError("need at least one seed")
     if len(set(seeds)) < len(seeds):
         raise ValidationError(f"seeds {seeds} repeat a seed")
-    for m, h in (hyper or {}).items():
-        conformal.checked_hyper(m, h)
+    if len(set(methods)) < len(methods):
+        raise ValidationError(f"methods {methods} repeat a method")
+    hyper = hyper or {}
+    for m in dict.fromkeys([*methods, *hyper]):
+        conformal.checked_hyper(m, hyper.get(m))
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
     SplitSpec(0, calib_fraction, inner_train_fraction)  # checks the fractions
     if policy is not None:
         policy.validate_for(scale)
-    if not all(0.0 < f <= 1.0 for f in fractions):
+    if fractions is not None and not fractions:
+        raise ValidationError("need at least one fraction")
+    if not all(0.0 < f <= 1.0 for f in fractions or ()):
         raise ValidationError("fractions must lie in (0, 1]")
+    integer(1)(jobs, "jobs")
 
 
-def _cell(dataset: Dataset, method: str, seed: int, alpha: float, calib_fraction: float,
-          inner_train_fraction: float, hyper: dict | None, fraction: float | None = None):
-    """One seeded split-conformal cell: split by ``seed``, calibrate
-    ``method`` on train and calib, predict the test split.  With a sweep
-    ``fraction``, train and calib are first subsampled (seeded by seed and
-    fraction), and None is returned when fewer than 5 calibration points
-    remain.  Returns (test, intervals, flags)."""
-    train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
-    if fraction is not None:
-        rng = np.random.default_rng([seed, int(round(fraction * 1_000_000))])
-        train = _subsample(train, fraction, rng)
-        calib = _subsample(calib, fraction, rng)
-        if len(calib) < 5:
-            return None
+def _cell(train: Dataset, calib: Dataset, test: Dataset, method: str, alpha: float, hyper: dict | None):
+    """Calibrate ``method`` on train and calib and predict the test split:
+    (intervals, flags)."""
     model = conformal.calibrate(method, train, calib, alpha, hyper)
-    return (test, *conformal.predict_intervals_flagged(model, test.logits, test.raw_scores))
+    return conformal.predict_intervals_flagged(model, test.logits, test.raw_scores)
 
 
-def _eval_cell(dataset: Dataset, args):
-    """One (method, seed) cell of ``dataset``: ((row, empties, degenerate),
-    None) on success, (None, message) when the cell's data is invalid.  Any
-    other exception propagates."""
-    method, seed, alpha, policy, calib_fraction, inner_train_fraction, hyper = args
+def _eval_seed(dataset: Dataset, args) -> list:
+    """One seed's cells of ``dataset``, split once: per method, ((row,
+    empties, degenerate), None) on success, (None, message) when the cell's
+    data is invalid; a split that fails fails every method.  Any other
+    exception propagates."""
+    seed, methods, alpha, policy, calib_fraction, inner_train_fraction, hyper = args
     try:
-        test, intervals, flags = _cell(dataset, method, seed, alpha, calib_fraction, inner_train_fraction, hyper)
-        if policy is not None:
-            intervals = adjust_all(intervals, dataset.scale, policy)
-        coverage = int(intervals.covers(test.labels).sum()) / len(test)
-        row = EvalRow(method, seed, _policy_name(policy), float(np.mean(intervals.width)), coverage)
+        train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
     except ValidationError as exc:
-        return None, str(exc)
-    return (row, int(intervals.empty.sum()), sum(1 for f in flags if f)), None
+        return [(None, str(exc))] * len(methods)
+    outcomes = []
+    for method in methods:
+        try:
+            intervals, flags = _cell(train, calib, test, method, alpha, hyper.get(method))
+            if policy is not None:
+                intervals = adjust_all(intervals, dataset.scale, policy)
+            coverage = int(intervals.covers(test.labels).sum()) / len(test)
+            row = EvalRow(method, seed, _policy_name(policy), float(np.mean(intervals.width)), coverage)
+        except ValidationError as exc:
+            outcomes.append((None, str(exc)))
+        else:
+            outcomes.append(((row, int(intervals.empty.sum()), sum(1 for f in flags if f)), None))
+    return outcomes
 
 
 # the dataset of an evaluate worker process, sent once by the pool's initializer
@@ -209,54 +214,48 @@ def _init_worker(dataset: Dataset) -> None:
     _worker_dataset = dataset
 
 
-def _worker_eval_cell(args):
-    return _eval_cell(_worker_dataset, args)
+def _worker_eval_seed(args) -> list:
+    return _eval_seed(_worker_dataset, args)
 
 
 def evaluate(dataset: Dataset, methods, seeds, alpha: float = 0.1,
              policy: AdjustmentPolicy | None = None, calib_fraction: float = 0.5,
              inner_train_fraction: float = 0.5, hyper: dict | None = None, jobs: int = 1) -> EvalReport:
-    """Split/calibrate/predict each (method, seed) cell and aggregate
-    width and coverage.  A cell that raises ValidationError is recorded and
-    skipped rather than aborting the run; any other exception aborts it.
-    ``hyper`` maps method name to a hyperparameter dict.  An unknown or
-    repeated method or seed, a bad hyperparameter, alpha, split fraction or
-    policy raises ValidationError before any split.  Cells run seed by
-    seed, every method of a seed before the next seed, so chr and r2ccp
-    share one classifier fit per training split.  With ``jobs`` > 1 the
-    cells run in a pool of that many processes, each sent the dataset once;
-    each task is one seed's cells, so the sharing holds there too.
+    """Calibrate/predict each (method, seed) cell and aggregate width and
+    coverage.  A cell that raises ValidationError is recorded and skipped
+    rather than aborting the run; any other exception aborts it.  ``hyper``
+    maps method name to a hyperparameter dict.  A bad configuration (see
+    ``_check_run``: seeds, methods, hyperparameters, alpha, split fractions,
+    policy, ``jobs``) raises ValidationError before any split.  Each seed
+    is one task: one split, then every method of the seed on it, so chr and
+    r2ccp share one classifier fit per training split.  With ``jobs`` > 1
+    the tasks run in a pool of that many processes, each sent the dataset
+    once.
     """
     methods = list(methods)
     seeds = list(seeds)
     hyper = hyper or {}
-    if len(set(methods)) < len(methods):
-        raise ValidationError(f"methods {methods} repeat a method")
-    _check_run(seeds, alpha, calib_fraction, inner_train_fraction, {m: hyper.get(m) for m in [*methods, *hyper]},
-               policy, dataset.scale)
-    cells = [
-        (m, s, alpha, policy, calib_fraction, inner_train_fraction, hyper.get(m))
-        for s in seeds for m in methods
-    ]
+    _check_run(seeds, alpha, calib_fraction, inner_train_fraction, methods, hyper, policy, dataset.scale, jobs=jobs)
+    tasks = [(s, methods, alpha, policy, calib_fraction, inner_train_fraction, hyper) for s in seeds]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                                     initargs=(dataset,)) as pool:
-            outcomes = list(pool.map(_worker_eval_cell, cells, chunksize=max(1, len(methods))))
+            outcomes = list(pool.map(_worker_eval_seed, tasks))
     else:
-        outcomes = [_eval_cell(dataset, c) for c in cells]
+        outcomes = [_eval_seed(dataset, t) for t in tasks]
     results = {}
     errors = {}
     empties = 0
     degenerates = 0
-    for c, (done, error) in zip(cells, outcomes):
-        key = c[:2]
-        if error is not None:
-            errors[key] = error
-            continue
-        row, n_empty, n_degen = done
-        results[key] = row
-        empties += n_empty
-        degenerates += n_degen
+    for seed, seed_outcomes in zip(seeds, outcomes):
+        for method, (done, error) in zip(methods, seed_outcomes):
+            if error is not None:
+                errors[method, seed] = error
+                continue
+            row, n_empty, n_degen = done
+            results[method, seed] = row
+            empties += n_empty
+            degenerates += n_degen
 
     rows = [results[k] for k in sorted(results)]
     aggregates = {}
@@ -300,12 +299,13 @@ def midpoint_report(dataset: Dataset, seeds, alpha: float = 0.1,
     nearest adjustment (shrink-emptied intervals fall back to the nearest
     label)."""
     seeds = list(seeds)
-    _check_run(seeds, alpha, calib_fraction, inner_train_fraction, {"r2ccp": hyper})
+    _check_run(seeds, alpha, calib_fraction, inner_train_fraction, ["r2ccp"], {"r2ccp": hyper})
     full = AdjustmentPolicy.full(dataset.scale)
     sums = {s: np.zeros(5) for s in _SCORERS}
     flagged = {s: False for s in _SCORERS}
     for seed in seeds:
-        test, intervals, _ = _cell(dataset, "r2ccp", seed, alpha, calib_fraction, inner_train_fraction, hyper)
+        train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
+        intervals, _ = _cell(train, calib, test, "r2ccp", alpha, hyper)
         adjusted = adjust_all(intervals, dataset.scale, full)
         dis = fallback_label(intervals, dataset.scale)
         dis[~adjusted.empty] = midpoint(adjusted[~adjusted.empty])
@@ -429,28 +429,31 @@ def calibration_sweep(dataset: Dataset, method: str, seeds, fractions,
                       alpha: float = 0.1, calib_fraction: float = 0.5,
                       inner_train_fraction: float = 0.5, hyper: dict | None = None,
                       point_predictor: str | None = None) -> list:
-    """Coverage mean and std per calibration fraction.  Each seed's pool is
-    subsampled (seeded by seed and fraction), recalibrated, and evaluated on
-    the untouched test split; fractions that leave fewer than 5 calibration
-    points are flagged and skipped.  ``point_predictor``, when given,
-    overrides ``hyper``'s entry of that name, which only split_abs has."""
+    """Coverage mean and std per calibration fraction.  Each seed is split
+    once; per fraction its train and calib are subsampled (seeded by seed
+    and fraction), recalibrated, and evaluated on the untouched test split.
+    A fraction that leaves fewer than 5 calibration points for some seed is
+    flagged and skipped.  ``point_predictor``, when given, overrides
+    ``hyper``'s entry of that name, which only split_abs has."""
     seeds, fractions = list(seeds), list(fractions)
     if point_predictor is not None:
         hyper = {**(hyper or {}), "point_predictor": point_predictor}
-    _check_run(seeds, alpha, calib_fraction, inner_train_fraction, {method: hyper}, fractions=fractions)
-    rows = []
-    for fraction in fractions:
-        covs = []
-        for seed in seeds:
-            cell = _cell(dataset, method, seed, alpha, calib_fraction, inner_train_fraction, hyper, fraction)
-            if cell is None:
-                rows.append(SweepRow(fraction, float("nan"), float("nan"), skipped=True))
-                break
-            test, intervals, _ = cell
-            covs.append(int(intervals.covers(test.labels).sum()) / len(test))
-        else:
-            rows.append(SweepRow(fraction, statistics.fmean(covs), statistics.pstdev(covs)))
-    return rows
+    _check_run(seeds, alpha, calib_fraction, inner_train_fraction, [method], {method: hyper}, fractions=fractions)
+    covs = [[] for _ in fractions]  # per fraction, its coverage per seed; None once skipped
+    for seed in seeds:
+        train, calib, test = split(dataset, SplitSpec(seed, calib_fraction, inner_train_fraction))
+        for i, fraction in enumerate(fractions):
+            if covs[i] is None:
+                continue
+            rng = np.random.default_rng([seed, int(round(fraction * 1_000_000))])
+            sub_train, sub_calib = _subsample(train, fraction, rng), _subsample(calib, fraction, rng)
+            if len(sub_calib) < 5:
+                covs[i] = None
+                continue
+            intervals, _ = _cell(sub_train, sub_calib, test, method, alpha, hyper)
+            covs[i].append(int(intervals.covers(test.labels).sum()) / len(test))
+    return [SweepRow(f, float("nan"), float("nan"), skipped=True) if c is None
+            else SweepRow(f, statistics.fmean(c), statistics.pstdev(c)) for f, c in zip(fractions, covs)]
 
 
 # ---------------------------------------------------------------------------
@@ -495,36 +498,30 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def write_eval_csv(path, rows) -> None:
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one comma-joined line per row of fields."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method,seed,policy,mean_width,coverage\n")
-        for r in rows:
-            fh.write(f"{r.method},{r.seed},{r.policy},{_fmt(r.mean_width)},{_fmt(r.coverage)}\n")
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, fields)) + "\n" for fields in rows)
+
+
+def write_eval_csv(path, rows) -> None:
+    _write_csv(path, "method,seed,policy,mean_width,coverage",
+               ((r.method, r.seed, r.policy, _fmt(r.mean_width), _fmt(r.coverage)) for r in rows))
 
 
 def write_midpoints_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("scorer,mse,mae,pearson,spearman,kendall,flagged\n")
-        for r in rows:
-            fh.write(
-                f"{r.scorer},{_fmt(r.mse)},{_fmt(r.mae)},{_fmt(r.pearson)},"
-                f"{_fmt(r.spearman)},{_fmt(r.kendall)},{int(r.flagged)}\n"
-            )
+    _write_csv(path, "scorer,mse,mae,pearson,spearman,kendall,flagged",
+               ((r.scorer, *map(_fmt, (r.mse, r.mae, r.pearson, r.spearman, r.kendall)), int(r.flagged))
+                for r in rows))
 
 
 def write_het_csv(path, entries) -> None:
     """``entries`` is a list of (dimension, test_name, HetTestResult)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("dimension,test,lm_stat,lm_p,f_stat,f_p\n")
-        for dim, name, res in entries:
-            fh.write(
-                f"{dim},{name},{_fmt(res.lm_stat)},{_fmt(res.lm_p)},"
-                f"{_fmt(res.f_stat)},{_fmt(res.f_p)}\n"
-            )
+    _write_csv(path, "dimension,test,lm_stat,lm_p,f_stat,f_p",
+               ((dim, name, *map(_fmt, (res.lm_stat, res.lm_p, res.f_stat, res.f_p))) for dim, name, res in entries))
 
 
 def write_sweep_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("fraction,mean_coverage,std_coverage\n")
-        for r in rows:
-            fh.write(f"{_fmt(r.fraction)},{_fmt(r.mean_coverage)},{_fmt(r.std_coverage)}\n")
+    _write_csv(path, "fraction,mean_coverage,std_coverage",
+               (map(_fmt, (r.fraction, r.mean_coverage, r.std_coverage)) for r in rows))

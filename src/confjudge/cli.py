@@ -83,21 +83,14 @@ def _parse_seeds(text: str) -> list:
                 seeds.append(int(part))
     except ValueError as exc:
         raise UsageError(f"bad seed list: {text!r}") from exc
-    if not seeds:
-        raise UsageError("no seeds given")
-    if len(set(seeds)) < len(seeds):
-        raise UsageError(f"seed list {text!r} repeats a seed")
     return seeds
 
 
 def _parse_fractions(text: str) -> list:
     try:
-        fractions = [float(p) for p in text.split(",") if p.strip()]
+        return [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise UsageError(f"bad fraction list: {text!r}") from exc
-    if not fractions or not all(0.0 < f <= 1.0 for f in fractions):
-        raise UsageError(f"--fractions must list numbers in (0, 1], got {text!r}")
-    return fractions
 
 
 def _open_unit(flag: str):
@@ -125,11 +118,9 @@ def _policy_from(args, scale: LabelScale) -> AdjustmentPolicy | None:
     if lam is None or lam == "full":
         return AdjustmentPolicy.full(scale)
     try:
-        policy = AdjustmentPolicy("nearest", float(lam))
-        policy.validate_for(scale)
+        return AdjustmentPolicy("nearest", float(lam))
     except ValueError as exc:  # ValidationError is a ValueError
         raise UsageError(f'--lambda must be a number in [0, step/2] or "full", got {lam!r}') from exc
-    return policy
 
 
 def _add_scale_flags(p: argparse.ArgumentParser) -> None:
@@ -213,12 +204,18 @@ def _default_jobs() -> int:
     if not env:
         return os.cpu_count() or 1
     try:
-        jobs = int(env)
+        return int(env)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise UsageError(f"CONFJUDGE_JOBS must be a positive integer, got {env!r}")
-    return jobs
+        raise UsageError(f"CONFJUDGE_JOBS must be an integer, got {env!r}") from None
+
+
+def _check_run(args, **kw) -> None:
+    """``analysis._check_run`` on the seeded flags and ``kw``, before any
+    input is read: a bad run configuration is a usage error."""
+    try:
+        analysis._check_run(args.seeds, args.alpha, args.calib_fraction, **kw)
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load_dataset(args) -> tuple:
@@ -271,21 +268,15 @@ def cmd_extract(args) -> int:
 
 def cmd_evaluate(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in conformal.METHODS:
-            raise UsageError(f"unknown method {m!r}; valid: {', '.join(conformal.METHODS)}")
-    if len(set(methods)) < len(methods):
-        raise UsageError(f"--methods {args.methods!r} repeats a method")
-    if args.jobs is not None and args.jobs < 1:
-        raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
-    jobs = args.jobs or _default_jobs()
-    policy = _policy_from(args, _scale_from(args))
+    jobs = _default_jobs() if args.jobs is None else args.jobs
+    scale = _scale_from(args)
+    policy = _policy_from(args, scale)
+    run = dict(inner_train_fraction=args.inner_train_fraction, policy=policy, jobs=jobs,
+               hyper={"split_abs": {"point_predictor": args.point_predictor}})
+    _check_run(args, methods=methods, scale=scale, **run)
     dataset, excluded = _load_dataset(args)
-    report = analysis.evaluate(
-        dataset, methods, args.seeds, alpha=args.alpha, policy=policy,
-        calib_fraction=args.calib_fraction, inner_train_fraction=args.inner_train_fraction,
-        hyper={"split_abs": {"point_predictor": args.point_predictor}}, jobs=jobs,
-    )
+    report = analysis.evaluate(dataset, methods, args.seeds, alpha=args.alpha,
+                               calib_fraction=args.calib_fraction, **run)
     config = {
         "methods": methods, "seeds": args.seeds, "alpha": args.alpha,
         "adjust": args.adjust, "lambda": args.lam,
@@ -310,6 +301,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_midpoints(args) -> int:
+    _check_run(args, inner_train_fraction=args.inner_train_fraction)
     dataset, excluded = _load_dataset(args)
     rows = analysis.midpoint_report(
         dataset, args.seeds, alpha=args.alpha,
@@ -341,8 +333,8 @@ def cmd_het(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.method not in conformal.METHODS:
-        raise UsageError(f"unknown method {args.method!r}; valid: {', '.join(conformal.METHODS)}")
+    _check_run(args, inner_train_fraction=args.inner_train_fraction, methods=[args.method],
+               fractions=args.fractions)
     dataset, excluded = _load_dataset(args)
     rows = analysis.calibration_sweep(
         dataset, args.method, args.seeds, args.fractions, alpha=args.alpha,
@@ -384,6 +376,7 @@ _annotations = array(1)  # one item's annotations
 
 
 def cmd_human_baseline(args) -> int:
+    _check_run(args)
     annotations = [values for _, values in read_json_lines(
         args.annotations, lambda rec: _annotations(rec["annotations"], "annotations"), "annotation")]
     rows = analysis.human_baseline(annotations, alpha=args.alpha, seeds=args.seeds,

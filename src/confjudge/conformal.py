@@ -171,18 +171,20 @@ def _check_dim(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
 
 def _point_predictions(state: dict, scale: LabelScale, Z: np.ndarray, y_hats) -> np.ndarray:
     """One point prediction per row of Z.  The judge scores ``y_hats`` of
-    the raw_score predictor must be one finite number per row; anything
-    else raises ValidationError."""
+    the raw_score predictor must be one finite number per row, read by the
+    value checks (a string, bool or None is no number); anything else
+    raises ValidationError."""
     kind = state["point_predictor"]
     if kind == "raw_score":
         if y_hats is None:
             raise ValidationError("raw_score predictor needs the judge scores")
-        y_hats = np.asarray(y_hats, dtype=float)
-        if y_hats.shape != (len(Z),):
-            raise ValidationError(f"expected {len(Z)} judge scores, one per row, got shape {y_hats.shape}")
-        if not np.isfinite(y_hats).all():
-            raise ValidationError("judge scores must be finite")
-        return y_hats
+        try:
+            shape = np.shape(y_hats)
+        except ValueError:  # numpy reads no shape from a ragged list
+            shape = "ragged"
+        if shape != (len(Z),):
+            raise ValidationError(f"expected {len(Z)} judge scores, one per row, got shape {shape}")
+        return array(1)(y_hats, "judge scores")
     if kind == "weighted_average":
         return np.atleast_1d(weighted_average(Z, scale))
     return state["ridge"].predict(Z)
@@ -913,7 +915,7 @@ def predict_intervals(model: CalibratedModel, Z, y_hats=None) -> Intervals:
 def predict_interval(model: CalibratedModel, z, y_hat=None) -> Interval:
     """Prediction interval for a single point: row 0 of a one-row batch,
     clamped to the scale range and never empty before boundary adjustment."""
-    y_hats = None if y_hat is None else np.asarray([y_hat], dtype=float)
+    y_hats = None if y_hat is None else np.asarray([y_hat])  # its dtype shows a string or bool to the check
     return predict_intervals(model, np.atleast_2d(np.asarray(z, dtype=float)), y_hats)[0]
 
 

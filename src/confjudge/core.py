@@ -121,7 +121,9 @@ def array(ndim: int, whole: bool = False):
                 entries = itertools.chain.from_iterable(entries)
             numeric = _numbers_only(set(map(type, entries)))
         x = a.astype(float, copy=False) if numeric else np.asarray(math.nan)
-        if not np.isfinite(x).all() or whole and not np.all((x == np.floor(x)) & (np.abs(x) < 2.0 ** 63)):
+        # count_nonzero, not all(): all() costs microseconds on a served point's one score
+        finite = np.count_nonzero(np.isfinite(x)) == x.size
+        if not finite or whole and not np.all((x == np.floor(x)) & (np.abs(x) < 2.0 ** 63)):
             raise ValidationError(f"{label} must be a {ndim}-D array of finite {'whole ' if whole else ''}numbers")
         # an integer array converts exactly, a float one once checked
         return (a if a.dtype.kind in "iu" else x).astype(np.int64) if whole else x

@@ -244,6 +244,10 @@ class TestEvaluate:
         ({"policy": cj.AdjustmentPolicy("nearest", 0.9)}, "lambda must not exceed step/2"),
         ({"calib_fraction": 1.0}, "calib_fraction"),
         ({"inner_train_fraction": 0.0}, "inner_train_fraction"),
+        # jobs 0 or -1 used to run serially without a word, and True as one job
+        ({"jobs": 0}, "jobs must be an integer >= 1"),
+        ({"jobs": -1}, "jobs must be an integer >= 1"),
+        ({"jobs": True}, "jobs must be an integer >= 1"),
     ])
     def test_bad_alpha_policy_or_fraction_rejected_before_any_split(self, dataset, monkeypatch, kw, match):
         # each used to be filed once per cell as a data error, after the split
@@ -291,6 +295,20 @@ class TestEvaluate:
         assert calls == []
         evaluate(dataset, ["ordinal_aps"], seeds=[1])
         assert len(calls) == 1
+
+    def test_one_split_per_seed(self, dataset, monkeypatch):
+        # every (method, seed) cell, and every (fraction, seed) sweep cell, used to split again
+        calls = []
+        monkeypatch.setattr(analysis, "split", lambda *a: calls.append(a) or cj.split(*a))
+        report = evaluate(dataset, ["split_abs", "ordinal_aps", "ordinal_rc"], seeds=[1, 2])
+        assert len(report.rows) == 6 and len(calls) == 2
+        calibration_sweep(dataset, "split_abs", [1, 2], [0.5, 0.75, 1.0])
+        assert len(calls) == 4
+
+    def test_failed_split_fails_every_method_of_its_seed(self, dataset):
+        report = evaluate(dataset.subset([0, 1]), ["split_abs", "ordinal_aps"], seeds=[1, 2])
+        assert report.rows == []
+        assert report.errors == {(m, s): "degenerate split" for m in ("split_abs", "ordinal_aps") for s in (1, 2)}
 
     def test_unknown_method(self, dataset):
         with pytest.raises(ValidationError, match="valid"):

@@ -282,6 +282,10 @@ class TestOtherCommands:
         ("evaluate", ("--adjust", "nearest", "--lambda", "inf"), None),
         ("evaluate", ("--jobs", "-3"), None),
         ("evaluate", (), "abc"),
+        # rejected by the library's run check, which the CLI calls before any read
+        ("evaluate", ("--jobs", "0"), None),
+        ("evaluate", (), "0"),
+        ("sweep", ("--method", "bogus"), None),
         # an empty list used to write a header-only sweep.csv and exit 0, and
         # 0.5,2 to fit every 0.5 cell, then exit 2
         ("sweep", ("--fractions", ""), None),

@@ -140,6 +140,21 @@ class TestJudgeScoresChecked:
         with pytest.raises(ValidationError, match="finite"):
             cj.predict_intervals(model, Z, np.array([3.0, np.inf]))
 
+    @pytest.mark.parametrize("y_hat", ["abc", "3", True, np.array(True)])
+    def test_point_score_that_is_no_number(self, model, y_hat):
+        # "abc" used to raise numpy's ValueError, and "3" and True to be read as numbers
+        with pytest.raises(ValidationError, match="judge scores must be a 1-D array of finite numbers"):
+            cj.predict_interval(model, np.zeros(model.k), y_hat=y_hat)
+
+    @pytest.mark.parametrize("y_hats", [["3", "4"], [True, 3.0], [None, 3.0], np.array([True, False])])
+    def test_batch_scores_that_are_no_numbers(self, model, y_hats):
+        with pytest.raises(ValidationError, match="judge scores must be a 1-D array of finite numbers"):
+            cj.predict_intervals(model, np.zeros((2, model.k)), y_hats)
+
+    def test_ragged_scores(self, model):
+        with pytest.raises(ValidationError, match="got shape ragged"):
+            cj.predict_intervals(model, np.zeros((2, model.k)), [[3.0], [3.0, 4.0]])
+
 
 class TestCqr:
     def test_constant_labels_zero_width(self):
