@@ -737,9 +737,16 @@ def _interval_r2ccp(model: CalibratedModel, Z: np.ndarray, y_hats):
 def _ordinal_growth_path(values: np.ndarray):
     """(left, right, mass), each (n, k): the greedy contiguous set after each
     growth step.  Step 0 is the modal label; every step adds the larger
-    neighbour (ties go left), so step k-1 is the full support."""
+    neighbour (ties go left), so step k-1 is the full support.
+
+    The steps read the values padded with -inf at both ends, so the label
+    past an end is never the larger neighbour: a set of fewer than k labels
+    always has a real one.  Values are >= +0, so adding the chosen one alone
+    gives the same bits as adding it and a 0.0 for the other side."""
     n, k = values.shape
     rows = np.arange(n)
+    padded = np.full((n, k + 2), -np.inf)
+    padded[:, 1:-1] = values
     lefts = np.empty((n, k), dtype=np.int64)
     rights = np.empty((n, k), dtype=np.int64)
     masses = np.empty((n, k))
@@ -748,16 +755,13 @@ def _ordinal_growth_path(values: np.ndarray):
     mass = values[rows, left]
     lefts[:, 0], rights[:, 0], masses[:, 0] = left, right, mass
     for step in range(1, k):
-        can_l = left > 0
-        can_r = right < k - 1
-        vl = np.where(can_l, values[rows, np.maximum(left - 1, 0)], -np.inf)
-        vr = np.where(can_r, values[rows, np.minimum(right + 1, k - 1)], -np.inf)
-        active = can_l | can_r
-        go_left = active & (vl >= vr)
-        go_right = active & ~go_left
-        mass = mass + np.where(go_left, vl, 0.0) + np.where(go_right, vr, 0.0)
-        left = np.where(go_left, left - 1, left)
-        right = np.where(go_right, right + 1, right)
+        # label j sits at column j + 1 of padded
+        vl = padded[rows, left]
+        vr = padded[rows, right + 2]
+        go_left = vl >= vr
+        mass = mass + np.where(go_left, vl, vr)
+        left = left - go_left
+        right = right + ~go_left
         lefts[:, step], rights[:, step], masses[:, step] = left, right, mass
     return lefts, rights, masses
 

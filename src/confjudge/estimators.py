@@ -106,18 +106,44 @@ def _from_document(cls, d: dict, kind: str, hyper, fitted: dict):
 # Boosted quantile trees
 
 
-def _route(X: np.ndarray, feature, thresh, left, right) -> np.ndarray:
-    """The leaf each row of X reaches through a tree's cut arrays."""
+def _route(X: np.ndarray, feature, thresh, left, right, depth: int) -> np.ndarray:
+    """The leaf each row of X reaches through a tree's cut arrays, in
+    ``depth`` whole-batch steps, where no walk from the root takes more.
+
+    A step moves every row to the larger of its node and the child its cut
+    picks.  A split's children are numbered after it, so a row there moves
+    on; a leaf's children are -1, so a row there stays, and the column its
+    feature -1 reads decides nothing."""
+    rows = np.arange(X.shape[0])
     idx = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        feat = feature[idx]
-        active = feat >= 0
-        if not active.any():
-            break
-        rows = np.nonzero(active)[0]
-        go_left = X[rows, feat[rows]] <= thresh[idx[rows]]
-        idx[rows] = np.where(go_left, left[idx[rows]], right[idx[rows]])
+    for _ in range(depth):
+        go = X[rows, feature[idx]] <= thresh[idx]
+        idx = np.maximum(np.where(go, left[idx], right[idx]), idx)
     return idx
+
+
+def _depths(left: np.ndarray, right: np.ndarray, sizes) -> list:
+    """The depth of each of the trees whose child arrays (-1 at a leaf, else
+    an index after the node's own in its tree) are ``left`` and ``right``
+    concatenated, tree i holding ``sizes[i]`` nodes: the most steps any walk
+    down it takes."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    split = np.flatnonzero(left >= 0)
+    parent = np.concatenate([split, split])
+    child = np.concatenate([left[split], right[split]]) + starts[parent]
+    # the longest walk ending at each node, one more level per pass
+    steps = np.zeros(len(left), dtype=np.int64)
+    while True:
+        longer = steps.copy()
+        np.maximum.at(longer, child, steps[parent] + 1)
+        if np.array_equal(longer, steps):
+            break
+        steps = longer
+    tree = np.repeat(np.arange(len(sizes)), sizes)
+    depth = np.zeros(len(sizes), dtype=np.int64)
+    np.maximum.at(depth, tree, steps)
+    return depth.tolist()
 
 
 class _Tree:
@@ -125,20 +151,23 @@ class _Tree:
 
     Nodes are numbered depth-first (a node, its left subtree, then its right
     subtree), so every child's index exceeds its parent's.  A leaf has
-    feature -1 and no children."""
+    feature -1 and no children.  ``depth`` is the most steps a row takes
+    to its leaf, which :func:`_route` runs: a fitted tree gets it from its
+    growth, and a tree built without one has it counted from its children."""
 
-    __slots__ = ("feature", "thresh", "left", "right", "value")
+    __slots__ = ("feature", "thresh", "left", "right", "value", "depth")
 
-    def __init__(self, feature, thresh, left, right, value):
+    def __init__(self, feature, thresh, left, right, value, depth=None):
         self.feature = np.asarray(feature, dtype=np.int64)
         self.thresh = np.asarray(thresh, dtype=float)
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=float)
+        self.depth = _depths(self.left, self.right, [len(self.left)])[0] if depth is None else depth
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
         """The leaf each row of X reaches."""
-        return _route(X, self.feature, self.thresh, self.left, self.right)
+        return _route(X, self.feature, self.thresh, self.left, self.right, self.depth)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.leaves(X)]
@@ -251,8 +280,13 @@ class QuantileForest:
     their leaves up to the last tree holding them, and adds the trees'
     values in order.  So a fitted forest routes its input
     ``n_grown`` times per call, and a forest rebuilt from a document, whose
-    trees share no arrays, ``n_trees`` times.  Its input needs at least
-    ``min_features`` columns: one more than the largest split feature.
+    trees share no arrays, ``n_trees`` times.  A routing takes as many
+    whole-batch steps as its tree is deep (see :func:`_route`): a fitted
+    tree's depth comes with its cuts, a loaded tree's is counted once in
+    ``from_dict``, so a document tree deeper than the declared ``depth``
+    routes in full and an all-leaf forest reads no column.  Its input needs
+    at least ``min_features`` columns: one more than the largest split
+    feature.
     """
 
     def __init__(self, tau: float, n_trees: int, depth: int, lr: float, min_leaf: int):
@@ -270,8 +304,8 @@ class QuantileForest:
 
     def _grow(self, X, order, xs, g):
         """Find one tree's cuts for the gradients g; returns its (feature,
-        thresh, left, right) arrays, nodes numbered as in its document, and
-        each row's leaf."""
+        thresh, left, right) arrays, nodes numbered as in its document, its
+        depth, and each row's leaf."""
         lo = self.min_leaf  # fewest rows a side may keep
         leaf = np.empty(len(g), dtype=np.intp)
         nodes = []  # each node's [feature, thresh, left, right]
@@ -281,8 +315,10 @@ class QuantileForest:
         # whose right child it is (-1 for a left child or the root).  The
         # right child is pushed first, so the left one is numbered next.
         stack = [(np.arange(len(g)), order, xs, None, 0, -1)]
+        deepest = 0
         while stack:
             rows, o, xv, keep, depth, parent = stack.pop()
+            deepest = max(deepest, depth)
             v = len(nodes)
             if parent >= 0:
                 nodes[parent][3] = v
@@ -307,7 +343,7 @@ class QuantileForest:
             mask = X[o, j] <= thr
             stack.append((rows[~go_left], o, xv, ~mask, depth + 1, v))
             stack.append((rows[go_left], o, xv, mask, depth + 1, -1))
-        return tuple(map(np.asarray, zip(*nodes))), leaf
+        return tuple(map(np.asarray, zip(*nodes))), deepest, leaf
 
     def fit(self, X, y) -> "QuantileForest":
         X, y = _training_arrays(X, y)
@@ -323,7 +359,7 @@ class QuantileForest:
         xs = np.take_along_axis(X.T, order, axis=1)
         pred = np.full(len(y), self.base)
         self.n_grown = self.min_features = 0
-        grown = {}  # each sign pattern's cut arrays, which its rounds share
+        grown = {}  # each sign pattern's cut arrays and depth, which its rounds share
         key = None
         for _ in range(self.n_trees):
             resid = y - pred
@@ -334,16 +370,17 @@ class QuantileForest:
             if key != last:
                 shape = grown.get(key)
                 if shape is None:
-                    shape, leaf = self._grow(X, order, xs, np.where(positive, self.tau, self.tau - 1.0))
-                    grown[key] = shape
+                    cuts, depth, leaf = self._grow(X, order, xs, np.where(positive, self.tau, self.tau - 1.0))
+                    grown[key] = cuts, depth
                     self.n_grown += 1
-                    self.min_features = max(self.min_features, int(shape[0].max()) + 1)
+                    self.min_features = max(self.min_features, int(cuts[0].max()) + 1)
                 else:
-                    leaf = _route(X, *shape)
+                    cuts, depth = shape
+                    leaf = _route(X, *cuts, depth)
                 quantiles = _SegmentQuantiles(leaf, self.tau)
-            value = np.zeros(len(shape[0]))
+            value = np.zeros(len(cuts[0]))
             value[quantiles.ids] = quantiles(resid)
-            self.trees.append(_Tree(*shape, value))
+            self.trees.append(_Tree(*cuts, value, depth))
             pred = pred + self.lr * value[leaf]
         return self
 
@@ -374,7 +411,8 @@ class QuantileForest:
         length, each list read across all trees by one value check, and
         every node is a leaf (feature and children -1) or has a feature and
         two children numbered after it in its own tree (which also rules
-        out routing cycles)."""
+        out routing cycles).  Each tree's depth is counted here, for all
+        trees at once."""
         qf = _from_document(cls, d, "quantile_forest", ("tau", "n_trees", "depth", "lr", "min_leaf"), {"base": real()})
         trees = d.get("trees")
         if not isinstance(trees, list) or len(trees) != qf.n_trees:
@@ -399,7 +437,8 @@ class QuantileForest:
         if not np.all(leaf | internal):
             raise ValidationError("forest tree node is neither a leaf nor a split into two children "
                                   "numbered after it in its tree")
-        qf.trees = [_Tree(*(a[start:end] for a in arrays)) for start, end in zip(starts.tolist(), ends.tolist())]
+        qf.trees = [_Tree(*(a[start:end] for a in arrays), depth)
+                    for start, end, depth in zip(starts.tolist(), ends.tolist(), _depths(left, right, sizes))]
         qf.min_features = int(feature.max(initial=-1)) + 1
         return qf
 

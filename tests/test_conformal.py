@@ -22,6 +22,7 @@ from confjudge.conformal import (
     _interval_chr,
     _lvd_exact_quantiles,
     _lvd_local_quantiles,
+    _ordinal_growth_path,
     _ordinal_growth_predict,
     _run_table,
     _score_chr,
@@ -472,6 +473,33 @@ class TestClassifierFitReuse:
         assert kept < 64 * 1024, kept
 
 
+def _stepwise_growth_path(values: np.ndarray):
+    """The greedy growth path step by step, with an explicit check of which
+    neighbours exist: the oracle for ``_ordinal_growth_path``."""
+    n, k = values.shape
+    rows = np.arange(n)
+    lefts = np.empty((n, k), dtype=np.int64)
+    rights = np.empty((n, k), dtype=np.int64)
+    masses = np.empty((n, k))
+    left = np.argmax(values, axis=1)
+    right = left.copy()
+    mass = values[rows, left]
+    lefts[:, 0], rights[:, 0], masses[:, 0] = left, right, mass
+    for step in range(1, k):
+        can_l = left > 0
+        can_r = right < k - 1
+        vl = np.where(can_l, values[rows, np.maximum(left - 1, 0)], -np.inf)
+        vr = np.where(can_r, values[rows, np.minimum(right + 1, k - 1)], -np.inf)
+        active = can_l | can_r
+        go_left = active & (vl >= vr)
+        go_right = active & ~go_left
+        mass = mass + np.where(go_left, vl, 0.0) + np.where(go_right, vr, 0.0)
+        left = np.where(go_left, left - 1, left)
+        right = np.where(go_right, right + 1, right)
+        lefts[:, step], rights[:, step], masses[:, step] = left, right, mass
+    return lefts, rights, masses
+
+
 class TestOrdinal:
     def test_point_mass_single_label(self):
         Z = np.tile(np.array([-1000.0, -1000.0, 0.0, -1000.0, -1000.0]), (20, 1))
@@ -529,6 +557,20 @@ class TestOrdinal:
         values = np.full((1, 5), 0.2) * np.array([1.0, 1.0, 1.0, 2.0, 1.0])
         left, right = _ordinal_growth_predict(values, np.arange(1.0, 6.0), 0.5)
         assert (left[0], right[0]) == (2, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 13).flatmap(lambda k: st.tuples(
+        st.lists(st.lists(st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.5]), st.floats(0.0, 1.0)),
+                          min_size=k, max_size=k), min_size=1, max_size=6),
+        st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=k, max_size=k))))
+    def test_growth_path_matches_stepwise_oracle(self, case):
+        # rows with ties, zeros and ordinal_rc label weights
+        rows, weights = case
+        values = np.array(rows) * np.array(weights)
+        got = _ordinal_growth_path(values)
+        expected = _stepwise_growth_path(values)
+        assert all(np.array_equal(a, b) for a, b in zip(got[:2], expected[:2]))
+        assert got[2].view(np.int64).tolist() == expected[2].view(np.int64).tolist()
 
     def test_non_positive_weight_rejected(self):
         _, calib, _ = peaked_split(seed=22)

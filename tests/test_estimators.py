@@ -387,6 +387,128 @@ class TestPredictRoutesEachShapeOnce:
             assert leaves.call_count == 40
 
 
+# cut and feature values on one small grid, so rows often sit exactly on a
+# cut and the `<=` decides them
+_GRID = (-1.0, 0.0, 0.5, 2.0)
+_TREE_KEYS = ("feature", "thresh", "left", "right", "value")
+
+
+@st.composite
+def _tree_documents(draw, n_features: int):
+    """A tree document numbered depth-first, with leaves at mixed depths."""
+    nodes = []
+
+    def grow(depth):
+        v = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, draw(st.sampled_from([-1.5, -0.25, 0.0, 0.75, 3.0]))])
+        if depth < 4 and draw(st.booleans()):
+            nodes[v][:2] = draw(st.integers(0, n_features - 1)), draw(st.sampled_from(_GRID))
+            nodes[v][2] = grow(depth + 1)
+            nodes[v][3] = grow(depth + 1)
+        return v
+
+    grow(0)
+    return dict(zip(_TREE_KEYS, map(list, zip(*nodes))))
+
+
+def _walk(tree: dict, x) -> int:
+    """The leaf one row reaches, one node at a time."""
+    node = 0
+    while tree["feature"][node] >= 0:
+        go_left = x[tree["feature"][node]] <= tree["thresh"][node]
+        node = tree["left"][node] if go_left else tree["right"][node]
+    return node
+
+
+def _depth(tree: dict, node: int = 0) -> int:
+    """The most splits a walk from ``node`` passes on its way to a leaf."""
+    if tree["feature"][node] < 0:
+        return 0
+    return 1 + max(_depth(tree, tree["left"][node]), _depth(tree, tree["right"][node]))
+
+
+def _walked(doc: dict, X) -> np.ndarray:
+    """A forest document's predictions, each row walked down each tree."""
+    out = []
+    for x in X:
+        pred = doc["base"]
+        for tree in doc["trees"]:
+            pred = pred + doc["lr"] * tree["value"][_walk(tree, x)]
+        out.append(pred)
+    return np.array(out, dtype=float)
+
+
+def _rows(n_features: int, max_size: int = 8):
+    """Rows on the cut grid, NaN features included."""
+    cells = st.one_of(st.sampled_from(_GRID + (math.nan,)), st.floats(-3.0, 3.0))
+    return st.lists(st.lists(cells, min_size=n_features, max_size=n_features), min_size=1, max_size=max_size)
+
+
+class TestRouting:
+    """Routing runs a tree's depth in whole-batch steps, with rows at a leaf
+    staying put; every row must still reach the leaf a walk down the tree
+    reaches."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+        st.lists(_tree_documents(m), min_size=1, max_size=4), _rows(m))))
+    def test_random_trees_route_as_a_walk(self, case):
+        trees, X = case
+        X = np.array(X)
+        doc = {"kind": "quantile_forest", "v": 1, "tau": 0.5, "n_trees": len(trees), "depth": 1,
+               "lr": 0.5, "min_leaf": 1, "base": 0.25, "trees": trees}
+        expected = _walked(doc, X)
+        loaded = QuantileForest.from_dict(doc)
+        # as fit builds them: each tree with the depth it grew to
+        built = QuantileForest(0.5, len(trees), 4, 0.5, 1)
+        built.base, built.min_features = doc["base"], loaded.min_features
+        built.trees = [_Tree(*(t[key] for key in _TREE_KEYS), _depth(t)) for t in trees]
+        for qf in (loaded, built):
+            assert np.array_equal(qf.predict(X), expected)
+            assert np.array_equal(qf.predict(X[:1]), expected[:1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(_rows(2, max_size=30).filter(lambda X: len(X) >= 4),
+           st.lists(st.sampled_from(_GRID), min_size=30, max_size=30), st.sampled_from([0.1, 0.5, 0.9]), _rows(2))
+    def test_fitted_forests_route_as_a_walk(self, X, y, tau, Xt):
+        X = np.nan_to_num(np.array(X))
+        qf = QuantileForest(tau, 6, 3, 0.5, 1).fit(X, np.array(y[:len(X)]))
+        doc = qf.to_dict()
+        Xt = np.vstack([np.array(Xt), X[:3]])
+        expected = _walked(doc, Xt)
+        for forest in (qf, QuantileForest.from_dict(doc)):
+            assert np.array_equal(forest.predict(Xt), expected)
+            assert np.array_equal(forest.predict(Xt[:1]), expected[:1])
+
+    def test_tree_deeper_than_its_declared_depth_routes_in_full(self):
+        # a hand-edited document: the forest declares depth 1, its first
+        # tree splits three times on the way to its deepest leaf
+        X, y = _oracle_data("continuous", 40, seed=3)
+        doc = QuantileForest(0.5, 3, 1, 0.1, 5).fit(X, y).to_dict()
+        doc["trees"][0] = {"feature": [0, -1, 1, 2, -1, -1, -1], "thresh": [0.0, 0.0, 0.5, -0.5, 0.0, 0.0, 0.0],
+                           "left": [1, -1, 3, 4, -1, -1, -1], "right": [2, -1, 6, 5, -1, -1, -1],
+                           "value": [0.0, -1.0, 0.0, 0.0, 2.0, 3.0, 4.0]}
+        loaded = QuantileForest.from_dict(doc)
+        assert loaded.depth == 1 and loaded.trees[0].depth == 3
+        Xt = np.vstack([X, [[1.0, 0.0, -1.0, 0.0]]])
+        got = loaded.predict(Xt)
+        assert np.array_equal(got, _walked(doc, Xt))
+        # the row that takes three steps reaches the leaf worth 2.0
+        assert _walk(doc["trees"][0], Xt[-1]) == 4
+
+    def test_all_leaf_forest_on_zero_columns_returns_its_sum(self):
+        # every tree a single leaf: no column is read, whatever the declared depth
+        y = np.array([1.0, 2.0, 4.0, 8.0])
+        fitted = QuantileForest(0.5, 3, 3, 0.5, 1).fit(np.zeros((4, 0)), y)
+        doc = fitted.to_dict()
+        assert all(t["feature"] == [-1] for t in doc["trees"])
+        for qf in (fitted, QuantileForest.from_dict(doc)):
+            assert qf.min_features == 0
+            assert np.array_equal(qf.predict(np.zeros((2, 0))), _walked(doc, np.zeros((2, 0))))
+        doc["trees"] = [{**t, "value": [0.0]} for t in doc["trees"]]
+        assert np.array_equal(QuantileForest.from_dict(doc).predict(np.zeros((1, 0))), [doc["base"]])
+
+
 _TAUS = st.one_of(
     st.sampled_from([1e-12, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-3, 1 - 1e-12, float(np.nextafter(1.0, 0.0))]),
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
