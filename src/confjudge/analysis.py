@@ -145,17 +145,21 @@ def _policy_name(policy: AdjustmentPolicy | None) -> str:
 
 
 def _check_run(seeds: list, alpha: float, calib_fraction: float, inner_train_fraction: float = 0.5,
-               methods: list = (), hyper: dict | None = None, policy: AdjustmentPolicy | None = None,
+               methods: list | None = None, hyper: dict | None = None, policy: AdjustmentPolicy | None = None,
                scale=None, fractions: list | None = None, jobs: int = 1) -> None:
     """Raise ValidationError, before any split or draw, for a seeded run's
-    bad configuration: no seeds or a repeated seed, a repeated method, an
-    unknown method or bad hyperparameter among ``methods`` and ``hyper``
+    bad configuration: no seeds or a repeated seed, no method (when
+    ``methods`` is given) or a repeated one, an unknown method or bad
+    hyperparameter among ``methods`` and ``hyper``
     (method -> its hyperparameters), a bad alpha, split fraction, policy
     (for ``scale``), sweep ``fractions`` (when given) or ``jobs``."""
     if not seeds:
         raise ValidationError("need at least one seed")
     if len(set(seeds)) < len(seeds):
         raise ValidationError(f"seeds {seeds} repeat a seed")
+    if methods is not None and not methods:
+        raise ValidationError("need at least one method")
+    methods = methods or ()
     if len(set(methods)) < len(methods):
         raise ValidationError(f"methods {methods} repeat a method")
     hyper = hyper or {}
@@ -201,7 +205,7 @@ def _eval_seed(dataset: Dataset, args) -> list:
         except ValidationError as exc:
             outcomes.append((None, str(exc)))
         else:
-            outcomes.append(((row, int(intervals.empty.sum()), sum(1 for f in flags if f)), None))
+            outcomes.append(((row, int(intervals.empty.sum()), int(np.count_nonzero(flags))), None))
     return outcomes
 
 

@@ -8,6 +8,9 @@ holds one record per method with those four steps; :func:`calibrate`,
 record up, so calibration and test-time scores come from the same function.
 Each record also declares its method's hyperparameters: defaults and checks.
 
+Estimators keep their arithmetic: lvd's weighted quantile is
+``KernelSimilarity.local_quantiles``, given the scores and level from here.
+
 Regression methods consume raw logits; the ordinal methods consume
 softmaxed probabilities.  Calibrated models are immutable and hold their
 fitted estimators as live objects; the versioned JSON document is written
@@ -70,12 +73,7 @@ from .estimators import (
     KernelSimilarity,
     QuantileForest,
     RidgePredictor,
-    _U,
     _block_rows,
-    _gram_bound,
-    _gram_factor,
-    _gram_product,
-    _gram_rows,
 )
 from .ratings import rating_values, softmax, weighted_average
 
@@ -134,7 +132,8 @@ class _Method:
     quantile(scores, alpha) -> qhat                  calibrated quantile(s)
     interval(model, Z, y_hats) -> (lo, hi, flags)    bounds before clamping
 
-    ``flags`` is None for methods without a degenerate fallback.
+    ``flags``, a bool per row marking the degenerate fallback, is None for
+    methods without one.
     ``hyper`` maps each hyperparameter's name to its (default, check); ``fit``
     gets every declared name, with values checked by :func:`checked_hyper`.
     ``state`` maps each entry of the state ``fit`` returns to its JSON
@@ -423,7 +422,7 @@ def _score_chr(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
     run_lo, run_hi, _ = _run_table(probs.shape[1])
     ybin = np.argmin(np.abs(y[:, None] - classifier.bins[None, :]), axis=1)
     # a label the family never reaches (all its mass truncated) scores
-    # beyond the top level and simply stays uncovered
+    # beyond the top level
     s = np.full(len(ybin), T + 1)
     for rows, t, run in _chr_growth_steps(probs, T, ybin=ybin):
         b = ybin[rows]
@@ -434,18 +433,20 @@ def _score_chr(state: dict, scale: LabelScale, Z, y, y_hats) -> np.ndarray:
 
 def _interval_chr(model: CalibratedModel, Z: np.ndarray, y_hats):
     """The run at level qhat: the run of each sample's last growth step
-    with t <= qhat."""
+    with t <= qhat.  Once qhat reaches T + 1, the score of a label no
+    level reaches, the conformal set holds every label: the whole grid."""
     classifier, T = model.state["classifier"], model.state["T"]
+    bins = classifier.bins
+    if model.qhat >= T + 1:
+        return np.full(len(Z), bins[0]), np.full(len(Z), bins[-1]), None
     probs = classifier.predict_proba(Z)
     run_lo, run_hi, _ = _run_table(probs.shape[1])
-    # a quantile past the top level (too many unreachable labels) stops
-    # there, and one below level 0 (only a hand-made document has one)
-    # reads level 0
-    q = min(max(int(model.qhat), 0), T)
+    # a quantile in [T, T + 1) reads level T, and one below level 0 (only a
+    # hand-made document has one) reads level 0
     runs = np.empty(len(probs), dtype=np.int64)
-    for rows, t, run in _chr_growth_steps(probs, T, q):
+    for rows, t, run in _chr_growth_steps(probs, T, max(int(model.qhat), 0)):
         runs[rows] = run
-    return classifier.bins[run_lo[runs]], classifier.bins[run_hi[runs]], None
+    return bins[run_lo[runs]], bins[run_hi[runs]], None
 
 
 # ---------------------------------------------------------------------------
@@ -487,170 +488,11 @@ def _check_lvd(state: dict, k: int, calib_scores: np.ndarray, **_) -> None:
         raise ValidationError("model state 'kernel' has no bandwidth")
 
 
-def _lvd_exact_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
-    """Each query's local quantile from ``weights_batch``'s weights put in
-    score order and added up by ``cumsum``, a block of queries at a time:
-    the first sorted score whose cumulative weight reaches ``1 - alpha -
-    1e-12``, or the largest score when none does."""
-    state = model.state
-    kernel, calib = state["kernel"], state["calib_logits"]
-    sorted_scores, order = state["sorted_scores"], state["sort_order"]
-    level = (1.0 - model.alpha) - _TOL
-    qs = np.empty(len(Z))
-    # a block of queries at a time keeps the (queries x m) arrays bounded
-    step = _block_rows(len(calib))
-    for r0 in range(0, len(Z), step):
-        cum = np.cumsum(np.take(kernel.weights_batch(calib, Z[r0:r0 + step]), order, axis=1), axis=1)
-        # first score index where the weighted mass reaches 1 - alpha
-        idx = np.argmax(cum >= level, axis=1)
-        reached = cum[np.arange(len(idx)), idx] >= level
-        qs[r0:r0 + step] = sorted_scores[np.where(reached, idx, len(sorted_scores) - 1)]
-    return qs
-
-
-# Up to about this many (query, point) pairs the exact path is faster than
-# locating and certifying, whose set-up costs more than one served point's
-# whole exact predict.  Per call with 5 features (best of 7 x 50 calls,
-# 2-core x86, one BLAS thread): one query against 250 points 48-51 us
-# exact against 123-130 located; 4 x 1000 135-141 against 186-194; about
-# even at 8000 pairs (8 x 1000: 195-215 against 191-201, 32 x 250: 184-188
-# against 152-153); 16 x 1000 330-340 against 207-211; 32 x 1000 595 against
-# 243-247.  Building the query rows once per call left these small calls'
-# located cost where it was (8 x 1000 read 191-196 us before), so the
-# crossover stays between 4000 and 8000 pairs.
-_LOCATE_PAIRS = 10000
-
-# located weights are summed this many columns at a time, so that each row
-# needs one cumsum only inside the columns where it crosses the level
-_MASS_COLUMNS = 64
-
-# a bound on one exp result's absolute error when it is subnormal
-_SUBNORMAL_ERR = 2.0 ** -1071
-
-
-def _lvd_local_quantiles(model: CalibratedModel, Z: np.ndarray) -> np.ndarray:
-    """:func:`_lvd_exact_quantiles` bit for bit, with each crossing located
-    from approximate distances and certified against the exact sum.
-
-    A block of queries at a time gets its kernel exponents d2 / c (c = -2
-    bw^2) from one matrix product against the calibration points' Gram
-    factor, into which 1 / c is folded (see
-    ``estimators._gram_sq_distances``, which derives the per-query error
-    bound eta).  The factor, padded with zero columns to whole column
-    groups, the queries' Gram rows and every eta are built once per call.
-    Each block's product is written straight into the weight buffer, exp
-    runs there in place, and the pad columns go back to 0.  From the
-    weights come their totals and each row's
-    cumulative mass in score order: sums of ``_MASS_COLUMNS`` columns, then
-    one cumsum inside the columns where the mass crosses ``level``.  The
-    crossing index j stands when the located mass before it is below
-    ``level - E`` and the mass at it is at least ``level + E``, where E
-    (derived below) bounds the gap between the located and the exact
-    cumulative mass.  The exact mass never decreases, so the exact path's
-    index is j as well.
-
-    Rows that fail, whose total weight is below e^-700 or whose E exceeds
-    1e-6 (a row that never reaches the level fails too) go through the
-    exact path in one batch.  So does a whole call of at most
-    ``_LOCATE_PAIRS`` pairs, or with a standardized feature that is not
-    finite or above 1e100 in magnitude (which keeps the exact path's
-    errors), or with a bandwidth whose 2 bw^2 is below 1e-100 (outside
-    eta's derivation).  Memory: a few (block x m) arrays, O(block * m),
-    as on the exact path, plus one (queries x (k + 2)) array of Gram rows
-    and a few per-query values."""
-    state = model.state
-    kernel, calib = state["kernel"], state["calib_logits"]
-    m = len(calib)
-    if len(Z) * m <= _LOCATE_PAIRS:
-        return _lvd_exact_quantiles(model, Z)
-    bw = kernel._fitted_bandwidth()
-    c = -2.0 * bw * bw  # as weights_batch divides
-    Xs = kernel._standardize(calib)[state["sort_order"]]
-    Zs = kernel._standardize(Z)
-    if abs(c) < 1e-100 or not (np.all(np.abs(Xs) <= 1e100) and np.all(np.abs(Zs) <= 1e100)):
-        return _lvd_exact_quantiles(model, Z)
-    level = (1.0 - model.alpha) - _TOL
-    k = Xs.shape[1]
-    width = -(-m // _MASS_COLUMNS) * _MASS_COLUMNS
-    # the product gives the exponents d2 / c themselves, padded with zero
-    # columns to whole column groups; the bound reads the real columns
-    factor = np.zeros((k + 2, width))
-    factor[:, :m] = _gram_factor(Xs, c)
-    left = _gram_rows(Zs)
-    # per query: eta, and the crossing index, the located mass at it and
-    # before it (not yet normalized) and the total weight
-    eta = _gram_bound(left[:, -1], factor, np.abs(factor[k, :m]).max())
-    step = _block_rows(width)
-    # a block's exponents, then in place its weights
-    w = np.empty((min(step, len(Z)), width))
-    ones = np.ones(_MASS_COLUMNS)
-    idx = np.empty(len(Z), dtype=np.intp)
-    at, prev, total = (np.empty(len(Z)) for _ in range(3))
-    for r0 in range(0, len(Z), step):
-        r1 = min(r0 + step, len(Z))
-        n = r1 - r0
-        block = _gram_product(left[r0:r1], factor, out=w[:n])
-        # an exponent above 0 is a rounding error within eta, and a row
-        # whose eta exceeds 1 is never certified (E > 4 eta); clamping its
-        # block at 0 keeps exp and the sums from overflowing
-        if eta[r0:r1].max() > 1.0:
-            np.minimum(block, 0.0, out=block)
-        np.exp(block, out=block)
-        # the pad columns' exp(0) = 1 back to weight 0
-        block[:, m:] = 0.0
-        rows = np.arange(n)
-        groups = block.reshape(n, -1, _MASS_COLUMNS)
-        # the column groups' sums as one matrix-vector product
-        group_cum = np.cumsum((block.reshape(-1, _MASS_COLUMNS) @ ones).reshape(n, -1), axis=1)
-        target = level * group_cum[:, -1:]
-        # the first column group and then the first column where the mass reaches the level
-        g = np.argmax(group_cum >= target, axis=1)
-        before = np.where(g > 0, group_cum[rows, g - 1], 0.0)
-        cum = np.cumsum(groups[rows, g], axis=1)
-        cum += before[:, None]
-        j = np.argmax(cum >= target, axis=1)
-        idx[r0:r1] = g * _MASS_COLUMNS + j
-        total[r0:r1] = group_cum[:, -1]
-        at[r0:r1] = cum[rows, j]
-        prev[r0:r1] = np.where(j > 0, cum[rows, j - 1], before)
-    # a row whose weights (nearly) all underflow is left to the exact path
-    live = total >= math.exp(-700.0)
-    total[~live] = 1.0
-    at /= total
-    prev /= total
-    # E, per query.  The located exponents lie within eta of the exact
-    # path's d2 / c: ``estimators._gram_sq_distances`` derives eta with c
-    # folded into the factor, and it bounds both paths' roundings, the
-    # exact path's division by c included, for exponents of any size.
-    # So the true exp values differ by a factor of at most e^eta.  Taking
-    # numpy's exp as within 4 ulps, the weights then differ by at most
-    # rho w + tau, with rho = expm1(eta) + 18u and tau = _SUBNORMAL_ERR
-    # (8 subnormal ulps, for results below the normal range).  So the
-    # real totals W and prefix sums of the two paths differ by at most
-    # rho times the located ones plus m tau, and the normalized masses
-    # by 2 (rho + m tau / W) / (1 - rho - m tau / W).  Rounding: the
-    # exact path's pairwise total, division and cumsum leave its mass
-    # within about 2m u of the real one (Higham, *Accuracy and
-    # Stability of Numerical Algorithms*, 2002, ch. 3-4), as do this
-    # path's sums, in whatever order the matrix-vector product adds, and
-    # its division: 4m u together.  E doubles the sum of
-    # both.  It is used only with W >= e^-700, so m tau / W is
-    # negligible and the exact path's nearest-point fallback cannot
-    # apply, and with E <= 1e-6, so the denominator above is about 1.
-    with np.errstate(over="ignore"):
-        rho = np.expm1(eta) + 18 * _U
-    E = 4.0 * (rho + m * _SUBNORMAL_ERR / total) + 8 * (m + 1) * _U
-    certified = live & (E <= 1e-6) & (prev < level - E) & (at >= level + E)
-    qs = state["sorted_scores"][np.minimum(idx, m - 1)]
-    rest = np.flatnonzero(~certified)
-    if rest.size:
-        qs[rest] = _lvd_exact_quantiles(model, Z[rest])
-    return qs
-
-
 def _interval_lvd(model: CalibratedModel, Z: np.ndarray, y_hats):
-    preds = model.state["ridge"].predict(Z)
-    qs = _lvd_local_quantiles(model, Z)
+    state = model.state
+    preds = state["ridge"].predict(Z)
+    qs = state["kernel"].local_quantiles(state["calib_logits"], Z, state["sorted_scores"], state["sort_order"],
+                                         (1.0 - model.alpha) - _TOL)
     return preds - qs, preds + qs, None
 
 
@@ -722,12 +564,11 @@ def _interval_r2ccp(model: CalibratedModel, Z: np.ndarray, y_hats):
     classifier = model.state["classifier"]
     dens = _bin_densities(classifier, model.scale, Z)
     lo, hi, reached = _superlevel_spans(classifier.bins, dens, model.qhat)
-    if reached.all():
-        return lo, hi, [None] * len(lo)
-    # the density never reaches qhat: fall back to its peak
     lost = ~reached
-    lo[lost] = hi[lost] = classifier.bins[np.argmax(dens[lost], axis=1)]
-    return lo, hi, np.where(lost, "degenerate", None).tolist()
+    if lost.any():
+        # the density never reaches qhat: fall back to its peak
+        lo[lost] = hi[lost] = classifier.bins[np.argmax(dens[lost], axis=1)]
+    return lo, hi, lost
 
 
 # ---------------------------------------------------------------------------
@@ -905,11 +746,12 @@ def calibrate_ordinal_rc(calib: Dataset, alpha: float, weights=None) -> Calibrat
 
 def predict_intervals_flagged(model: CalibratedModel, Z, y_hats=None):
     """Batch prediction returning (intervals, flags): an :class:`Intervals`
-    batch clamped to the scale range, and one flag per row marking the rare
-    degenerate fallback (currently only r2ccp's empty superlevel set)."""
+    batch clamped to the scale range, and a bool array, True for the rows
+    the rare degenerate fallback served (currently only r2ccp's empty
+    superlevel set)."""
     lo, hi, flags = _METHOD_TABLE[model.method].interval(model, _check_dim(model, Z), y_hats)
     intervals = Intervals._clamp(lo, hi, model.scale)
-    return intervals, flags if flags is not None else [None] * len(intervals)
+    return intervals, flags if flags is not None else np.zeros(len(intervals), dtype=bool)
 
 
 def predict_intervals(model: CalibratedModel, Z, y_hats=None) -> Intervals:

@@ -584,20 +584,19 @@ def _sample_type_problem(rec) -> str:
     return f"meta must be an object, got {reprlib.repr(rec['meta'])}"  # the one field left
 
 
-def read_samples(path, scale: LabelScale, k: int | None = None) -> Dataset:
+def read_samples(path, scale: LabelScale) -> Dataset:
     """Load a JSONL sample file, ``_CHUNK_ROWS`` records at a time.  A
-    malformed record or one with another number of logits than ``k``
-    (default: the first record's), whichever comes first, and then the
-    first record that breaks a row invariant raise ValidationError with the
-    line number."""
-    linenos, ids, logits, raw_scores, labels, meta = _join_chunks(_sample_chunks(path, k))
+    malformed record or one with another number of logits than the first
+    record's, whichever comes first, and then the first record that breaks
+    a row invariant raise ValidationError with the line number."""
+    linenos, ids, logits, raw_scores, labels, meta = _join_chunks(_sample_chunks(path))
     problems = row_problems(ids, logits, raw_scores, labels, scale)
     if problems:
         raise ValidationError(f"line {linenos[problems[0][0]]}: {problems[0][1]}")
     return Dataset._checked(ids, logits, raw_scores, labels, scale, meta)
 
 
-def _sample_chunks(path, k: int | None):
+def _sample_chunks(path):
     """Yield the columns of the sample file at ``path`` for each
     ``_CHUNK_ROWS`` records: (line numbers, ids, logits, raw scores, labels,
     meta rows), the ids and meta as tuples, the rest as arrays."""
@@ -606,7 +605,7 @@ def _sample_chunks(path, k: int | None):
     if first is None:
         raise ValidationError("no samples")
     lineno, (sid, logits, *_) = first
-    k = len(logits) if k is None else k
+    k = len(logits)
     if k == 0:
         raise ValidationError(f"line {lineno}: sample {sid!r}: no logits")
     records = itertools.chain([first], records)

@@ -926,6 +926,26 @@ def _pair_distance_ranks(Xs: np.ndarray, ranks: list, state=None, sample=None) -
             return [v for k in ranks for v in _pair_distance_ranks(Xs, [k], (lo, hi, n_below, n_in), sample)]
 
 
+# Up to about this many (query, point) pairs the exact path of
+# ``KernelSimilarity.local_quantiles`` is faster than locating and
+# certifying, whose set-up costs more than one served point's whole exact
+# predict.  Per call with 5 features (best of 7 x 50 calls, 2-core x86, one
+# BLAS thread): one query against 250 points 48-51 us exact against 123-130
+# located; 4 x 1000 135-141 against 186-194; about even at 8000 pairs (8 x
+# 1000: 195-215 against 191-201, 32 x 250: 184-188 against 152-153); 16 x
+# 1000 330-340 against 207-211; 32 x 1000 595 against 243-247.  Building the
+# query rows once per call left these small calls' located cost where it
+# was (8 x 1000 read 191-196 us before), so the crossover stays between 4000
+# and 8000 pairs.
+_LOCATE_PAIRS = 10000
+
+# located weights are summed this many columns at a time, so that each row
+# needs one cumsum only inside the columns where it crosses the level
+_MASS_COLUMNS = 64
+
+# a bound on one exp result's absolute error when it is subnormal
+_SUBNORMAL_ERR = 2.0 ** -1071
+
 # the kernel's bandwidth (default, check), as the method table declares it
 KERNEL_HYPER = {"bandwidth": (None, or_none(real(0, strict=True)))}
 
@@ -936,22 +956,20 @@ class KernelSimilarity:
     heuristic) unless set explicitly.
 
     ``weights_batch`` gives the weights bit for bit from the exact squared
-    distances of :func:`_sq_distances`.  A caller that only needs where a
-    query's cumulative weight crosses a level can locate the crossing from
-    Gram products instead (:func:`_gram_sq_distances`): one matrix product
-    per block gives the kernel's exponents d2 / (-2 bw^2) directly, and
-    that function's per-query error bound certifies the crossing; rows the
-    bound cannot certify go through ``weights_batch`` (lvd's
-    ``conformal._lvd_local_quantiles`` does this).  ``median_bandwidth``
-    uses the same product, with its bound, to find which pairs lie in or
-    next to a selection bracket, and computes only those exactly.  Both
-    build the Gram rows (:func:`_gram_rows`) and bounds once per call and
-    give each block its slice.
+    distances of :func:`_sq_distances`.  ``local_quantiles`` and
+    ``median_bandwidth`` get their distances from one matrix product per
+    block against a Gram factor instead (:func:`_gram_sq_distances`), and
+    that function's error bound tells them what the product settles: where
+    each query's cumulative weight crosses a level, and which pairs lie in
+    or next to a selection bracket.  What it cannot settle they compute
+    exactly, through ``weights_batch`` or pair by pair.  Both build the Gram
+    rows (:func:`_gram_rows`) and bounds once per call and give each block
+    its slice.
 
-    Memory: ``weights_batch`` and the located path hold a few (queries x m)
-    arrays, and no (queries x m x features) tensor larger than one block,
-    so callers that pass a block of queries at a time use O(block * m)
-    memory, plus O(rows * features) for the Gram rows of a located call;
+    Memory: ``weights_batch`` holds a few (queries x m) arrays, and no
+    (queries x m x features) tensor larger than one block, so a caller that
+    passes a block of queries at a time uses O(block * m) memory, as
+    ``local_quantiles`` does, plus O(queries * features) for its Gram rows;
     ``median_bandwidth`` holds one block (with the exact distances
     of its pairs in or next to the bracket), a sample of at most
     ``_SELECT_CAP`` pairs and at most that many kept distances, whatever m
@@ -1021,6 +1039,142 @@ class KernelSimilarity:
             totals = w.sum(axis=1, keepdims=True)
         w /= totals
         return w
+
+    def local_quantiles(self, X_calib, Z, sorted_scores, order, level: float) -> np.ndarray:
+        """Each query's weighted quantile of the calibration scores: the
+        first of ``sorted_scores`` (the scores of the points ``X_calib`` put
+        in ``order``) whose cumulative ``weights_batch`` weight in that
+        order reaches ``level``, or the largest score when none does.  The
+        rows of Z (a 1-D Z is one query, as for ``weights_batch``) get the
+        bits of :meth:`_exact_quantiles`, which adds up the weights by
+        ``cumsum``, with each crossing located from approximate distances
+        and certified against the exact sum.
+
+        A block of queries at a time gets its kernel exponents d2 / c (c =
+        -2 bw^2) from one matrix product against the calibration points'
+        Gram factor, into which 1 / c is folded (:func:`_gram_sq_distances`
+        derives the per-query error bound eta).  The factor, padded with
+        zero columns to whole column groups, the queries' Gram rows and
+        every eta are built once per call.  Each block's product is written
+        straight into the weight buffer, exp runs there in place, and the
+        pad columns go back to 0.  From the weights come their totals and
+        each row's cumulative mass in score order: sums of
+        ``_MASS_COLUMNS`` columns, then one cumsum inside the columns where
+        the mass crosses ``level``.  The crossing index j stands when the
+        located mass before it is below ``level - E`` and the mass at it is
+        at least ``level + E``, where E (derived below) bounds the gap
+        between the located and the exact cumulative mass.  The exact mass
+        never decreases, so the exact path's index is j as well.
+
+        Rows that fail, whose total weight is below e^-700 or whose E
+        exceeds 1e-6 (a row that never reaches the level fails too) go
+        through the exact path in one batch.  So does a whole call of at
+        most ``_LOCATE_PAIRS`` pairs, or with a standardized feature that is
+        not finite or above 1e100 in magnitude (which keeps the exact path's
+        errors), or with a bandwidth whose 2 bw^2 is below 1e-100 (outside
+        eta's derivation).  Memory: a few (block x m) arrays, O(block * m),
+        as on the exact path, plus one (queries x (k + 2)) array of Gram
+        rows and a few per-query values."""
+        Z = np.atleast_2d(Z)
+        m = len(X_calib)
+        if len(Z) * m <= _LOCATE_PAIRS:
+            return self._exact_quantiles(X_calib, Z, sorted_scores, order, level)
+        bw = self._fitted_bandwidth()
+        c = -2.0 * bw * bw  # as weights_batch divides
+        Xs = self._standardize(X_calib)[order]
+        Zs = self._standardize(Z)
+        if abs(c) < 1e-100 or not (np.all(np.abs(Xs) <= 1e100) and np.all(np.abs(Zs) <= 1e100)):
+            return self._exact_quantiles(X_calib, Z, sorted_scores, order, level)
+        k = Xs.shape[1]
+        width = -(-m // _MASS_COLUMNS) * _MASS_COLUMNS
+        # the product gives the exponents d2 / c themselves, padded with zero
+        # columns to whole column groups; the bound reads the real columns
+        factor = np.zeros((k + 2, width))
+        factor[:, :m] = _gram_factor(Xs, c)
+        left = _gram_rows(Zs)
+        # per query: eta, and the crossing index, the located mass at it and
+        # before it (not yet normalized) and the total weight
+        eta = _gram_bound(left[:, -1], factor, np.abs(factor[k, :m]).max())
+        step = _block_rows(width)
+        # a block's exponents, then in place its weights
+        w = np.empty((min(step, len(Z)), width))
+        ones = np.ones(_MASS_COLUMNS)
+        idx = np.empty(len(Z), dtype=np.intp)
+        at, prev, total = (np.empty(len(Z)) for _ in range(3))
+        for r0 in range(0, len(Z), step):
+            r1 = min(r0 + step, len(Z))
+            n = r1 - r0
+            block = _gram_product(left[r0:r1], factor, out=w[:n])
+            # an exponent above 0 is a rounding error within eta, and a row
+            # whose eta exceeds 1 is never certified (E > 4 eta); clamping its
+            # block at 0 keeps exp and the sums from overflowing
+            if eta[r0:r1].max() > 1.0:
+                np.minimum(block, 0.0, out=block)
+            np.exp(block, out=block)
+            # the pad columns' exp(0) = 1 back to weight 0
+            block[:, m:] = 0.0
+            rows = np.arange(n)
+            groups = block.reshape(n, -1, _MASS_COLUMNS)
+            # the column groups' sums as one matrix-vector product
+            group_cum = np.cumsum((block.reshape(-1, _MASS_COLUMNS) @ ones).reshape(n, -1), axis=1)
+            target = level * group_cum[:, -1:]
+            # the first column group and then the first column where the mass reaches the level
+            g = np.argmax(group_cum >= target, axis=1)
+            before = np.where(g > 0, group_cum[rows, g - 1], 0.0)
+            cum = np.cumsum(groups[rows, g], axis=1)
+            cum += before[:, None]
+            j = np.argmax(cum >= target, axis=1)
+            idx[r0:r1] = g * _MASS_COLUMNS + j
+            total[r0:r1] = group_cum[:, -1]
+            at[r0:r1] = cum[rows, j]
+            prev[r0:r1] = np.where(j > 0, cum[rows, j - 1], before)
+        # a row whose weights (nearly) all underflow is left to the exact path
+        live = total >= math.exp(-700.0)
+        total[~live] = 1.0
+        at /= total
+        prev /= total
+        # E, per query.  The located exponents lie within eta of the exact
+        # path's d2 / c: :func:`_gram_sq_distances` derives eta with c folded
+        # into the factor, and it bounds both paths' roundings, the exact
+        # path's division by c included, for exponents of any size.  So the
+        # true exp values differ by a factor of at most e^eta.  Taking
+        # numpy's exp as within 4 ulps, the weights then differ by at most
+        # rho w + tau, with rho = expm1(eta) + 18u and tau = _SUBNORMAL_ERR
+        # (8 subnormal ulps, for results below the normal range).  So the
+        # real totals W and prefix sums of the two paths differ by at most
+        # rho times the located ones plus m tau, and the normalized masses
+        # by 2 (rho + m tau / W) / (1 - rho - m tau / W).  Rounding: the
+        # exact path's pairwise total, division and cumsum leave its mass
+        # within about 2m u of the real one (Higham, *Accuracy and
+        # Stability of Numerical Algorithms*, 2002, ch. 3-4), as do this
+        # path's sums, in whatever order the matrix-vector product adds, and
+        # its division: 4m u together.  E doubles the sum of both.  It is
+        # used only with W >= e^-700, so m tau / W is negligible and the
+        # exact path's nearest-point fallback cannot apply, and with E <=
+        # 1e-6, so the denominator above is about 1.
+        with np.errstate(over="ignore"):
+            rho = np.expm1(eta) + 18 * _U
+        E = 4.0 * (rho + m * _SUBNORMAL_ERR / total) + 8 * (m + 1) * _U
+        certified = live & (E <= 1e-6) & (prev < level - E) & (at >= level + E)
+        qs = sorted_scores[np.minimum(idx, m - 1)]
+        rest = np.flatnonzero(~certified)
+        if rest.size:
+            qs[rest] = self._exact_quantiles(X_calib, Z[rest], sorted_scores, order, level)
+        return qs
+
+    def _exact_quantiles(self, X_calib, Z, sorted_scores, order, level: float) -> np.ndarray:
+        """:meth:`local_quantiles` from ``weights_batch``'s weights put in
+        ``order`` and added up by ``cumsum``, a block of queries at a time
+        (which keeps the (queries x m) arrays bounded)."""
+        qs = np.empty(len(Z))
+        step = _block_rows(len(X_calib))
+        for r0 in range(0, len(Z), step):
+            cum = np.cumsum(np.take(self.weights_batch(X_calib, Z[r0:r0 + step]), order, axis=1), axis=1)
+            # first score index where the weighted mass reaches the level
+            idx = np.argmax(cum >= level, axis=1)
+            reached = cum[np.arange(len(idx)), idx] >= level
+            qs[r0:r0 + step] = sorted_scores[np.where(reached, idx, len(sorted_scores) - 1)]
+        return qs
 
     def to_dict(self) -> dict:
         return _document(self, "kernel_similarity", ("bandwidth", "means", "stds"))

@@ -248,13 +248,15 @@ class TestEvaluate:
         ({"jobs": 0}, "jobs must be an integer >= 1"),
         ({"jobs": -1}, "jobs must be an integer >= 1"),
         ({"jobs": True}, "jobs must be an integer >= 1"),
+        # no method used to give an empty report
+        ({"methods": []}, "need at least one method"),
     ])
     def test_bad_alpha_policy_or_fraction_rejected_before_any_split(self, dataset, monkeypatch, kw, match):
         # each used to be filed once per cell as a data error, after the split
         calls = []
         monkeypatch.setattr(analysis, "split", lambda *a: calls.append(a) or cj.split(*a))
         with pytest.raises(ValidationError, match=match):
-            evaluate(dataset, ["split_abs", "cqr"], seeds=[1, 2], **kw)
+            evaluate(dataset, **{"methods": ["split_abs", "cqr"], "seeds": [1, 2], **kw})
         assert calls == []
 
     @pytest.mark.parametrize("policy", [None, cj.AdjustmentPolicy("shrink"), cj.AdjustmentPolicy.full(LIKERT)])

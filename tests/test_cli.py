@@ -451,6 +451,8 @@ class TestRepeatedSeedsAndMethods:
         ("human-baseline", ("--seeds", "2,2")),
         # every cqr cell used to be fitted twice
         ("evaluate", ("--methods", "cqr,cqr")),
+        # no method used to write a header-only eval.csv and exit 0
+        ("evaluate", ("--methods", ",")),
     ])
     def test_usage_error_before_any_read(self, tmp_path, capsys, command, flags):
         assert run(command, str(tmp_path / "missing.jsonl"), *flags, "--out-dir", str(tmp_path)) == 1

@@ -20,8 +20,6 @@ from confjudge.conformal import (
     _METHOD_TABLE,
     _chr_level_runs,
     _interval_chr,
-    _lvd_exact_quantiles,
-    _lvd_local_quantiles,
     _ordinal_growth_path,
     _ordinal_growth_predict,
     _run_table,
@@ -317,7 +315,7 @@ class TestR2ccp:
         model = cj.calibrate("r2ccp", ds, ds, 0.1, {"epochs": 30})
         forced = dataclasses.replace(model, qhat=1e9)
         ivals, flags = predict_intervals_flagged(forced, Z)
-        assert all(f == "degenerate" for f in flags)
+        assert flags.dtype == bool and flags.all()
         assert all(iv.width == 0.0 and LIKERT.on_grid(iv.lo) for iv in ivals)
 
     def test_only_degenerate_rows_fall_back_to_their_peak(self):
@@ -328,10 +326,10 @@ class TestR2ccp:
         dens = model.state["classifier"].predict_proba(Z) / LIKERT.step
         forced = dataclasses.replace(model, qhat=float(np.median(dens.max(axis=1))))
         ivals, flags = predict_intervals_flagged(forced, Z)
-        assert 0 < flags.count("degenerate") < len(flags)
+        assert 0 < np.count_nonzero(flags) < len(flags)
         for row, iv, flag in zip(dens, ivals, flags):
             span = _superlevel_interval(LIKERT.labels(), row, forced.qhat, LIKERT)
-            assert flag == (None if span else "degenerate")
+            assert flag == (span is None)
             assert (iv.lo, iv.hi) == (span or (LIKERT.labels()[np.argmax(row)],) * 2)
 
     def test_density_uses_bin_width(self):
@@ -675,6 +673,12 @@ class TestModelContract:
             iv_a = cj.predict_intervals(model, test.logits, test.raw_scores)
             iv_b = cj.predict_intervals(back, test.logits, test.raw_scores)
             assert [(x.lo, x.hi) for x in iv_a] == [(x.lo, x.hi) for x in iv_b], name
+
+    @pytest.mark.parametrize("method", cj.METHODS)
+    def test_flags_are_one_bool_per_row(self, fitted, method):
+        _, _, test, models = fitted
+        intervals, flags = predict_intervals_flagged(models[method], test.logits, test.raw_scores)
+        assert flags.dtype == bool and flags.shape == (len(intervals),) and not flags.any()
 
     @pytest.mark.parametrize("text", ["", "{", "not json", '{"format": "confjudge-model", "v": 2}', "[1, 2]"])
     def test_text_that_is_no_model_document_rejected(self, text):
@@ -1107,7 +1111,7 @@ class TestChrR2ccpDocumentCompatibility:
         model = cj.model_from_json((DATA / f"{method}_model_v1.json").read_text(encoding="utf-8"))
         intervals, flags = predict_intervals_flagged(model, np.asarray(expected["rows"]))
         assert [[iv.lo, iv.hi] for iv in intervals] == expected["intervals"][method]
-        assert list(flags) == expected["flags"][method]
+        assert flags.tolist() == [f == "degenerate" for f in expected["flags"][method]]
 
     @pytest.mark.parametrize("method", ["chr", "r2ccp"])
     def test_refit_writes_the_same_document(self, expected, method):
@@ -1221,6 +1225,9 @@ def _dense_chr_scores(probs, bins, y, T):
 
 
 def _dense_chr_bounds(probs, bins, qhat, T):
+    if qhat >= T + 1:
+        # unreachable labels score T + 1, so every label is in the set
+        return np.full(len(probs), bins[0]), np.full(len(probs), bins[-1])
     levels, run_lo, run_hi = _chr_level_runs_per_level(probs, T)
     runs = levels[:, min(int(qhat), T)]
     return bins[run_lo[runs]], bins[run_hi[runs]]
@@ -1280,6 +1287,18 @@ class TestChrStepsMatchDenseScoreAndInterval:
         with np.errstate(invalid="ignore"):
             want_lo, want_hi = _dense_chr_bounds(probs, bins, 0.0, 10)
         assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+    def test_quantile_past_the_top_level_covers_every_label(self):
+        # 15 training rows leave a fifth of the calibration labels
+        # unreachable, so qhat is T + 1: reading level T would miss them
+        ds, _ = cj.generate(cj.GeneratorSpec(seed=1, n=3000))
+        train, calib, test = cj.split(ds, cj.SplitSpec(1, 0.5, 0.01))
+        model = cj.calibrate("chr", train, calib, 0.1)
+        assert len(train) == 15 and model.qhat == 101.0
+        assert np.mean(model.calib_scores == 101.0) > 0.1
+        intervals = cj.predict_intervals(model, test.logits)
+        assert np.all(intervals.lo == 1.0) and np.all(intervals.hi == 5.0)
+        assert intervals.covers(test.labels).all()
 
 
 def test_chr_walks_stop_once_each_answer_is_fixed(monkeypatch):
@@ -1424,6 +1443,21 @@ def _lvd_model_on(X, y, bandwidth=None, alpha=0.1):
     return cj.CalibratedModel("lvd", alpha, LIKERT, k, None, state, scores)
 
 
+def _lvd_args(model, Z):
+    state = model.state
+    return state["calib_logits"], Z, state["sorted_scores"], state["sort_order"], (1.0 - model.alpha) - 1e-12
+
+
+def _lvd_local_quantiles(model, Z):
+    """The local quantiles lvd's intervals ask the model's kernel for."""
+    return model.state["kernel"].local_quantiles(*_lvd_args(model, Z))
+
+
+def _lvd_exact_quantiles(model, Z):
+    """The same from the kernel's exact path."""
+    return model.state["kernel"]._exact_quantiles(*_lvd_args(model, Z))
+
+
 def _small_blocks(monkeypatch, entries):
     """Blocks of ``entries`` pairs; below 8 features each one is summed
     feature by feature."""
@@ -1453,6 +1487,8 @@ class TestBlockedKernelMatchesDenseOracle:
         Z = rng.normal(size=(n, k)) * 2.0
         assert kernel.weights_batch(X, Z).tobytes() == _dense_weights(kernel, X, Z).tobytes()
         assert _lvd_local_quantiles(model, Z).tobytes() == _dense_lvd_quantiles(model, Z).tobytes()
+        # a 1-D query is one row
+        assert _lvd_local_quantiles(model, Z[0]).tobytes() == _dense_lvd_quantiles(model, Z[:1]).tobytes()
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_bandwidth_with_fewer_than_two_pairs(self, m):
@@ -1496,14 +1532,14 @@ def _exact_rows(pairs=0):
     """Yields the row counts of the batches the exact lvd path gets, while
     every call of more than ``pairs`` (query, point) pairs is located."""
     batches = []
-    exact = conformal._lvd_exact_quantiles
+    exact = estimators.KernelSimilarity._exact_quantiles
 
-    def counted(model, Z):
+    def counted(kernel, X_calib, Z, *args):
         batches.append(len(Z))
-        return exact(model, Z)
+        return exact(kernel, X_calib, Z, *args)
 
-    with mock.patch.object(conformal, "_lvd_exact_quantiles", counted), \
-            mock.patch.object(conformal, "_LOCATE_PAIRS", pairs):
+    with mock.patch.object(estimators.KernelSimilarity, "_exact_quantiles", counted), \
+            mock.patch.object(estimators, "_LOCATE_PAIRS", pairs):
         yield batches
 
 
@@ -1595,9 +1631,9 @@ class TestLocatedQuantilesMatchExactPath:
     def test_small_calls_take_the_exact_path(self):
         rng = np.random.default_rng(5)
         model = _lvd_model(rng, 250, 5)
-        with _exact_rows(conformal._LOCATE_PAIRS) as exact:
+        with _exact_rows(estimators._LOCATE_PAIRS) as exact:
             _lvd_local_quantiles(model, rng.normal(size=(1, 5)))
-            _lvd_local_quantiles(model, rng.normal(size=(conformal._LOCATE_PAIRS // 250 + 1, 5)))
+            _lvd_local_quantiles(model, rng.normal(size=(estimators._LOCATE_PAIRS // 250 + 1, 5)))
         # one served point against 250 calibration points stays exact
         assert exact == [1]
 
@@ -1625,7 +1661,7 @@ def test_located_quantiles_at_eval_wide_size():
     model = cj.calibrate("lvd", train, calib, 0.1)
     Z = test.logits
     assert (len(calib), len(Z)) == (2000, 4000)
-    with _exact_rows(conformal._LOCATE_PAIRS) as exact:
+    with _exact_rows(estimators._LOCATE_PAIRS) as exact:
         got = _lvd_local_quantiles(model, Z)
     assert exact == []
     assert got.tobytes() == _lvd_exact_quantiles(model, Z).tobytes()
@@ -1636,8 +1672,8 @@ def test_located_call_builds_its_row_factors_once(monkeypatch):
     # the queries' Gram rows [-2z, 1, |z|^2] and their bounds are made once
     # for the whole call, and each block takes its slice
     built = []
-    gram_rows = conformal._gram_rows
-    monkeypatch.setattr(conformal, "_gram_rows", lambda Z: built.append(len(Z)) or gram_rows(Z))
+    gram_rows = estimators._gram_rows
+    monkeypatch.setattr(estimators, "_gram_rows", lambda Z: built.append(len(Z)) or gram_rows(Z))
     rng = np.random.default_rng(3)
     model = _lvd_model(rng, 300, 5)
     Z = rng.normal(size=(1000, 5)) * 2.0

@@ -191,8 +191,6 @@ class TestScale:
 
 
 class TestIntervals:
-    # the coverage cases were written against analysis._coverage_width, which
-    # the batch's covers and width replace
     def test_coverage_fraction_from_example(self):
         intervals = Intervals([2, 4, 1], [4, 5, 2])
         assert intervals.covers(np.array([3.0, 4.0, 5.0])).mean() == pytest.approx(2 / 3)
@@ -258,8 +256,6 @@ class TestSamples:
         path.write_text("".join(json.dumps(r) + "\n" for r in recs))
         with pytest.raises(ValidationError, match="line 2: sample 'b': expected 5 logits, got 4"):
             read_samples(path, LIKERT)
-        with pytest.raises(ValidationError, match="line 1: sample 'a': expected 4 logits, got 5"):
-            read_samples(path, LIKERT, k=4)
         # the whole file used to be parsed first, so a later line's parse error won
         path.write_text(path.read_text() + "{not json\n")
         with pytest.raises(ValidationError, match="line 2: sample 'b': expected 5 logits, got 4"):
